@@ -3,7 +3,7 @@ the machine verification of their moment, product and generating-function
 identities."""
 
 from .characters import Character, all_characters, delta_char, delta_elem, quadratic, trivial
-from .charsums import SumTables, cvalue_close, tolerance
+from .charsums import SumTables
 from .curves import TraceRecord, clausen_trace, count_points_naive, legendre_trace
 from .errors import (
     DivisionByZero,
@@ -50,7 +50,6 @@ __all__ = [
     "appell_f4",
     "clausen_trace",
     "count_points_naive",
-    "cvalue_close",
     "delta_char",
     "delta_elem",
     "hyper_all_x",
@@ -62,6 +61,5 @@ __all__ = [
     "make_field",
     "quadratic",
     "reconstruct",
-    "tolerance",
     "trivial",
 ]

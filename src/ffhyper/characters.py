@@ -53,10 +53,6 @@ class Character:
     def inverse(self) -> "Character":
         return Character(self.field, -self.index)
 
-    def conjugate(self) -> "Character":
-        """On values, the inverse coincides with complex conjugation."""
-        return self.inverse()
-
     @property
     def is_trivial(self) -> bool:
         return self.index == 0

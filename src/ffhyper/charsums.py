@@ -1,57 +1,36 @@
 """Gauss sums, Jacobi sums and binomial coefficients, memoized per field.
 
-Jacobi sums are computed by direct O(q) summation rather than through
+Jacobi sums are computed by direct summation over x rather than through
 the Gauss-sum factorization: the factorization breaks down whenever a
 product of characters degenerates to the trivial one, which the
-binomial coefficients used downstream hit constantly.  Direct summation
-is uniform and fast at desk scale.
+binomial coefficients used downstream hit constantly.  The direct sum
+is uniform in the characters, and one length-(q-1) transform evaluates
+it for a whole binomial line at once.
 """
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
-
 import numpy as np
 
-from .characters import Character
 from .field import PrimeField
 
 
-def tolerance(scale: float) -> float:
-    """Comparison tolerance for sums of about `scale` unit-magnitude terms."""
-    return max(1e-9 * abs(scale), 1e-12)
-
-
-def cvalue_close(a: complex, b: complex, scale: float) -> bool:
-    return abs(a - b) <= tolerance(scale)
-
-
 class SumTables:
-    """Per-field tables of Gauss sums, Jacobi sums and binomial lines.
+    """Per-field Gauss vector and binomial lines.
 
-    All tables are keyed by character index, built lazily and retained
-    for the field's lifetime.  Reads are safe from multiple threads;
-    insertions are idempotent (two racing writers compute bit-identical
-    entries), which is all the cache contract requires.
+    A binomial line is the one memo for Jacobi sums and binomial
+    coefficients: every scalar lookup reads its entry off a line.  Lines
+    are keyed by character-index difference, built lazily with one
+    transform each and retained for the field's lifetime.
     """
 
-    def __init__(self, field: PrimeField, cache_dir: str | Path | None = None):
+    def __init__(self, field: PrimeField):
         self.field = field
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._gauss: np.ndarray | None = None
-        self._jacobi: dict[tuple[int, int], complex] = {}
-        self._binom: dict[tuple[int, int], complex] = {}
         self._binom_lines: dict[int, np.ndarray] = {}
         # Memo space for the hypergeometric layer (coefficient vectors,
         # whole-argument value tables), keyed by character-index tuples.
         self.hyper_cache: dict = {}
-        q = field.q
-        xs = np.arange(2, q)  # x = 0, 1 contribute nothing to J(A, B)
-        self._jac_d1 = field.dlog[xs]
-        self._jac_d2 = field.dlog[(1 - xs) % q]
-        if self.cache_dir is not None:
-            _ = self.gauss_vector  # warm-start eagerly: load or compute-and-save
 
     # -- Gauss sums ------------------------------------------------------------
 
@@ -59,109 +38,49 @@ class SumTables:
     def gauss_vector(self) -> np.ndarray:
         """g(chi_j) for every j; g(trivial) is stored as exactly -1."""
         if self._gauss is None:
-            loaded = self._load_gauss_cache()
-            if loaded is not None:
-                self._gauss = loaded
-            else:
-                f = self.field
-                n = f.q - 1
-                zeta_by_dlog = f.zeta_add[f.exp]
-                ks = np.arange(n)
-                g = np.empty(n, dtype=complex)
-                for j in range(n):
-                    g[j] = f.unit_roots[(j * ks) % n] @ zeta_by_dlog
-                g[0] = -1.0  # exact: sum of all nontrivial q-th roots of unity
-                self._gauss = g
-                self._save_gauss_cache(g)
+            f = self.field
+            n = f.q - 1
+            # g(chi_j) = sum_k zeta_{q-1}^{jk} zeta_q^{g^k}: one inverse DFT over k.
+            g = np.fft.ifft(f.zeta_add[f.exp]) * n
+            g[0] = -1.0  # exact: sum of all nontrivial q-th roots of unity
+            self._gauss = g
         return self._gauss
 
-    def gauss_sum(self, chi: Character) -> complex:
-        return complex(self.gauss_vector[chi.index])
-
-    # -- Jacobi sums -------------------------------------------------------------
+    # -- Jacobi sums and binomial coefficients -----------------------------------
 
     def jacobi_index(self, a: int, b: int) -> complex:
-        """J(chi_a, chi_b) = sum_x chi_a(x) chi_b(1-x), memoized."""
-        n = self.field.q - 1
-        key = (a % n, b % n)
-        hit = self._jacobi.get(key)
-        if hit is not None:
-            return hit
-        a, b = key
-        val = complex(self.field.unit_roots[(a * self._jac_d1 + b * self._jac_d2) % n].sum())
-        self._jacobi[key] = val
-        return val
-
-    def jacobi_sum(self, a: Character, b: Character) -> complex:
-        return self.jacobi_index(a.index, b.index)
-
-    # -- binomial coefficients ---------------------------------------------------
+        """J(chi_a, chi_b) = sum_x chi_a(x) chi_b(1-x) = (-1)^b q (chi_a over chi_{-b})."""
+        sign = -1.0 if b % 2 else 1.0
+        return complex(sign * self.field.q * self.binomial_line(a + b)[a % (self.field.q - 1)])
 
     def binomial_index(self, a: int, b: int) -> complex:
         """(chi_a over chi_b) = chi_b(-1) * J(chi_a, inverse(chi_b)) / q."""
-        n = self.field.q - 1
-        key = (a % n, b % n)
-        hit = self._binom.get(key)
-        if hit is not None:
-            return hit
-        a, b = key
-        sign = -1.0 if b % 2 else 1.0
-        val = sign * self.jacobi_index(a, -b) / self.field.q
-        self._binom[key] = val
-        return val
-
-    def binomial(self, a: Character, b: Character) -> complex:
-        return self.binomial_index(a.index, b.index)
+        return complex(self.binomial_line(a - b)[a % (self.field.q - 1)])
 
     def binomial_line(self, diff: int) -> np.ndarray:
         """Vector over m of (chi_m over chi_{m-diff}).
 
         Every slot of a hypergeometric coefficient product reads its
         binomials off one such line, so lines are the natural cache unit.
+        With d1 = dlog x and d2 = dlog(1-x), the Jacobi sum behind entry m
+        is sum_x zeta^(diff*d2) zeta^(m*(d1-d2)): a histogram of the first
+        factor over the bins d1-d2, then one inverse DFT over m.
         """
-        n = self.field.q - 1
+        f = self.field
+        n = f.q - 1
         diff %= n
         hit = self._binom_lines.get(diff)
         if hit is not None:
             return hit
-        line = np.empty(n, dtype=complex)
-        for m in range(n):
-            line[m] = self.binomial_index(m, m - diff)
+        xs = np.arange(2, f.q)  # x = 0, 1 contribute nothing to J
+        d1 = f.dlog[xs]
+        d2 = f.dlog[(1 - xs) % f.q]
+        weights = f.unit_roots[(diff * d2) % n]
+        hist = np.zeros(n, dtype=complex)
+        np.add.at(hist, (d1 - d2) % n, weights)
+        jac = np.fft.ifft(hist) * n  # jac[m] = J(chi_m, chi_{diff-m})
+        signs = np.where((np.arange(n) - diff) % 2, -1.0, 1.0)
+        line = signs * jac / f.q
         line.setflags(write=False)
         self._binom_lines[diff] = line
         return line
-
-    # -- optional on-disk warm start -----------------------------------------
-
-    def _cache_path(self) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"gauss_{self.field.q}.bin"
-
-    def _save_gauss_cache(self, g: np.ndarray) -> None:
-        path = self._cache_path()
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        n = self.field.q - 1
-        payload = struct.pack("<Q", self.field.q)
-        payload += struct.pack(f"<{2 * n}d", *(v for z in g for v in (z.real, z.imag)))
-        path.write_bytes(payload)
-
-    def _load_gauss_cache(self) -> np.ndarray | None:
-        path = self._cache_path()
-        if path is None or not path.exists():
-            return None
-        n = self.field.q - 1
-        raw = path.read_bytes()
-        if len(raw) != 8 + 16 * n:
-            return None
-        (q,) = struct.unpack_from("<Q", raw, 0)
-        if q != self.field.q:
-            return None
-        flat = struct.unpack_from(f"<{2 * n}d", raw, 8)
-        g = np.array(flat[0::2]) + 1j * np.array(flat[1::2])
-        # Warm start only: a stale or corrupt file must never poison results.
-        if g[0] != -1.0:
-            return None
-        return g

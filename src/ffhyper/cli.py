@@ -2,9 +2,9 @@
 
 Exit codes are a function of results only: 0 all checks pass, 1 any
 identity failure, 2 usage or configuration error, 3 work budget
-exceeded.  Report streams are order-normalized before writing, so the
-worker pool never changes the bytes emitted; CSV and JSON are UTF-8
-with LF line endings.
+exceeded.  Verify processes one prime at a time and sorts its reports
+by (statement, prime) before writing, so the bytes emitted depend only on
+the configuration; CSV and JSON are UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import identities
@@ -36,8 +34,6 @@ from .hypergeo import (
 )
 from .identities import IdentityReport, SweepSummary
 
-CACHE_ENV_VAR = "FFHYPER_CACHE"
-
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
@@ -52,9 +48,6 @@ class RunConfig:
     work_budget: int
     output_format: str
     output_path: str | None
-    cache_dir: str | None
-    strict: bool
-    jobs: int
 
 
 class UsageError(ValueError):
@@ -252,34 +245,20 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    fields = {}
+    # One prime at a time, so only one field's tables are alive at once.
+    results = []
     for q in config.primes:
-        f = make_field(q)
-        fields[q] = SumTables(f, config.cache_dir)
-
-    tasks = [
-        (si, label, q)
-        for si, label in enumerate(config.statements)
-        for q in config.primes
-    ]
-
-    def run_task(task):
-        si, label, q = task
-        try:
-            reports = identities.run_statement(label, fields[q], config.seed, config.work_budget)
-        except NotRational as e:
-            reports = [
-                IdentityReport(
-                    label, q, "<reconstruction failure>", 0j, 0j, e.residual, 0.0, False
-                )
-            ]
-        return si, q, reports
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
+        tables = SumTables(make_field(q))
+        for si, label in enumerate(config.statements):
+            try:
+                reports = identities.run_statement(label, tables, config.seed, config.work_budget)
+            except NotRational as e:
+                reports = [
+                    IdentityReport(
+                        label, q, "<reconstruction failure>", 0j, 0j, e.residual, 0.0, False
+                    )
+                ]
+            results.append((si, q, reports))
     results.sort(key=lambda item: (item[0], item[1]))
 
     reports: list[IdentityReport] = []
@@ -320,7 +299,7 @@ def _parse_indices(text: str | None, what: str) -> list[int]:
 def cmd_eval(args) -> int:
     start = time.perf_counter()
     f = make_field(args.q)
-    tables = SumTables(f, args.cache)
+    tables = SumTables(f)
     fn = args.fn
     lines = []
     if fn in ("trace-legendre", "trace-clausen"):
@@ -384,9 +363,7 @@ def _add_common(p: argparse.ArgumentParser, fmt_choices, fmt_default) -> None:
     p.add_argument("--format", choices=fmt_choices, default=fmt_default, dest="fmt")
     p.add_argument("--out", default=None, help="write the report stream to this file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--cache", default=None, help=f"table cache dir (default ${CACHE_ENV_VAR})")
     p.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--chars", default=None, help="comma-separated character indices")
     pe.add_argument("--uppers", default=None)
     pe.add_argument("--lowers", default=None)
-    pe.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    pe.add_argument("--cache", default=None)
 
     pv = sub.add_parser("verify", help="verify identity statements over a prime sweep")
     _add_common(pv, ("json", "csv", "text"), "text")
@@ -424,7 +399,6 @@ def run(argv=None) -> int:
     try:
         if args.command == "eval":
             return cmd_eval(args)
-        cache_dir = args.cache if args.cache is not None else os.environ.get(CACHE_ENV_VAR)
         config = RunConfig(
             primes=parse_primes(args.primes, args.strict),
             statements=parse_statements(args.statements),
@@ -432,9 +406,6 @@ def run(argv=None) -> int:
             work_budget=args.budget,
             output_format=args.fmt,
             output_path=args.out,
-            cache_dir=cache_dir,
-            strict=args.strict,
-            jobs=max(1, args.jobs),
         )
         if args.command == "verify":
             return cmd_verify(config)

@@ -92,27 +92,10 @@ class PrimeField:
 
     # -- element arithmetic -------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise DivisionByZero("inverse of 0")
         return pow(a, self.q - 2, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a, e, self.q)
 
     def legendre(self, x: int) -> int:
         """Quadratic-character value in {-1, 0, 1}; agrees with Euler's criterion."""
@@ -155,9 +138,6 @@ class PrimeField:
         return self._zeta_add
 
     # -- plumbing -------------------------------------------------------------
-
-    def units(self) -> range:
-        return range(1, self.q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q

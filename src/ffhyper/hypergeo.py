@@ -287,9 +287,9 @@ def appell_f4(
 ) -> complex:
     """F4*(A; B; C, C'; x, y): the double character sum of Gauss-sum ratios.
 
-    The (q-1)^2 inner loop is multiplication-only: the four denominator
-    Gauss sums and the three index-shifted numerator profiles are pulled
-    out before the double sum.
+    The summand factors as pair[u+v] * U[u] * V[v], so the sum over
+    u + v = s is a cyclic convolution of the two index profiles, taken
+    with one forward and one inverse DFT.
     """
     f = tables.field
     q = f.q
@@ -305,6 +305,6 @@ def appell_f4(
     pair = np.roll(g, -ai) * np.roll(g, -bi)  # pair[s] = g(A chi_s) g(B chi_s), s = u+v
     u_prof = g[(-ci - ks) % n] * g[(-ks) % n] * f.unit_roots[(ks * int(f.dlog[x])) % n]
     v_prof = g[(-cpi - ks) % n] * g[(-ks) % n] * f.unit_roots[(ks * int(f.dlog[y])) % n]
-    idx = (ks[:, None] + ks[None, :]) % n
-    total = complex((pair[idx] * u_prof[:, None] * v_prof[None, :]).sum())
+    conv = np.fft.ifft(np.fft.fft(u_prof) * np.fft.fft(v_prof))  # conv[s] = sum_{u+v=s} U[u] V[v]
+    total = complex(pair @ conv)
     return total / (n * n * denom)

@@ -153,8 +153,10 @@ def verify_product(
     z %= q
     if x in (0, 1) or z in (0, 1):
         raise RejectedInput("x and z must avoid {0, 1}")
-    if q * (q - 1) ** 2 > budget:
-        raise Infeasible(f"w-sum cost q(q-1)^2 = {q * (q - 1) ** 2} exceeds budget {budget}")
+    # q-2 F4* points, each a length-(q-1) convolution by FFT.
+    cost = (q - 2) * (q - 1) * (q - 1).bit_length()
+    if cost > budget:
+        raise Infeasible(f"w-sum cost (q-2)(q-1)log2(q-1) = {cost} exceeds budget {budget}")
     phi = quadratic(f)
     eps = trivial(f)
     full = HyperParams((*free_uppers, phi, phi), (*free_lowers, eps, eps))
@@ -170,11 +172,7 @@ def verify_product(
     t2 = lower_vals[x] * hyper_char(f21, 1, tables) * hyper_char(f21, z, tables) / q
     t3 = 0j
     for w in range(2, q):
-        fkey = ("f4", z, w)
-        f4 = tables.hyper_cache.get(fkey)
-        if f4 is None:
-            f4 = appell_f4(phi, phi, eps, eps, z * (1 - w) % q, w * (1 - z) % q, tables)
-            tables.hyper_cache[fkey] = f4
+        f4 = appell_f4(phi, phi, eps, eps, z * (1 - w) % q, w * (1 - z) % q, tables)
         t3 += f.legendre(w) * lower_vals[(w * x) % q] * f4
     rhs = t1 + t2 + t3 / q**3
     inst = f"n={n} x={x} z={z} up={_idx(free_uppers)} lo={_idx(free_lowers)}"

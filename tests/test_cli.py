@@ -152,14 +152,6 @@ def test_verify_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_jobs_do_not_change_bytes(tmp_path):
-    args = ["verify", "--primes", "5,7,11", "--statements", "first-moment,trace-bridge", "--format", "csv"]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(args + ["--jobs", "1", "--out", str(out1)]) == EXIT_OK
-    assert run(args + ["--jobs", "4", "--out", str(out2)]) == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_verify_strict_range_exit_2(capsys):
     assert run(["verify", "--primes", "4..6"]) == EXIT_USAGE
     capsys.readouterr()
@@ -168,25 +160,6 @@ def test_verify_strict_range_exit_2(capsys):
 def test_verify_budget_exit_3(capsys):
     rc = run(["verify", "--primes", "11", "--statements", "product", "--budget", "100"])
     assert rc == EXIT_INFEASIBLE
-    capsys.readouterr()
-
-
-def test_verify_cache_dir(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    rc = run(
-        ["verify", "--primes", "5", "--statements", "first-moment", "--cache", str(cache), "--format", "text"]
-    )
-    assert rc == EXIT_OK
-    assert (cache / "gauss_5.bin").exists()
-    capsys.readouterr()
-
-
-def test_verify_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("FFHYPER_CACHE", str(cache))
-    rc = run(["verify", "--primes", "5", "--statements", "first-moment"])
-    assert rc == EXIT_OK
-    assert (cache / "gauss_5.bin").exists()
     capsys.readouterr()
 
 
