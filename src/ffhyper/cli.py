@@ -1,10 +1,11 @@
 """Command-line front end: evaluate, verify, sweep.
 
 Exit codes are a function of results only: 0 all checks pass, 1 any
-identity failure, 2 usage or configuration error, 3 work budget
-exceeded.  Verify processes one prime at a time and sorts its reports
-by (statement, prime) before writing, so the bytes emitted depend only on
-the configuration; CSV and JSON are UTF-8 with LF line endings.
+identity failure or a verify statement with no instances, 2 usage or
+configuration error, 3 work budget exceeded.  Verify processes one prime
+at a time and sorts its reports by (statement, prime) before writing, so
+the bytes emitted depend only on the configuration; CSV and JSON are
+UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -269,7 +270,11 @@ def cmd_verify(config: RunConfig) -> int:
         for label in config.statements
     ]
     _emit(render_reports(reports, summaries, config.output_format), config.output_path)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
+    # A statement with no instances checked nothing; that is not a pass.
+    vacuous = [s.statement for s in summaries if s.instances == 0]
+    for label in vacuous:
+        print(f"warning: {label} has no instances over primes {config.primes}", file=sys.stderr)
+    return EXIT_OK if all(r.passed for r in reports) and not vacuous else EXIT_FAILED
 
 
 # -- sweep -----------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Frobenius traces of the Legendre and Clausen curve families.
 
-Traces come from the quadratic-character sum over the defining cubic,
-which costs O(q) per parameter; the naive point enumeration is kept as
-an independent counting oracle for the tests.
+Traces come from the quadratic-character sum over the defining cubic.
+For one parameter that is a direct O(q) sum (`legendre_trace`,
+`clausen_trace`).  The whole-family tables are one exact length-q
+cyclic correlation each, O(q log q) by real FFT; the single-parameter
+sums are their independent oracle, and the naive point enumeration is
+the counting oracle for those.
 """
 
 from __future__ import annotations
@@ -52,26 +55,46 @@ def clausen_trace(field: PrimeField, lam: int) -> TraceRecord:
     return TraceRecord(lam, tr, q + 1 - tr)
 
 
+def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer cyclic correlation c[l] = sum_y a[y] * b[y + l] (mod len).
+
+    One pair of real transforms and one inverse; the result is rounded
+    to int64 only if every entry is within 0.25 of an integer, so a
+    precision loss raises instead of being rounded away.
+    """
+    n = len(a)
+    c = np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(b), n)
+    out = np.rint(c)
+    resid = float(np.abs(c - out).max())
+    if resid >= 0.25:
+        raise ArithmeticError(f"trace correlation at q={n} is {resid:.3g} from an integer")
+    return out.astype(np.int64)
+
+
 def legendre_trace_table(field: PrimeField) -> np.ndarray:
-    """Traces for every lambda at once; entries at lambda in {0,1} are unused."""
+    """Traces for every lambda at once; entries at lambda in {0,1} are unused.
+
+    a(lam) = -sum_x u[x] phi(x - lam) with u[x] = phi(x(x-1)), which is
+    -sum_y phi(y) u[y + lam]: one correlation of phi against u.
+    """
     q = field.q
+    leg = field.legendre_table
     xs = np.arange(q, dtype=np.int64)
-    base = xs * (xs - 1) % q  # x(x-1)
-    cube = base * xs % q  # x^2(x-1)
-    lams = np.arange(q, dtype=np.int64)
-    vals = (cube[None, :] - lams[:, None] * base[None, :]) % q
-    return -field.legendre_table[vals].sum(axis=1)
+    u = leg[xs * (xs - 1) % q]
+    return -_correlate(leg, u)
 
 
 def clausen_trace_table(field: PrimeField) -> np.ndarray:
-    """Traces for every lambda at once; entries at lambda in {0,-1} are unused."""
+    """Traces for every lambda at once; entries at lambda in {0,-1} are unused.
+
+    a'(lam) = -sum_t w[t] phi(t + lam) with w[t] = sum_{x^2 = t} phi(x-1):
+    one correlation of w against phi.
+    """
     q = field.q
+    leg = field.legendre_table
     xs = np.arange(q, dtype=np.int64)
-    lin = (xs - 1) % q
-    cube = xs * xs % q * lin % q  # x^2(x-1)
-    lams = np.arange(q, dtype=np.int64)
-    vals = (cube[None, :] + lams[:, None] * lin[None, :]) % q
-    return -field.legendre_table[vals].sum(axis=1)
+    w = np.bincount(xs * xs % q, weights=leg[(xs - 1) % q], minlength=q)
+    return -_correlate(w, leg)
 
 
 def count_points_naive(field: PrimeField, family: str, lam: int) -> int:

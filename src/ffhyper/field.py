@@ -8,6 +8,8 @@ is chosen so character indices are reproducible across runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DivisionByZero, NotOdd, NotPrime
@@ -58,6 +60,11 @@ def smallest_primitive_root(q: int) -> int:
 class PrimeField:
     """F_q for an odd prime q.
 
+    The power table `exp` (exp[k] = g**k) and its inverse `dlog` are
+    built baby-step/giant-step: O(sqrt(q)) Python steps for the powers
+    g**j and g**(i*b) with b = isqrt(q-1) + 1, then one outer product
+    of the two for all q-1 powers.
+
     Immutable after construction; all tables are plain numpy arrays and
     all operations are pure, so instances are safe to share across
     threads.
@@ -71,13 +78,23 @@ class PrimeField:
         self.q = q
         self.g = smallest_primitive_root(q)
         n = q - 1
-        dlog = np.full(q, -1, dtype=np.int64)
-        exp = np.empty(n, dtype=np.int64)
+        # Baby steps small[j] = g**j, giant steps big[i] = g**(i*b); since
+        # b*b > n, g**(i*b + j) = big[i] * small[j] covers every k < n.
+        # Each product is below q**2, which int64 holds.
+        b = math.isqrt(n) + 1
+        small = np.empty(b, dtype=np.int64)
         acc = 1
-        for k in range(n):
-            exp[k] = acc
-            dlog[acc] = k
-            acc = (acc * self.g) % q
+        for j in range(b):
+            small[j] = acc
+            acc = acc * self.g % q
+        big = np.empty(b, dtype=np.int64)
+        step, acc = acc, 1  # acc is now g**b
+        for i in range(b):
+            big[i] = acc
+            acc = acc * step % q
+        exp = (big[:, None] * small[None, :] % q).ravel()[:n]
+        dlog = np.full(q, -1, dtype=np.int64)
+        dlog[exp] = np.arange(n, dtype=np.int64)
         self.dlog = dlog
         self.exp = exp
         # Squares are exactly the even powers of g.

@@ -460,8 +460,11 @@ def estimate_sweep(primes, which: str, budget: int = DEFAULT_BUDGET):
     for q in primes:
         if q == 2 or not is_prime(q):
             raise RejectedInput(f"{q} is not an odd prime")
-        if q * q > budget:
-            raise Infeasible(f"q^2 = {q * q} exceeds budget {budget}")
+        # One trace table per prime: two forward real FFTs and one inverse
+        # of length q.
+        cost = 3 * q * q.bit_length()
+        if cost > budget:
+            raise Infeasible(f"trace-table cost 3*q*log2(q) = {cost} exceeds budget {budget}")
         f = make_field(q)
         if which == "F43":
             a = legendre_trace_table(f)

@@ -6,6 +6,7 @@ import pytest
 
 from ffhyper import make_field
 from ffhyper.cli import (
+    EXIT_FAILED,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
@@ -150,6 +151,23 @@ def test_verify_deterministic_bytes(tmp_path):
     assert run(args + ["--out", str(out1)]) == EXIT_OK
     assert run(args + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_no_instances_exits_1(capsys):
+    # remark-sums has no instances at q=3: that is a vacuous pass, not a pass.
+    rc = run(["verify", "--primes", "3", "--statements", "remark-sums"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_FAILED
+    assert captured.err == "warning: remark-sums has no instances over primes [3]\n"
+    assert captured.out == (
+        "\nsummary remark-sums: 0 instances over primes [], 0 failures, max residual 0.000e+00\n"
+    )
+    # Only the empty statement is named, and one prime with instances is enough.
+    rc = run(["verify", "--primes", "3", "--statements", "first-moment,remark-sums", "--format", "csv"])
+    assert rc == EXIT_FAILED
+    assert capsys.readouterr().err == "warning: remark-sums has no instances over primes [3]\n"
+    assert run(["verify", "--primes", "3,5", "--statements", "remark-sums"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_strict_range_exit_2(capsys):

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from ffhyper import SingularParameter, make_field
 from ffhyper.curves import (
+    _correlate,
     clausen_trace,
     clausen_trace_table,
     count_points_naive,
@@ -68,7 +70,7 @@ def test_trace_sum_identity(q):
 
 
 def test_trace_tables_match_single_calls():
-    for q in (7, 13, 29):
+    for q in (7, 13, 29, 101, 1009):
         f = make_field(q)
         a = legendre_trace_table(f)
         for lam in range(2, q):
@@ -76,6 +78,34 @@ def test_trace_tables_match_single_calls():
         ap = clausen_trace_table(f)
         for lam in range(1, q - 1):
             assert int(ap[lam]) == clausen_trace(f, lam).trace
+
+
+def test_trace_tables_match_single_calls_sampled():
+    q = 10007
+    f = make_field(q)
+    a = legendre_trace_table(f)
+    ap = clausen_trace_table(f)
+    rng = np.random.default_rng(2021)
+    for lam in rng.integers(2, q - 1, size=200):
+        lam = int(lam)
+        assert int(a[lam]) == legendre_trace(f, lam).trace
+        assert int(ap[lam]) == clausen_trace(f, lam).trace
+
+
+@pytest.mark.parametrize("q", (101, 401))  # q - 1 is a perfect square
+def test_trace_tables_hasse_bound(q):
+    f = make_field(q)
+    bound = hasse_bound(q)
+    a = legendre_trace_table(f)
+    ap = clausen_trace_table(f)
+    assert a.dtype == ap.dtype == np.int64
+    assert np.abs(a[2:]).max() <= bound
+    assert np.abs(ap[1 : q - 1]).max() <= bound
+
+
+def test_trace_correlation_refuses_to_round_non_integers():
+    with pytest.raises(ArithmeticError):
+        _correlate(np.array([0.5, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 def test_naive_count_unknown_family():

@@ -52,11 +52,14 @@ def test_legendre_examples():
     assert f.legendre(3) == -1
 
 
-@pytest.mark.parametrize("q", SMALL_PRIMES)
+# The larger primes mostly have q - 1 a perfect square, the edge case of
+# the baby-step/giant-step power build.
+@pytest.mark.parametrize("q", SMALL_PRIMES + [401, 577, 1009, 10007])
 def test_dlog_roundtrip(q):
     f = make_field(q)
     for x in range(1, q):
         assert pow(f.g, int(f.dlog[x]), q) == x
+        assert int(f.exp[f.dlog[x]]) == x
     assert sorted(int(v) for v in f.exp) == list(range(1, q))
 
 

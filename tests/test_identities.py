@@ -349,6 +349,15 @@ def test_estimate_sweep_budget():
         estimate_sweep([101], "F43", budget=1000)
 
 
+def test_estimate_sweep_budget_charges_fft_cost():
+    # Per prime: two forward real FFTs and one inverse of length q.
+    cost = 3 * 101 * (101).bit_length()
+    rows, _ = estimate_sweep([101], "F65", budget=cost)
+    assert len(rows) == 1
+    with pytest.raises(Infeasible, match="3\\*q\\*log2\\(q\\) = 2121"):
+        estimate_sweep([101], "F65", budget=cost - 1)
+
+
 def test_f65_trace_route_matches_character_backend(tables_for):
     # The exact 6F5(1) from traces must equal the reconstructed character sum.
     from ffhyper.hypergeo import reconstruct
