@@ -62,25 +62,36 @@ class SumTables:
 
         Every slot of a hypergeometric coefficient product reads its
         binomials off one such line, so lines are the natural cache unit.
-        With d1 = dlog x and d2 = dlog(1-x), the Jacobi sum behind entry m
-        is sum_x zeta^(diff*d2) zeta^(m*(d1-d2)): a histogram of the first
-        factor over the bins d1-d2, then one inverse DFT over m.
         """
-        f = self.field
-        n = f.q - 1
+        n = self.field.q - 1
         diff %= n
         hit = self._binom_lines.get(diff)
         if hit is not None:
             return hit
-        xs = np.arange(2, f.q)  # x = 0, 1 contribute nothing to J
-        d1 = f.dlog[xs]
-        d2 = f.dlog[(1 - xs) % f.q]
-        weights = f.unit_roots[(diff * d2) % n]
-        hist = np.zeros(n, dtype=complex)
-        np.add.at(hist, (d1 - d2) % n, weights)
-        jac = np.fft.ifft(hist) * n  # jac[m] = J(chi_m, chi_{diff-m})
-        signs = np.where((np.arange(n) - diff) % 2, -1.0, 1.0)
-        line = signs * jac / f.q
+        line = _line_kernel(self.field, diff)
         line.setflags(write=False)
         self._binom_lines[diff] = line
         return line
+
+
+def _line_kernel(f: PrimeField, diff: int, by_dlog: np.ndarray | None = None) -> np.ndarray:
+    """The binomial line of diff, each x optionally weighted by by_dlog[dlog x].
+
+    With d1 = dlog x and d2 = dlog(1-x), the Jacobi sum behind entry m
+    is sum_x zeta^(diff*d2) zeta^(m*(d1-d2)): a histogram of the first
+    factor over the bins d1-d2, then one inverse DFT over m.  Entry m is
+    (-1)^(m-diff)/q times that sum, which without weights is
+    (chi_m over chi_{m-diff}).
+    """
+    n = f.q - 1
+    xs = np.arange(2, f.q)  # x = 0, 1 contribute nothing to J
+    d1 = f.dlog[xs]
+    d2 = f.dlog[(1 - xs) % f.q]
+    weights = f.unit_roots[(diff * d2) % n]
+    if by_dlog is not None:
+        weights = weights * by_dlog[d1]
+    hist = np.zeros(n, dtype=complex)
+    np.add.at(hist, (d1 - d2) % n, weights)
+    jac = np.fft.ifft(hist) * n  # jac[m] = J(chi_m, chi_{diff-m}) when unweighted
+    signs = np.where((np.arange(n) - diff) % 2, -1.0, 1.0)
+    return signs * jac / f.q

@@ -314,7 +314,10 @@ def cmd_eval(args) -> int:
         lines.append(f"trace = {rec.trace}")
         lines.append(f"count = {rec.count}")
     elif fn == "gauss":
-        (j,) = _parse_indices(args.chars, "chars")[:1]
+        idx = _parse_indices(args.chars, "chars")
+        if not idx:
+            raise UsageError("gauss needs one character index, e.g. --chars 3")
+        j = idx[0]
         lines.append(f"g(chi_{j}) = {complex(tables.gauss_vector[j % (f.q - 1)])!r}")
     elif fn == "jacobi":
         idx = _parse_indices(args.chars, "chars")

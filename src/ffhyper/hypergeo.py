@@ -5,6 +5,10 @@ The character backend evaluates the defining sum
     F(x) = q/(q-1) * sum_chi (A0 chi over chi)(A1 chi over B1 chi)...(An chi over Bn chi) chi(x)
 
 for n >= 1, with the n = 0 base case 1F0(A|x) = eps(x) * conj(A)(1-x).
+A weighted sum over psi of F with its last upper character twisted by
+psi is one weighted binomial line (hyper_twisted_sum), not q-1 separate
+evaluations, and the Appell series F4* is evaluated for a whole batch of
+points with one row-wise transform (appell_f4_batch).
 For the all-phi/eps parameter family an exact backend unrolls the
 one-slot descent down to the base case and sums Legendre symbols in
 arbitrary-precision integer arithmetic, which anchors the rational
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import Character, quadratic, trivial
-from .charsums import SumTables
+from .charsums import SumTables, _line_kernel
 from .errors import FieldMismatch, Infeasible, NotRational
 from .field import PrimeField
 
@@ -60,9 +64,6 @@ class HyperParams:
 
     def dropped_last(self) -> "HyperParams":
         return HyperParams(self.uppers[:-1], self.lowers[:-1])
-
-    def with_last_upper(self, chi: Character) -> "HyperParams":
-        return HyperParams((*self.uppers[:-1], self.uppers[-1] * chi), self.lowers)
 
     def extended(self, psi: Character) -> "HyperParams":
         """Append psi to both rows (the contiguous (n+2)F_{n+1} instance)."""
@@ -162,6 +163,34 @@ def hyper_char(params: HyperParams, x: int, tables: SumTables) -> complex:
         return 0j
     n = f.q - 1
     c = _coeff_vector(params, tables)
+    m = int(f.dlog[x])
+    return complex(c @ f.unit_roots[(m * np.arange(n)) % n])
+
+
+def hyper_twisted_sum(params: HyperParams, weights: np.ndarray, x: int, tables: SumTables) -> complex:
+    """sum_p weights[p] * F(params with last upper A_n chi_p | x), in O(q log q).
+
+    With a = A_n, d = A_n - B_n, row p of the last slot is
+    binomial_line(d+p)[a+p+j].  Its sign (-1)^(a+j-d) does not depend on
+    p, and its Jacobi phase is the p = 0 phase times zeta^(p dlog y) at
+    each summation point y.  So the weighted sum over p is the line
+    kernel of d with y weighted by W[dlog y], W = (q-1) ifft(weights),
+    read at a+j; it multiplies the coefficient vector of the lower slots.
+    """
+    if params.n < 1:
+        raise ValueError("the twisted sum needs a last slot with a lower character")
+    f = params.field
+    q = f.q
+    n = q - 1
+    if len(weights) != n:
+        raise ValueError(f"need one weight per character, got {len(weights)} for q = {q}")
+    x %= q
+    if x == 0:
+        return 0j
+    a = params.uppers[-1].index
+    d = (a - params.lowers[-1].index) % n
+    last = np.roll(_line_kernel(f, d, np.fft.ifft(weights) * n), -a)
+    c = _coeff_vector(params.dropped_last(), tables) * last
     m = int(f.dlog[x])
     return complex(c @ f.unit_roots[(m * np.arange(n)) % n])
 
@@ -285,26 +314,50 @@ def appell_f4(
     y: int,
     tables: SumTables,
 ) -> complex:
-    """F4*(A; B; C, C'; x, y): the double character sum of Gauss-sum ratios.
+    """F4*(A; B; C, C'; x, y) at one point; see appell_f4_batch."""
+    q = tables.field.q
+    if x % q == 0 or y % q == 0:
+        return 0j
+    return appell_f4_batch(a, b, c, cp, np.array([x]), np.array([y]), tables)[0]
 
-    The summand factors as pair[u+v] * U[u] * V[v], so the sum over
-    u + v = s is a cyclic convolution of the two index profiles, taken
-    with one forward and one inverse DFT.
+
+def appell_f4_batch(
+    a: Character,
+    b: Character,
+    c: Character,
+    cp: Character,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    tables: SumTables,
+) -> np.ndarray:
+    """F4*(A; B; C, C'; x, y) at the points (xs[i], ys[i]); 0 where x or y is 0.
+
+    F4* is the double character sum of Gauss-sum ratios.  Its summand
+    factors as pair[u+v] * U[u] * V[v], so the sum over u + v = s is a
+    cyclic convolution of the two index profiles.  The profiles of all
+    points form two (points, q-1) arrays, convolved with one forward and
+    one inverse DFT along their rows.
     """
     f = tables.field
     q = f.q
-    x %= q
-    y %= q
-    if x == 0 or y == 0:
-        return 0j
+    xs = np.asarray(xs, dtype=np.int64) % q
+    ys = np.asarray(ys, dtype=np.int64) % q
+    out = np.zeros(len(xs), dtype=complex)
+    live = (xs != 0) & (ys != 0)
     n = q - 1
     g = tables.gauss_vector
     ai, bi, ci, cpi = a.index, b.index, c.index, cp.index
     denom = g[ai] * g[bi] * g[(-ci) % n] * g[(-cpi) % n]
     ks = np.arange(n)
     pair = np.roll(g, -ai) * np.roll(g, -bi)  # pair[s] = g(A chi_s) g(B chi_s), s = u+v
-    u_prof = g[(-ci - ks) % n] * g[(-ks) % n] * f.unit_roots[(ks * int(f.dlog[x])) % n]
-    v_prof = g[(-cpi - ks) % n] * g[(-ks) % n] * f.unit_roots[(ks * int(f.dlog[y])) % n]
-    conv = np.fft.ifft(np.fft.fft(u_prof) * np.fft.fft(v_prof))  # conv[s] = sum_{u+v=s} U[u] V[v]
-    total = complex(pair @ conv)
-    return total / (n * n * denom)
+
+    def spectrum(lower: int, pts: np.ndarray) -> np.ndarray:
+        # Row i: the DFT over u of g(conj(C) chi_-u) g(chi_-u) chi_u(pts[i]).
+        prof = g[(-lower - ks) % n] * g[(-ks) % n] * f.unit_roots[np.outer(f.dlog[pts], ks) % n]
+        return np.fft.fft(prof, axis=1)
+
+    conv = spectrum(ci, xs[live])
+    conv *= spectrum(cpi, ys[live])
+    conv = np.fft.ifft(conv, axis=1)  # conv[i, s] = sum_{u+v=s} U_i[u] V_i[v]
+    out[live] = conv @ pair / (n * n * denom)
+    return out

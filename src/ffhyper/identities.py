@@ -23,9 +23,10 @@ from .hypergeo import (
     DEFAULT_BUDGET,
     HyperParams,
     QPowerRational,
-    appell_f4,
+    appell_f4_batch,
     hyper_all_x,
     hyper_char,
+    hyper_twisted_sum,
     reconstruct,
 )
 
@@ -170,10 +171,9 @@ def verify_product(
         * lower_vals[((1 - z) * x) % q]
     )
     t2 = lower_vals[x] * hyper_char(f21, 1, tables) * hyper_char(f21, z, tables) / q
-    t3 = 0j
-    for w in range(2, q):
-        f4 = appell_f4(phi, phi, eps, eps, z * (1 - w) % q, w * (1 - z) % q, tables)
-        t3 += f.legendre(w) * lower_vals[(w * x) % q] * f4
+    ws = np.arange(2, q)
+    f4 = appell_f4_batch(phi, phi, eps, eps, z * (1 - ws) % q, ws * (1 - z) % q, tables)
+    t3 = complex((f.legendre_table[ws] * lower_vals[(ws * x) % q] * f4).sum())
     rhs = t1 + t2 + t3 / q**3
     inst = f"n={n} x={x} z={z} up={_idx(free_uppers)} lo={_idx(free_lowers)}"
     return _float_report("product", q, inst, lhs, rhs)
@@ -276,7 +276,7 @@ def verify_legendre_bridge(lam: int, tables: SumTables) -> IdentityReport:
     f = tables.field
     q = f.q
     rec = legendre_trace(f, lam)
-    v = hyper_char(HyperParams.phi_eps(f, 1), lam, tables)
+    v = hyper_all_x(HyperParams.phi_eps(f, 1), tables)[lam % q]
     lhs = reconstruct(f.phi_minus_one * v, 1, q)
     rhs = QPowerRational.make(-rec.trace, 1, q)
     return _exact_report("trace-bridge", q, f"legendre lambda={lam % q}", lhs, rhs)
@@ -291,13 +291,26 @@ def verify_clausen_bridge(lam: int, tables: SumTables) -> IdentityReport:
         raise RejectedInput("lambda must avoid {0, 1}")
     mu = lam * f.inv((1 - lam) % q) % q
     rec = clausen_trace(f, mu)
-    t2 = reconstruct(hyper_char(HyperParams.phi_eps(f, 2), lam, tables), 2, q).scaled_int(2, q)
+    t2 = reconstruct(hyper_all_x(HyperParams.phi_eps(f, 2), tables)[lam], 2, q).scaled_int(2, q)
     lhs = QPowerRational.make(rec.trace**2, 0, q)
     rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
     return _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
 
 
 # -- generating function and the closed-form psi-sum -----------------------------------
+
+
+def _psi_at(f: PrimeField, t: int) -> np.ndarray:
+    """psi(t) for every character psi, by index; t must be in 1..q-1."""
+    n = f.q - 1
+    return f.unit_roots[(np.arange(n) * int(f.dlog[t])) % n]
+
+
+def _nontrivial_psi_at(f: PrimeField, t: int) -> np.ndarray:
+    """psi(t) for every nontrivial psi, and 0 for the trivial one."""
+    w = _psi_at(f, t)
+    w[0] = 0
+    return w
 
 
 def generating_boundary_term(params: HyperParams, x: int, t: int, tables: SumTables) -> complex:
@@ -336,16 +349,10 @@ def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) ->
         raise RejectedInput("t must avoid {0, 1}")
     n = q - 1
     an = params.uppers[-1].index
-    bn = params.lowers[-1].index
-    total = 0j
-    for p in range(n):
-        psi = Character(f, p)
-        total += (
-            tables.binomial_index(an - bn + p, p)
-            * hyper_char(params.with_last_upper(psi), x, tables)
-            * psi(t)
-        )
-    lhs = q / n * total
+    d = an - params.lowers[-1].index
+    # weights[p] = (A_n conj(B_n) chi_p over chi_p) chi_p(t)
+    weights = np.roll(tables.binomial_line(d), -d) * _psi_at(f, t)
+    lhs = q / n * hyper_twisted_sum(params, weights, x, tables)
     arg = x * f.inv((1 - t) % q) % q
     rhs = hyper_char(params, arg, tables) * Character(f, -an)((1 - t) % q) - generating_boundary_term(
         params, x, t, tables
@@ -377,12 +384,7 @@ def verify_closed_form_sum(A: Character, n: int, x: int, t: int, tables: SumTabl
         raise RejectedInput("t must avoid {0, 1}")
     eps = trivial(f)
     base = HyperParams((A,) * (n + 1), (eps,) * n)
-    total = 0j
-    for p in range(1, q - 1):
-        psi = Character(f, p)
-        ext = HyperParams((*(A,) * (n + 1), psi), (eps,) * (n + 1))
-        total += hyper_char(ext, x, tables) * psi(t)
-    lhs = q * total
+    lhs = q * hyper_twisted_sum(base.extended(eps), _nontrivial_psi_at(f, t), x, tables)
     arg = x * f.inv((1 - t) % q) % q
     rhs = (
         (q - 1) * hyper_char(base, arg, tables)
@@ -406,32 +408,24 @@ def verify_remark_sums(lam: int, level: str, tables: SumTables) -> IdentityRepor
     if lam in (0, 1, q - 1):
         raise RejectedInput("lambda must avoid {0, 1, -1}")
     t = (1 - lam * lam) % q
-    phi = quadratic(f)
     eps = trivial(f)
+    psi_t = _nontrivial_psi_at(f, t)
     if level == "3F2":
-        total = 0j
-        for p in range(1, q - 1):
-            psi = Character(f, p)
-            ext = HyperParams((phi, phi, psi), (eps, eps))
-            total += hyper_char(ext, lam, tables) * psi(t)
-        f2 = hyper_char(HyperParams.phi_eps(f, 1), lam, tables)
+        base = HyperParams.phi_eps(f, 1)
+        lhs = hyper_twisted_sum(base.extended(eps), psi_t, lam, tables)
+        f2 = hyper_char(base, lam, tables)
         # ((q-1) phi(lam) + 1)/q, the +1 carrying the descent boundary term
         rhs = ((q - 1) / q * f.legendre(lam) + 1 / q) * f2 - 1 / q**2
         bridge = -f.phi_minus_one * legendre_trace(f, lam).trace / q
         bridge_resid = abs(f2 - bridge)
-        lhs = total
     elif level == "4F3":
-        total = 0j
-        for p in range(1, q - 1):
-            psi = Character(f, p)
-            ext = HyperParams((phi, phi, phi, psi), (eps, eps, eps))
-            total += hyper_char(ext, lam, tables) * psi(t)
-        f3 = hyper_char(HyperParams.phi_eps(f, 2), lam, tables)
+        base = HyperParams.phi_eps(f, 2)
+        lhs = hyper_twisted_sum(base.extended(eps), psi_t, lam, tables)
+        f3 = hyper_char(base, lam, tables)
         rhs = ((q - 1) / q * f.legendre(-lam) + 1 / q) * f3 + 1 / q**3
         mu = lam * f.inv((1 - lam) % q) % q
         bridge = f.legendre(1 - lam) * (clausen_trace(f, mu).trace ** 2 - q) / q**2
         bridge_resid = abs(f3 - bridge)
-        lhs = total
     else:
         raise RejectedInput(f"unknown level {level!r}; expected 3F2 or 4F3")
     lhs, rhs = complex(lhs), complex(rhs)
@@ -525,6 +519,10 @@ def moment_sweep_rows(primes, budget: int = DEFAULT_BUDGET):
     for q in primes:
         if q == 2 or not is_prime(q):
             raise RejectedInput(f"{q} is not an odd prime")
+        # One binomial line and three inverse transforms of length q-1.
+        cost = 4 * (q - 1) * (q - 1).bit_length()
+        if cost > budget:
+            raise Infeasible(f"moment-table cost 4*(q-1)*log2(q-1) = {cost} exceeds budget {budget}")
         tables = SumTables(make_field(q))
         for n in (1, 2, 3):
             plain = first_moment(n, False, tables)

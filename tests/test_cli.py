@@ -95,6 +95,11 @@ def test_eval_gauss_jacobi_appell(capsys):
     capsys.readouterr()
 
 
+def test_eval_gauss_without_index_exits_2(capsys):
+    assert run(["eval", "--q", "101", "--fn", "gauss", "--chars", ""]) == EXIT_USAGE
+    assert "gauss needs one character index" in capsys.readouterr().err
+
+
 def test_eval_general_characters(capsys):
     rc = run(["eval", "--q", "11", "--fn", "3F2", "--x", "4", "--uppers", "1,2,3", "--lowers", "0,4"])
     assert rc == EXIT_OK
@@ -194,6 +199,12 @@ def test_sweep_moments_csv(tmp_path):
         assert abs(int(row["unweighted"])) == 1
         assert abs(int(row["weighted"])) == 1
         assert row["pass"] == "True"
+
+
+def test_sweep_moments_budget_exit_3(capsys):
+    rc = run(["sweep", "--which", "moments", "--primes", "101", "--budget", "1"])
+    assert rc == EXIT_INFEASIBLE
+    assert "exceeds budget 1" in capsys.readouterr().err
 
 
 def test_sweep_f43_bounds(tmp_path):

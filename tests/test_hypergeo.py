@@ -12,10 +12,12 @@ from ffhyper.hypergeo import (
     HyperParams,
     QPowerRational,
     appell_f4,
+    appell_f4_batch,
     hyper_all_x,
     hyper_char,
     hyper_exact_phi,
     hyper_inductive_step,
+    hyper_twisted_sum,
     reconstruct,
 )
 
@@ -131,6 +133,70 @@ def test_appell_swap_symmetry(tables_for):
         lhs = appell_f4(a, b, c, cp, x, y, t)
         rhs = appell_f4(a, b, cp, c, y, x, t)
         assert abs(lhs - rhs) < 1e-9 * q
+
+
+@pytest.mark.parametrize("q, points", [(13, None), (101, 200)])
+def test_appell_f4_batch_matches_scalar(q, points, tables_for):
+    """Every batched F4* value equals the one-point value, zeros included."""
+    t = tables_for(q)
+    f = t.field
+    rng = random.Random(q)
+    if points is None:
+        xs, ys = (g.ravel() for g in np.meshgrid(np.arange(q), np.arange(q)))
+    else:
+        xs = np.array([rng.randrange(q) for _ in range(points)])
+        ys = np.array([rng.randrange(q) for _ in range(points)])
+        xs[:10] = 0
+        ys[5:15] = 0
+    for _ in range(2):
+        chars = [Character(f, rng.randrange(q - 1)) for _ in range(4)]
+        batch = appell_f4_batch(*chars, xs, ys, t)
+        assert batch.shape == xs.shape
+        for x, y, v in zip(xs, ys, batch):
+            if x == 0 or y == 0:
+                assert v == 0
+            else:
+                assert abs(v - appell_f4(*chars, int(x), int(y), t)) <= 1e-12 * q
+
+
+def _psi_loop(params, weights, x, t):
+    """sum_p weights[p] F(params with last upper A_n chi_p | x), one value at a time,
+    and the sum of the magnitudes of its terms."""
+    f = params.field
+    total, scale = 0j, 0.0
+    for p in range(f.q - 1):
+        twisted = HyperParams((*params.uppers[:-1], params.uppers[-1] * Character(f, p)), params.lowers)
+        term = weights[p] * hyper_char(twisted, x, t)
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+@pytest.mark.parametrize("q", [7, 13, 101])
+def test_twisted_sum_matches_psi_loop(q, tables_for):
+    t = tables_for(q)
+    f = t.field
+    rng = random.Random(1000 + q)
+    for n in (1, 2, 3):
+        for trivial_weight in (True, False):
+            params = rand_params(rng, f, n)
+            weights = np.exp(2j * np.pi * np.array([rng.random() for _ in range(q - 1)]))
+            if not trivial_weight:
+                weights[0] = 0
+            x = rng.randrange(1, q)
+            want, scale = _psi_loop(params, weights, x, t)
+            got = hyper_twisted_sum(params, weights, x, t)
+            assert abs(got - want) <= 1e-12 * max(scale, 1.0), (n, x)
+            assert hyper_twisted_sum(params, weights, 0, t) == 0
+
+
+def test_twisted_sum_rejects_bad_input(tables_for):
+    t = tables_for(7)
+    f = t.field
+    with pytest.raises(ValueError):
+        hyper_twisted_sum(HyperParams((quadratic(f),), ()), np.ones(6), 2, t)
+    with pytest.raises(ValueError):
+        hyper_twisted_sum(HyperParams.phi_eps(f, 1), np.ones(5), 2, t)
 
 
 def _product_relation_sides(t, a, b, c, z, w):

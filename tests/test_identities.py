@@ -322,6 +322,12 @@ def test_remark_rejects(tables_for):
         verify_remark_sums(3, "5F4", t)
 
 
+@pytest.mark.parametrize("label", ["generating", "closed-form", "remark-sums"])
+def test_psi_sum_statements_pass_at_q401(label, tables_for):
+    reports = run_statement(label, tables_for(401), 42)
+    assert reports and all(r.passed for r in reports), [r for r in reports if not r.passed]
+
+
 # -- estimate sweeps -----------------------------------------------------------------------
 
 
@@ -367,6 +373,13 @@ def test_f65_trace_route_matches_character_backend(tables_for):
         t = tables_for(q)
         direct = reconstruct(hyper_char(HyperParams.phi_eps(t.field, 5), 1, t), 5, q)
         assert rows[0]["value"] == direct.fmt(q)
+
+
+def test_moment_sweep_budget_charges_table_cost():
+    # One line and three inverse transforms at q=101: 4*100*7 = 2800.
+    moment_sweep_rows([101], budget=2800)
+    with pytest.raises(Infeasible, match="2800"):
+        moment_sweep_rows([101], budget=2799)
 
 
 def test_moment_sweep_rows():
