@@ -29,7 +29,8 @@ class SumTables:
         self._gauss: np.ndarray | None = None
         self._binom_lines: dict[int, np.ndarray] = {}
         # Memo space for the hypergeometric layer (coefficient vectors,
-        # whole-argument value tables), keyed by character-index tuples.
+        # whole-argument value tables) and for each curve family's trace
+        # table beside its hypergeometric values, keyed by tuples.
         self.hyper_cache: dict = {}
 
     # -- Gauss sums ------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -315,9 +316,9 @@ def cmd_eval(args) -> int:
         lines.append(f"count = {rec.count}")
     elif fn == "gauss":
         idx = _parse_indices(args.chars, "chars")
-        if not idx:
+        if len(idx) != 1:
             raise UsageError("gauss needs one character index, e.g. --chars 3")
-        j = idx[0]
+        (j,) = idx
         lines.append(f"g(chi_{j}) = {complex(tables.gauss_vector[j % (f.q - 1)])!r}")
     elif fn == "jacobi":
         idx = _parse_indices(args.chars, "chars")
@@ -401,9 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh namespace on every call.
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "eval":
             return cmd_eval(args)

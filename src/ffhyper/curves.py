@@ -1,11 +1,12 @@
 """Frobenius traces of the Legendre and Clausen curve families.
 
 Traces come from the quadratic-character sum over the defining cubic.
-For one parameter that is a direct O(q) sum (`legendre_trace`,
-`clausen_trace`).  The whole-family tables are one exact length-q
-cyclic correlation each, O(q log q) by real FFT; the single-parameter
-sums are their independent oracle, and the naive point enumeration is
-the counting oracle for those.
+The whole-family tables are one exact length-q cyclic correlation each,
+O(q log q) by real FFT, and the identity checks read them (memoised per
+prime) for every parameter.  The direct O(q) sum for one parameter
+(`legendre_trace`, `clausen_trace`) is the tables' independent oracle
+and serves single queries; the naive point enumeration is the counting
+oracle for those.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ The character backend evaluates the defining sum
 for n >= 1, with the n = 0 base case 1F0(A|x) = eps(x) * conj(A)(1-x).
 A weighted sum over psi of F with its last upper character twisted by
 psi is one weighted binomial line (hyper_twisted_sum), not q-1 separate
-evaluations, and the Appell series F4* is evaluated for a whole batch of
-points with one row-wise transform (appell_f4_batch).
+evaluations.  The Appell series F4* is three length-(q-1) transforms
+per batch of points: every point reads one gathered dot product off the
+same two shifted spectra (appell_f4_batch).
 For the all-phi/eps parameter family an exact backend unrolls the
 one-slot descent down to the base case and sums Legendre symbols in
 arbitrary-precision integer arithmetic, which anchors the rational
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .characters import Character, quadratic, trivial
 from .charsums import SumTables, _line_kernel
@@ -27,6 +29,9 @@ from .errors import FieldMismatch, Infeasible, NotRational
 from .field import PrimeField
 
 DEFAULT_BUDGET = 10**9
+# Points per gathered block in appell_f4_batch: bounds its working memory
+# to a few (_CHUNK, q-1) arrays whatever the batch size.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -210,9 +215,9 @@ def hyper_all_x(params: HyperParams, tables: SumTables) -> np.ndarray:
     q = f.q
     out = np.zeros(q, dtype=complex)
     if params.n == 0:
-        inv = params.uppers[0].inverse()
-        for x in range(1, q):
-            out[x] = inv((1 - x) % q)
+        # conj(A)(1-x) for x outside {0, 1}; both of those give 0.
+        xs = np.arange(2, q)
+        out[xs] = f.unit_roots[(-params.uppers[0].index * f.dlog[(1 - xs) % q]) % (q - 1)]
     else:
         c = _coeff_vector(params, tables)
         vals_by_dlog = np.fft.ifft(c) * (q - 1)
@@ -332,32 +337,41 @@ def appell_f4_batch(
 ) -> np.ndarray:
     """F4*(A; B; C, C'; x, y) at the points (xs[i], ys[i]); 0 where x or y is 0.
 
-    F4* is the double character sum of Gauss-sum ratios.  Its summand
-    factors as pair[u+v] * U[u] * V[v], so the sum over u + v = s is a
-    cyclic convolution of the two index profiles.  The profiles of all
-    points form two (points, q-1) arrays, convolved with one forward and
-    one inverse DFT along their rows.
+    F4* is the double character sum of Gauss-sum ratios
+    sum_{u,v} pair[u+v] G_C[u] chi_u(x) G_C'[v] chi_v(y) / ((q-1)^2 denom),
+    with pair[s] = g(A chi_s) g(B chi_s) and G_C[u] = g(conj(C) chi_-u) g(chi_-u).
+    Writing pair through its spectrum P = fft(pair) splits the sum over u
+    from the sum over v, and each becomes one spectrum S_C = (q-1) ifft(G_C)
+    read from k + dlog x:
+
+        F4*(x, y) = sum_k P[k] S_C[k + dlog x] S_C'[k + dlog y] / ((q-1)^3 denom).
+
+    So a batch costs three length-(q-1) transforms, then one gathered dot
+    product per point, taken _CHUNK points at a time so that no
+    (points, q-1) array is built.
     """
     f = tables.field
     q = f.q
+    n = q - 1
     xs = np.asarray(xs, dtype=np.int64) % q
     ys = np.asarray(ys, dtype=np.int64) % q
     out = np.zeros(len(xs), dtype=complex)
-    live = (xs != 0) & (ys != 0)
-    n = q - 1
+    live = np.flatnonzero((xs != 0) & (ys != 0))
     g = tables.gauss_vector
     ai, bi, ci, cpi = a.index, b.index, c.index, cp.index
     denom = g[ai] * g[bi] * g[(-ci) % n] * g[(-cpi) % n]
     ks = np.arange(n)
-    pair = np.roll(g, -ai) * np.roll(g, -bi)  # pair[s] = g(A chi_s) g(B chi_s), s = u+v
+    weights = np.fft.fft(np.roll(g, -ai) * np.roll(g, -bi)) / (n**3 * denom)
 
-    def spectrum(lower: int, pts: np.ndarray) -> np.ndarray:
-        # Row i: the DFT over u of g(conj(C) chi_-u) g(chi_-u) chi_u(pts[i]).
-        prof = g[(-lower - ks) % n] * g[(-ks) % n] * f.unit_roots[np.outer(f.dlog[pts], ks) % n]
-        return np.fft.fft(prof, axis=1)
+    def shifted(lower: int) -> np.ndarray:
+        # Row m of this view is S_lower rotated left by m.
+        spec = np.fft.ifft(g[(-lower - ks) % n] * g[(-ks) % n]) * n
+        return sliding_window_view(np.concatenate((spec, spec[:-1])), n)
 
-    conv = spectrum(ci, xs[live])
-    conv *= spectrum(cpi, ys[live])
-    conv = np.fft.ifft(conv, axis=1)  # conv[i, s] = sum_{u+v=s} U_i[u] V_i[v]
-    out[live] = conv @ pair / (n * n * denom)
+    rows_x, rows_y = shifted(ci), shifted(cpi)
+    dx, dy = f.dlog[xs[live]], f.dlog[ys[live]]
+    for s in range(0, len(live), _CHUNK):
+        block = rows_x[dx[s : s + _CHUNK]]
+        block *= rows_y[dy[s : s + _CHUNK]]
+        out[live[s : s + _CHUNK]] = block @ weights
     return out

@@ -17,7 +17,7 @@ import numpy as np
 from .characters import Character, quadratic, trivial
 from .charsums import SumTables
 from .curves import clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
-from .errors import Infeasible, RejectedInput
+from .errors import Infeasible, RejectedInput, SingularParameter
 from .field import PrimeField, is_prime, make_field
 from .hypergeo import (
     DEFAULT_BUDGET,
@@ -154,10 +154,11 @@ def verify_product(
     z %= q
     if x in (0, 1) or z in (0, 1):
         raise RejectedInput("x and z must avoid {0, 1}")
-    # q-2 F4* points, each a length-(q-1) convolution by FFT.
-    cost = (q - 2) * (q - 1) * (q - 1).bit_length()
+    # q-2 F4* points, each one gathered dot product of length q-1, after
+    # three transforms of length q-1.
+    cost = (q - 2) * (q - 1) + 3 * (q - 1) * (q - 1).bit_length()
     if cost > budget:
-        raise Infeasible(f"w-sum cost (q-2)(q-1)log2(q-1) = {cost} exceeds budget {budget}")
+        raise Infeasible(f"w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1) = {cost} exceeds budget {budget}")
     phi = quadratic(f)
     eps = trivial(f)
     full = HyperParams((*free_uppers, phi, phi), (*free_lowers, eps, eps))
@@ -204,13 +205,34 @@ def first_moment(n: int, weighted: bool, tables: SumTables) -> IdentityReport:
 # -- trace moment identities -------------------------------------------------------
 
 
+def _family_tables(family: str, tables: SumTables) -> tuple[np.ndarray, np.ndarray]:
+    """A curve family's trace table and its phi/eps hypergeometric values, memoised.
+
+    The Legendre traces pair with 2F1 and the Clausen traces with 3F2;
+    both arrays are indexed by the curve or function parameter.
+    """
+    key = ("family", family)
+    hit = tables.hyper_cache.get(key)
+    if hit is not None:
+        return hit
+    f = tables.field
+    if family == "legendre":
+        traces, order = legendre_trace_table(f), 1
+    else:
+        traces, order = clausen_trace_table(f), 2
+    traces.setflags(write=False)
+    hit = traces, hyper_all_x(HyperParams.phi_eps(f, order), tables)
+    tables.hyper_cache[key] = hit
+    return hit
+
+
 def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
     """The three exact trace identities tying both curve families to 3F2(1)."""
     f = tables.field
     q = f.q
     leg = f.legendre_table
-    a = legendre_trace_table(f)
-    ap = clausen_trace_table(f)
+    a, _ = _family_tables("legendre", tables)
+    ap, _ = _family_tables("clausen", tables)
     t2 = reconstruct(hyper_char(HyperParams.phi_eps(f, 2), 1, tables), 2, q).scaled_int(2, q)
     phi_m1 = f.phi_minus_one
 
@@ -272,27 +294,39 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
 
 
 def verify_legendre_bridge(lam: int, tables: SumTables) -> IdentityReport:
-    """q*phi(-1)*2F1(lambda) reconstructs to minus the Legendre-family trace."""
+    """q*phi(-1)*2F1(lambda) reconstructs to minus the Legendre-family trace.
+
+    Both sides are read off memoised whole-family tables: the trace table
+    and the 2F1 values at every x.  legendre_trace is their oracle.
+    """
     f = tables.field
     q = f.q
-    rec = legendre_trace(f, lam)
-    v = hyper_all_x(HyperParams.phi_eps(f, 1), tables)[lam % q]
-    lhs = reconstruct(f.phi_minus_one * v, 1, q)
-    rhs = QPowerRational.make(-rec.trace, 1, q)
-    return _exact_report("trace-bridge", q, f"legendre lambda={lam % q}", lhs, rhs)
+    lam %= q
+    if lam in (0, 1):
+        raise SingularParameter(f"lambda = {lam} is singular for the Legendre family")
+    traces, f21 = _family_tables("legendre", tables)
+    trace = int(traces[lam])
+    lhs = reconstruct(f.phi_minus_one * f21[lam], 1, q)
+    rhs = QPowerRational.make(-trace, 1, q)
+    return _exact_report("trace-bridge", q, f"legendre lambda={lam}", lhs, rhs)
 
 
 def verify_clausen_bridge(lam: int, tables: SumTables) -> IdentityReport:
-    """Clausen trace squared against q + q^2 phi(1-lambda) 3F2(lambda)."""
+    """Clausen trace squared against q + q^2 phi(1-lambda) 3F2(lambda).
+
+    The trace at mu = lambda/(1-lambda) and 3F2(lambda) are read off
+    memoised whole-family tables; clausen_trace is their oracle.
+    """
     f = tables.field
     q = f.q
     lam %= q
     if lam in (0, 1):
         raise RejectedInput("lambda must avoid {0, 1}")
     mu = lam * f.inv((1 - lam) % q) % q
-    rec = clausen_trace(f, mu)
-    t2 = reconstruct(hyper_all_x(HyperParams.phi_eps(f, 2), tables)[lam], 2, q).scaled_int(2, q)
-    lhs = QPowerRational.make(rec.trace**2, 0, q)
+    traces, f32 = _family_tables("clausen", tables)
+    trace = int(traces[mu])
+    t2 = reconstruct(f32[lam], 2, q).scaled_int(2, q)
+    lhs = QPowerRational.make(trace**2, 0, q)
     rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
     return _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
 

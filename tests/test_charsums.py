@@ -167,7 +167,7 @@ def naive_appell_f4(f, a, b, c, cp, x, y):
     return total / (n * n * g[a % n] * g[b % n] * g[-c % n] * g[-cp % n])
 
 
-@pytest.mark.parametrize("q", [7, 13])
+@pytest.mark.parametrize("q", [7, 13, 101])
 def test_appell_f4_matches_defining_sum(q, tables_for):
     t = tables_for(q)
     f = t.field

@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffhyper
 from ffhyper import make_field
 from ffhyper.cli import (
     EXIT_FAILED,
@@ -100,6 +106,13 @@ def test_eval_gauss_without_index_exits_2(capsys):
     assert "gauss needs one character index" in capsys.readouterr().err
 
 
+def test_eval_gauss_with_two_indices_exits_2(capsys):
+    assert run(["eval", "--q", "101", "--fn", "gauss", "--chars", "3,4"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "gauss needs one character index" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_general_characters(capsys):
     rc = run(["eval", "--q", "11", "--fn", "3F2", "--x", "4", "--uppers", "1,2,3", "--lowers", "0,4"])
     assert rc == EXIT_OK
@@ -173,6 +186,43 @@ def test_verify_no_instances_exits_1(capsys):
     assert capsys.readouterr().err == "warning: remark-sums has no instances over primes [3]\n"
     assert run(["verify", "--primes", "3,5", "--statements", "remark-sums"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_run_calls_share_no_arguments(capsys):
+    """Repeated run() calls in one process parse each argv afresh."""
+    verify = ["verify", "--primes", "5..13", "--statements", "all", "--seed", "3", "--format", "csv"]
+    assert run(verify) == EXIT_OK
+    first = capsys.readouterr().out
+    rc = run(["eval", "--q", "11", "--fn", "3F2", "--x", "4", "--uppers", "1,2,3", "--lowers", "0,4"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.startswith("3F2(4) = (")
+    assert run(["eval", "--q", "11", "--fn", "3F2", "--x", "4"]) == EXIT_OK
+    # The phi/eps family prints its exact value; --uppers would print a complex.
+    assert re.match(r"3F2\(4\) = -?\d+(/11\^\d)? = ", capsys.readouterr().out)
+    assert run(verify) == EXIT_OK
+    assert capsys.readouterr().out == first
+
+
+def test_verify_product_memory_bounded_at_q3203(tmp_path):
+    """product at q=3203 stays far below the 500 MB of a (q-2, q-1) complex batch."""
+    child = (
+        "import resource, sys\n"
+        "from ffhyper.cli import run\n"
+        "rc = run(['verify', '--primes', '3203', '--statements', 'product', '--out', sys.argv[1]])\n"
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(ffhyper.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path / "r.txt")],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, max_rss_kb = map(int, proc.stdout.split())
+    assert rc == EXIT_OK
+    assert max_rss_kb < 200 * 1024, f"peak RSS {max_rss_kb // 1024} MB"
 
 
 def test_verify_strict_range_exit_2(capsys):

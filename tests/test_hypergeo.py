@@ -135,9 +135,11 @@ def test_appell_swap_symmetry(tables_for):
         assert abs(lhs - rhs) < 1e-9 * q
 
 
-@pytest.mark.parametrize("q, points", [(13, None), (101, 200)])
+@pytest.mark.parametrize("q, points", [(13, None), (101, 200), (101, 600)])
 def test_appell_f4_batch_matches_scalar(q, points, tables_for):
-    """Every batched F4* value equals the one-point value, zeros included."""
+    """Every batched F4* value equals the one-point value, zeros included.
+
+    600 points span three gather blocks of the batch kernel."""
     t = tables_for(q)
     f = t.field
     rng = random.Random(q)
@@ -271,6 +273,21 @@ def test_all_x_matches_pointwise(tables_for):
         vals = hyper_all_x(params, t)
         for x in range(7):
             assert abs(vals[x] - hyper_char(params, x, t)) <= 1e-10 * 7
+
+
+@pytest.mark.parametrize("q", [7, 101])
+def test_all_x_order_zero_matches_character_loop(q, tables_for):
+    """The 1F0 table is conj(A)(1-x) exactly, as the Character calls give it."""
+    t = tables_for(q)
+    f = t.field
+    rng = random.Random(q)
+    for j in (0, (q - 1) // 2, *(rng.randrange(q - 1) for _ in range(4))):
+        upper = Character(f, j)
+        want = np.zeros(q, dtype=complex)
+        for x in range(1, q):
+            want[x] = upper.inverse()((1 - x) % q)
+        got = hyper_all_x(HyperParams((upper,), ()), t)
+        assert np.array_equal(got, want), j
 
 
 def test_phi_eps_values_are_real_and_rational(tables_for):

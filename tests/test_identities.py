@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from ffhyper import Infeasible, RejectedInput, make_field
+from ffhyper import Infeasible, RejectedInput, SingularParameter, make_field
 from ffhyper.characters import Character, quadratic, trivial
-from ffhyper.hypergeo import HyperParams, QPowerRational, hyper_char
+from ffhyper.charsums import SumTables
+from ffhyper.curves import clausen_trace, legendre_trace
+from ffhyper.hypergeo import HyperParams, QPowerRational, hyper_all_x, hyper_char, reconstruct
 from ffhyper.identities import (
     IdentityReport,
+    _exact_report,
     estimate_sweep,
     first_moment,
     generating_boundary_term,
@@ -212,8 +215,51 @@ def test_bridges_small(tables_for):
     for lam in range(2, 7):
         assert verify_legendre_bridge(lam, t).passed
         assert verify_clausen_bridge(lam, t).passed
-    with pytest.raises(RejectedInput):
-        verify_clausen_bridge(1, t)
+    for lam in (0, 1, 7, 8):
+        with pytest.raises(SingularParameter):
+            verify_legendre_bridge(lam, t)
+        with pytest.raises(RejectedInput):
+            verify_clausen_bridge(lam, t)
+
+
+@pytest.mark.parametrize("q", (101, 797))
+def test_bridges_match_direct_trace_oracle(q, tables_for):
+    """Reports read off the trace tables equal those built from one direct sum per lambda."""
+    t = tables_for(q)
+    f = t.field
+    f21 = hyper_all_x(HyperParams.phi_eps(f, 1), t)
+    f32 = hyper_all_x(HyperParams.phi_eps(f, 2), t)
+    for lam in range(2, q):
+        lhs = reconstruct(f.phi_minus_one * f21[lam], 1, q)
+        rhs = QPowerRational.make(-legendre_trace(f, lam).trace, 1, q)
+        want = _exact_report("trace-bridge", q, f"legendre lambda={lam}", lhs, rhs)
+        assert verify_legendre_bridge(lam, t) == want
+
+        mu = lam * f.inv(1 - lam) % q
+        t2 = reconstruct(f32[lam], 2, q).scaled_int(2, q)
+        lhs = QPowerRational.make(clausen_trace(f, mu).trace ** 2, 0, q)
+        rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
+        want = _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
+        assert verify_clausen_bridge(lam, t) == want
+
+
+def test_trace_tables_built_once_per_tables(monkeypatch):
+    """trace-moments and both bridges share one memoised table per family."""
+    import ffhyper.identities as ids
+
+    built = []
+    for name in ("legendre_trace_table", "clausen_trace_table"):
+
+        def counted(f, build=getattr(ids, name), name=name):
+            built.append(name)
+            return build(f)
+
+        monkeypatch.setattr(ids, name, counted)
+    t = SumTables(make_field(13))
+    for _ in range(2):
+        for label in ("trace-moments", "trace-bridge"):
+            assert all(r.passed for r in run_statement(label, t, 0))
+    assert sorted(built) == ["clausen_trace_table", "legendre_trace_table"]
 
 
 # -- generating function ------------------------------------------------------------------
