@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FieldMismatch
 from .field import PrimeField
 
@@ -76,6 +78,12 @@ def quadratic(field: PrimeField) -> Character:
 def all_characters(field: PrimeField):
     """All q-1 characters, in index order."""
     return (Character(field, j) for j in range(field.q - 1))
+
+
+def character_row(field: PrimeField, x: int) -> np.ndarray:
+    """chi_j(x) for every j, by index, as a fresh array; x must be nonzero."""
+    n = field.q - 1
+    return field.unit_roots[(np.arange(n) * int(field.dlog[x % field.q])) % n]
 
 
 def delta_elem(x: int) -> int:

@@ -1,4 +1,4 @@
-"""Gauss sums, Jacobi sums and binomial coefficients, memoized per field.
+"""Gauss sums, Jacobi sums and binomial coefficients, and the per-prime memo.
 
 Jacobi sums are computed by direct summation over x rather than through
 the Gauss-sum factorization: the factorization breaks down whenever a
@@ -6,6 +6,11 @@ product of characters degenerates to the trivial one, which the
 binomial coefficients used downstream hit constantly.  The direct sum
 is uniform in the characters, and one length-(q-1) transform evaluates
 it for a whole binomial line at once.
+
+SumTables is the one memo space for tables derived from a prime: the
+Gauss vector, the line bins and binomial lines here, and the
+coefficient vectors, all-x value tables and curve-family tables of the
+layers above all go through SumTables.memo.
 """
 
 from __future__ import annotations
@@ -16,36 +21,34 @@ from .field import PrimeField
 
 
 class SumTables:
-    """Per-field Gauss vector and binomial lines.
+    """Every table derived from one prime field, memoised in one dict.
 
+    memo(key, build, *args) builds a table on first use, marks every
+    array it returns read-only and keeps it for the field's lifetime.
     A binomial line is the one memo for Jacobi sums and binomial
-    coefficients: every scalar lookup reads its entry off a line.  Lines
-    are keyed by character-index difference, built lazily with one
-    transform each and retained for the field's lifetime.
+    coefficients: every scalar lookup reads its entry off a line.
     """
 
     def __init__(self, field: PrimeField):
         self.field = field
-        self._gauss: np.ndarray | None = None
-        self._binom_lines: dict[int, np.ndarray] = {}
-        # Memo space for the hypergeometric layer (coefficient vectors,
-        # whole-argument value tables) and for each curve family's trace
-        # table beside its hypergeometric values, keyed by tuples.
-        self.hyper_cache: dict = {}
+        self._memo: dict = {}
+
+    def memo(self, key, build, *args):
+        """The table under key, built as build(*args) on first use; read-only."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = build(*args)
+            for arr in hit if isinstance(hit, tuple) else (hit,):
+                arr.setflags(write=False)
+            self._memo[key] = hit
+        return hit
 
     # -- Gauss sums ------------------------------------------------------------
 
     @property
     def gauss_vector(self) -> np.ndarray:
         """g(chi_j) for every j; g(trivial) is stored as exactly -1."""
-        if self._gauss is None:
-            f = self.field
-            n = f.q - 1
-            # g(chi_j) = sum_k zeta_{q-1}^{jk} zeta_q^{g^k}: one inverse DFT over k.
-            g = np.fft.ifft(f.zeta_add[f.exp]) * n
-            g[0] = -1.0  # exact: sum of all nontrivial q-th roots of unity
-            self._gauss = g
-        return self._gauss
+        return self.memo("gauss", _gauss_kernel, self.field)
 
     # -- Jacobi sums and binomial coefficients -----------------------------------
 
@@ -64,18 +67,26 @@ class SumTables:
         Every slot of a hypergeometric coefficient product reads its
         binomials off one such line, so lines are the natural cache unit.
         """
-        n = self.field.q - 1
-        diff %= n
-        hit = self._binom_lines.get(diff)
-        if hit is not None:
-            return hit
-        line = _line_kernel(self.field, diff)
-        line.setflags(write=False)
-        self._binom_lines[diff] = line
-        return line
+        diff %= self.field.q - 1
+        return self.memo(("line", diff), _line_kernel, self, diff)
 
 
-def _line_kernel(f: PrimeField, diff: int, by_dlog: np.ndarray | None = None) -> np.ndarray:
+def _gauss_kernel(f: PrimeField) -> np.ndarray:
+    # g(chi_j) = sum_k zeta_{q-1}^{jk} zeta_q^{g^k}: one inverse DFT over k.
+    g = np.fft.ifft(f.zeta_add[f.exp]) * (f.q - 1)
+    g[0] = -1.0  # exact: sum of all nontrivial q-th roots of unity
+    return g
+
+
+def _line_bins(f: PrimeField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d1 = dlog x, d2 = dlog(1-x) and the bins (d1-d2) mod (q-1), x in 2..q-1."""
+    xs = np.arange(2, f.q)  # x = 0, 1 contribute nothing to J
+    d1 = f.dlog[xs]
+    d2 = f.dlog[(1 - xs) % f.q]
+    return d1, d2, (d1 - d2) % (f.q - 1)
+
+
+def _line_kernel(tables: SumTables, diff: int, by_dlog: np.ndarray | None = None) -> np.ndarray:
     """The binomial line of diff, each x optionally weighted by by_dlog[dlog x].
 
     With d1 = dlog x and d2 = dlog(1-x), the Jacobi sum behind entry m
@@ -84,15 +95,14 @@ def _line_kernel(f: PrimeField, diff: int, by_dlog: np.ndarray | None = None) ->
     (-1)^(m-diff)/q times that sum, which without weights is
     (chi_m over chi_{m-diff}).
     """
+    f = tables.field
     n = f.q - 1
-    xs = np.arange(2, f.q)  # x = 0, 1 contribute nothing to J
-    d1 = f.dlog[xs]
-    d2 = f.dlog[(1 - xs) % f.q]
+    d1, d2, bins = tables.memo("bins", _line_bins, f)
     weights = f.unit_roots[(diff * d2) % n]
     if by_dlog is not None:
         weights = weights * by_dlog[d1]
     hist = np.zeros(n, dtype=complex)
-    np.add.at(hist, (d1 - d2) % n, weights)
+    np.add.at(hist, bins, weights)
     jac = np.fft.ifft(hist) * n  # jac[m] = J(chi_m, chi_{diff-m}) when unweighted
     signs = np.where((np.arange(n) - diff) % 2, -1.0, 1.0)
     return signs * jac / f.q

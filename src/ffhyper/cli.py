@@ -18,7 +18,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import identities
 from .characters import Character
@@ -159,17 +159,6 @@ def report_from_json(d: dict) -> IdentityReport:
     )
 
 
-def summary_to_json(s: SweepSummary) -> dict:
-    return {
-        "statement": s.statement,
-        "primes": s.primes,
-        "instances": s.instances,
-        "failures": s.failures,
-        "first_failure": s.first_failure,
-        "max_residual": s.max_residual,
-    }
-
-
 def render_reports(reports: list[IdentityReport], summaries: list[SweepSummary], fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
@@ -203,7 +192,7 @@ def render_reports(reports: list[IdentityReport], summaries: list[SweepSummary],
         return buf.getvalue()
     if fmt == "json":
         payload = [report_to_json(r) for r in reports]
-        payload.append({"summaries": [summary_to_json(s) for s in summaries]})
+        payload.append({"summaries": [asdict(s) for s in summaries]})
         return json.dumps(payload, indent=2) + "\n"
     lines = []
     for r in reports:
@@ -224,7 +213,7 @@ def render_reports(reports: list[IdentityReport], summaries: list[SweepSummary],
 
 def render_sweep_rows(rows: list[dict], summary: SweepSummary, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({"rows": rows, "summary": summary_to_json(summary)}, indent=2) + "\n"
+        return json.dumps({"rows": rows, "summary": asdict(summary)}, indent=2) + "\n"
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     if rows:
@@ -250,6 +239,11 @@ def cmd_verify(config: RunConfig) -> int:
     # One prime at a time, so only one field's tables are alive at once.
     results = []
     for q in config.primes:
+        # The field tables and one length-(q-1) transform, which every
+        # statement pays.
+        cost = q * q.bit_length()
+        if cost > config.work_budget:
+            raise Infeasible(f"field cost q*log2(q) = {cost} exceeds budget {config.work_budget}")
         tables = SumTables(make_field(q))
         for si, label in enumerate(config.statements):
             try:

@@ -103,9 +103,6 @@ class PrimeField:
         self.legendre_table = leg
         self._unit_roots: np.ndarray | None = None
         self._zeta_add: np.ndarray | None = None
-        # Scratch memo space for heavier layers (exact hypergeometric
-        # tables etc.); keyed by those layers, never inspected here.
-        self.cache: dict = {}
 
     # -- element arithmetic -------------------------------------------------
 

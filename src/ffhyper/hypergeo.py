@@ -5,15 +5,17 @@ The character backend evaluates the defining sum
     F(x) = q/(q-1) * sum_chi (A0 chi over chi)(A1 chi over B1 chi)...(An chi over Bn chi) chi(x)
 
 for n >= 1, with the n = 0 base case 1F0(A|x) = eps(x) * conj(A)(1-x).
-A weighted sum over psi of F with its last upper character twisted by
-psi is one weighted binomial line (hyper_twisted_sum), not q-1 separate
-evaluations.  The Appell series F4* is three length-(q-1) transforms
-per batch of points: every point reads one gathered dot product off the
-same two shifted spectra (appell_f4_batch).
+Coefficient vectors and all-x value tables (the 1F0 table included) are
+memoised per prime through SumTables.memo.  A weighted sum over psi of
+F with its last upper character twisted by psi is one weighted binomial
+line (hyper_twisted_sum), not q-1 separate evaluations.  The Appell
+series F4* is three length-(q-1) transforms per batch of points: every
+point reads one gathered dot product off the same two shifted spectra
+(appell_f4_batch).
 For the all-phi/eps parameter family an exact backend unrolls the
 one-slot descent down to the base case and sums Legendre symbols in
 arbitrary-precision integer arithmetic, which anchors the rational
-reconstruction used by the exact identity checks.
+reconstruction used by the exact identity checks; it keeps no memo.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .characters import Character, quadratic, trivial
+from .characters import Character, character_row, quadratic, trivial
 from .charsums import SumTables, _line_kernel
 from .errors import FieldMismatch, Infeasible, NotRational
 from .field import PrimeField
@@ -132,44 +134,29 @@ def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
 
 
 def _coeff_vector(params: HyperParams, tables: SumTables) -> np.ndarray:
-    """c[j] with F(x) = sum_j c[j] chi_j(x); cached per parameter tuple."""
-    key = ("coeff", params.index_key())
-    hit = tables.hyper_cache.get(key)
-    if hit is not None:
-        return hit
+    """c[j] with F(x) = sum_j c[j] chi_j(x); memoised per parameter tuple."""
+    return tables.memo(("coeff", params.index_key()), _coeff_product, params, tables)
+
+
+def _coeff_product(params: HyperParams, tables: SumTables) -> np.ndarray:
     f = params.field
-    n = f.q - 1
     a0 = params.uppers[0].index
-    c = np.roll(tables.binomial_line(a0), -a0).copy()
+    c = np.roll(tables.binomial_line(a0), -a0)
     for up, lo in zip(params.uppers[1:], params.lowers):
-        line = tables.binomial_line(up.index - lo.index)
-        c *= np.roll(line, -up.index)
-    c *= f.q / n
-    c.setflags(write=False)
-    tables.hyper_cache[key] = c
+        c *= np.roll(tables.binomial_line(up.index - lo.index), -up.index)
+    c *= f.q / (f.q - 1)
     return c
 
 
-def _one_f_zero(upper: Character, x: int) -> complex:
-    q = upper.field.q
-    x %= q
-    if x == 0:
-        return 0j
-    return upper.inverse()((1 - x) % q)
-
-
 def hyper_char(params: HyperParams, x: int, tables: SumTables) -> complex:
-    """(n+1)F_n(x) by the defining character sum (closed form for n = 0)."""
+    """(n+1)F_n(x) by the defining character sum (the 1F0 table for n = 0)."""
     f = params.field
     x %= f.q
     if params.n == 0:
-        return _one_f_zero(params.uppers[0], x)
+        return complex(hyper_all_x(params, tables)[x])
     if x == 0:
         return 0j
-    n = f.q - 1
-    c = _coeff_vector(params, tables)
-    m = int(f.dlog[x])
-    return complex(c @ f.unit_roots[(m * np.arange(n)) % n])
+    return complex(_coeff_vector(params, tables) @ character_row(f, x))
 
 
 def hyper_twisted_sum(params: HyperParams, weights: np.ndarray, x: int, tables: SumTables) -> complex:
@@ -194,10 +181,9 @@ def hyper_twisted_sum(params: HyperParams, weights: np.ndarray, x: int, tables: 
         return 0j
     a = params.uppers[-1].index
     d = (a - params.lowers[-1].index) % n
-    last = np.roll(_line_kernel(f, d, np.fft.ifft(weights) * n), -a)
+    last = np.roll(_line_kernel(tables, d, np.fft.ifft(weights) * n), -a)
     c = _coeff_vector(params.dropped_last(), tables) * last
-    m = int(f.dlog[x])
-    return complex(c @ f.unit_roots[(m * np.arange(n)) % n])
+    return complex(c @ character_row(f, x))
 
 
 def hyper_all_x(params: HyperParams, tables: SumTables) -> np.ndarray:
@@ -205,12 +191,12 @@ def hyper_all_x(params: HyperParams, tables: SumTables) -> np.ndarray:
 
     The coefficient vector is computed once; evaluating it at all
     nonzero arguments simultaneously is a length-(q-1) discrete Fourier
-    transform over the exponent of x.
+    transform over the exponent of x.  Memoised per parameter tuple.
     """
-    key = ("allx", params.index_key())
-    hit = tables.hyper_cache.get(key)
-    if hit is not None:
-        return hit
+    return tables.memo(("allx", params.index_key()), _all_x_values, params, tables)
+
+
+def _all_x_values(params: HyperParams, tables: SumTables) -> np.ndarray:
     f = params.field
     q = f.q
     out = np.zeros(q, dtype=complex)
@@ -222,8 +208,6 @@ def hyper_all_x(params: HyperParams, tables: SumTables) -> np.ndarray:
         c = _coeff_vector(params, tables)
         vals_by_dlog = np.fft.ifft(c) * (q - 1)
         out[f.exp] = vals_by_dlog
-    out.setflags(write=False)
-    tables.hyper_cache[key] = out
     return out
 
 
@@ -261,25 +245,14 @@ def hyper_inductive_step(params: HyperParams, x: int, tables: SumTables) -> comp
 def _exact_numerators(field: PrimeField, n: int) -> list[int]:
     """M_n[x] with (n+1)F_n(x) = phi(-1)**n * M_n[x] / q**n, exact.
 
-    Built by iterating the one-slot descent on integer Legendre values;
-    M_0[x] = eps(x) * phi(1-x).
+    Built by iterating the one-slot descent on integer Legendre values,
+    M_0[x] = eps(x) * phi(1-x); every call rebuilds all n levels.
     """
-    key = ("exact_phi", n)
-    hit = field.cache.get(key)
-    if hit is not None:
-        return hit
     q = field.q
     leg = [int(v) for v in field.legendre_table]
     table = [0] + [leg[(1 - x) % q] for x in range(1, q)]
-    level = 0
-    # Reuse the deepest previously built level as the starting point.
-    for m in range(n, 0, -1):
-        prev = field.cache.get(("exact_phi", m))
-        if prev is not None:
-            table, level = prev, m
-            break
     weights = [(y, leg[y] * leg[(1 - y) % q]) for y in range(2, q)]
-    while level < n:
+    for _ in range(n):
         nxt = [0] * q
         for x in range(1, q):
             acc = 0
@@ -287,8 +260,6 @@ def _exact_numerators(field: PrimeField, n: int) -> list[int]:
                 acc += w * table[(x * y) % q]
             nxt[x] = acc
         table = nxt
-        level += 1
-        field.cache[("exact_phi", level)] = table
     return table
 
 
@@ -320,10 +291,7 @@ def appell_f4(
     tables: SumTables,
 ) -> complex:
     """F4*(A; B; C, C'; x, y) at one point; see appell_f4_batch."""
-    q = tables.field.q
-    if x % q == 0 or y % q == 0:
-        return 0j
-    return appell_f4_batch(a, b, c, cp, np.array([x]), np.array([y]), tables)[0]
+    return complex(appell_f4_batch(a, b, c, cp, np.array([x]), np.array([y]), tables)[0])
 
 
 def appell_f4_batch(

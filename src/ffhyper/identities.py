@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, quadratic, trivial
+from .characters import Character, character_row, quadratic, trivial
 from .charsums import SumTables
 from .curves import clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
 from .errors import Infeasible, RejectedInput, SingularParameter
@@ -211,19 +211,14 @@ def _family_tables(family: str, tables: SumTables) -> tuple[np.ndarray, np.ndarr
     The Legendre traces pair with 2F1 and the Clausen traces with 3F2;
     both arrays are indexed by the curve or function parameter.
     """
-    key = ("family", family)
-    hit = tables.hyper_cache.get(key)
-    if hit is not None:
-        return hit
+    return tables.memo(("family", family), _family_pair, family, tables)
+
+
+def _family_pair(family: str, tables: SumTables) -> tuple[np.ndarray, np.ndarray]:
     f = tables.field
     if family == "legendre":
-        traces, order = legendre_trace_table(f), 1
-    else:
-        traces, order = clausen_trace_table(f), 2
-    traces.setflags(write=False)
-    hit = traces, hyper_all_x(HyperParams.phi_eps(f, order), tables)
-    tables.hyper_cache[key] = hit
-    return hit
+        return legendre_trace_table(f), hyper_all_x(HyperParams.phi_eps(f, 1), tables)
+    return clausen_trace_table(f), hyper_all_x(HyperParams.phi_eps(f, 2), tables)
 
 
 def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
@@ -334,15 +329,9 @@ def verify_clausen_bridge(lam: int, tables: SumTables) -> IdentityReport:
 # -- generating function and the closed-form psi-sum -----------------------------------
 
 
-def _psi_at(f: PrimeField, t: int) -> np.ndarray:
-    """psi(t) for every character psi, by index; t must be in 1..q-1."""
-    n = f.q - 1
-    return f.unit_roots[(np.arange(n) * int(f.dlog[t])) % n]
-
-
 def _nontrivial_psi_at(f: PrimeField, t: int) -> np.ndarray:
     """psi(t) for every nontrivial psi, and 0 for the trivial one."""
-    w = _psi_at(f, t)
+    w = character_row(f, t)
     w[0] = 0
     return w
 
@@ -385,7 +374,7 @@ def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) ->
     an = params.uppers[-1].index
     d = an - params.lowers[-1].index
     # weights[p] = (A_n conj(B_n) chi_p over chi_p) chi_p(t)
-    weights = np.roll(tables.binomial_line(d), -d) * _psi_at(f, t)
+    weights = np.roll(tables.binomial_line(d), -d) * character_row(f, t)
     lhs = q / n * hyper_twisted_sum(params, weights, x, tables)
     arg = x * f.inv((1 - t) % q) % q
     rhs = hyper_char(params, arg, tables) * Character(f, -an)((1 - t) % q) - generating_boundary_term(

@@ -1,9 +1,18 @@
 import cmath
 
+import numpy as np
 import pytest
 
 from ffhyper import FieldMismatch, make_field
-from ffhyper.characters import Character, all_characters, delta_char, delta_elem, quadratic, trivial
+from ffhyper.characters import (
+    Character,
+    all_characters,
+    character_row,
+    delta_char,
+    delta_elem,
+    quadratic,
+    trivial,
+)
 from ffhyper.field import primes_in_range
 
 
@@ -105,3 +114,13 @@ def test_eval_agrees_with_cmath():
         for x in range(1, 11):
             direct = cmath.exp(2j * cmath.pi * j * int(f.dlog[x]) / 10)
             assert abs(chi(x) - direct) < 1e-12
+
+
+@pytest.mark.parametrize("q", [7, 101])
+def test_character_row_matches_character_calls(q):
+    """The row of chi_j(x) over all j is the Character values exactly, as a fresh array."""
+    f = make_field(q)
+    for x in range(1, q):
+        row = character_row(f, x)
+        assert np.array_equal(row, [Character(f, j)(x) for j in range(q - 1)]), x
+        assert not np.shares_memory(row, f.unit_roots)

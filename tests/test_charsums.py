@@ -8,7 +8,7 @@ from ffhyper import make_field
 from ffhyper.characters import Character, quadratic
 from ffhyper.charsums import SumTables
 from ffhyper.field import primes_in_range
-from ffhyper.hypergeo import appell_f4
+from ffhyper.hypergeo import HyperParams, appell_f4, hyper_twisted_sum
 
 
 def naive_gauss(f, j):
@@ -137,6 +137,26 @@ def test_cache_transparency_bit_identical(tables_for):
     assert first == again  # bit-identical, not merely close
     line = t.binomial_line(4)
     assert line is t.binomial_line(4)
+
+
+def test_line_bins_built_once_per_tables(monkeypatch):
+    """The dlog bins behind every line are one memo entry per SumTables."""
+    import ffhyper.charsums as cs
+
+    built = []
+
+    def counted(f, build=cs._line_bins):
+        built.append(f.q)
+        return build(f)
+
+    monkeypatch.setattr(cs, "_line_bins", counted)
+    for _ in range(2):
+        t = SumTables(make_field(101))
+        for d in (0, 1, 7, 50):
+            t.binomial_line(d)
+        params = HyperParams.phi_eps(t.field, 1)
+        hyper_twisted_sum(params, np.ones(100, dtype=complex), 3, t)
+    assert built == [101, 101]
 
 
 def test_binomial_line_matches_scalar(tables_for):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,18 @@ def test_eval_gauss_jacobi_appell(capsys):
     assert run(["eval", "--q", "7", "--fn", "jacobi", "--chars", "1,3"]) == EXIT_OK
     assert run(["eval", "--q", "7", "--fn", "appell", "--chars", "3,3,0,0", "--x", "2", "--y", "3"]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_eval_appell_prints_a_plain_complex(capsys):
+    """The printed F4* value parses with complex(), at nonzero and zero points."""
+    for x, y in ((2, 3), (0, 3)):
+        argv = ["eval", "--q", "13", "--fn", "appell", "--chars", "1,5,2,7", "--x", str(x), "--y", str(y)]
+        assert run(argv) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        head, _, value = line.partition(" = ")
+        assert head == "F4*"
+        assert isinstance(complex(value), complex)
+    assert value == "0j"
 
 
 def test_eval_gauss_without_index_exits_2(capsys):
@@ -236,6 +249,15 @@ def test_verify_budget_exit_3(capsys):
     capsys.readouterr()
 
 
+def test_verify_budget_covers_field_build(capsys):
+    """The field tables are charged before they are built, whatever the statements."""
+    rc = run(["verify", "--primes", "10007", "--statements", "first-moment", "--budget", "1000"])
+    assert rc == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert f"= {10007 * 14} exceeds budget 1000" in captured.err
+    assert captured.out == ""
+
+
 # -- sweep -----------------------------------------------------------------------
 
 
@@ -274,3 +296,24 @@ def test_sweep_f65_json(tmp_path):
     assert payload["summary"]["failures"] == 0
     for row in payload["rows"]:
         assert row["scaled_abs"] <= 12
+
+
+# -- README -----------------------------------------------------------------------
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines() if line.startswith("ffhyper ")]
+
+
+def test_readme_command_lines_exit_0(tmp_path, capsys):
+    """Every ffhyper line of README's command-line block runs and exits 0."""
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert run(argv) == EXIT_OK, argv
+        capsys.readouterr()

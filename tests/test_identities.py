@@ -1,15 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
 from ffhyper import Infeasible, RejectedInput, SingularParameter, make_field
 from ffhyper.characters import Character, quadratic, trivial
 from ffhyper.charsums import SumTables
 from ffhyper.curves import clausen_trace, legendre_trace
-from ffhyper.hypergeo import HyperParams, QPowerRational, hyper_all_x, hyper_char, reconstruct
+from ffhyper.hypergeo import HyperParams, QPowerRational, _coeff_vector, hyper_all_x, hyper_char, reconstruct
 from ffhyper.identities import (
     IdentityReport,
     _exact_report,
+    _family_tables,
     estimate_sweep,
     first_moment,
     generating_boundary_term,
@@ -260,6 +262,31 @@ def test_trace_tables_built_once_per_tables(monkeypatch):
         for label in ("trace-moments", "trace-bridge"):
             assert all(r.passed for r in run_statement(label, t, 0))
     assert sorted(built) == ["clausen_trace_table", "legendre_trace_table"]
+    for family in ("legendre", "clausen"):
+        assert all(not a.flags.writeable for a in _family_tables(family, t))
+
+
+def test_memo_returns_one_read_only_table():
+    """Every memoised table comes back as the same object, and writing to it raises."""
+    t = SumTables(make_field(13))
+    f = t.field
+    params = HyperParams((Character(f, 2), Character(f, 5)), (Character(f, 7),))
+    getters = {
+        "gauss": lambda: t.gauss_vector,
+        "line": lambda: t.binomial_line(3),
+        "coeff": lambda: _coeff_vector(params, t),
+        "allx": lambda: hyper_all_x(params, t),
+        "legendre": lambda: _family_tables("legendre", t)[0],
+        "legendre-2F1": lambda: _family_tables("legendre", t)[1],
+        "clausen": lambda: _family_tables("clausen", t)[0],
+        "clausen-3F2": lambda: _family_tables("clausen", t)[1],
+    }
+    for name, get in getters.items():
+        table = get()
+        assert get() is table, name
+        assert isinstance(table, np.ndarray), name
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 # -- generating function ------------------------------------------------------------------
