@@ -260,10 +260,10 @@ def cmd_verify(config: RunConfig) -> int:
     reports: list[IdentityReport] = []
     for _, _, chunk in results:
         reports.extend(chunk)
-    summaries = [
-        identities.summarize(label, [r for r in reports if r.name == label])
-        for label in config.statements
-    ]
+    by_label: dict[str, list[IdentityReport]] = {label: [] for label in config.statements}
+    for r in reports:
+        by_label.setdefault(r.name, []).append(r)
+    summaries = [identities.summarize(label, by_label[label]) for label in config.statements]
     _emit(render_reports(reports, summaries, config.output_format), config.output_path)
     # A statement with no instances checked nothing; that is not a pass.
     vacuous = [s.statement for s in summaries if s.instances == 0]

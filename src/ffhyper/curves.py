@@ -3,10 +3,13 @@
 Traces come from the quadratic-character sum over the defining cubic.
 The whole-family tables are one exact length-q cyclic correlation each,
 O(q log q) by real FFT, and the identity checks read them (memoised per
-prime) for every parameter.  The direct O(q) sum for one parameter
-(`legendre_trace`, `clausen_trace`) is the tables' independent oracle
-and serves single queries; the naive point enumeration is the counting
-oracle for those.
+prime) for every parameter.  The transforms run zero-padded at the
+smallest 5-smooth length >= 2q - 1: pocketfft handles the prime length
+q by Bluestein's algorithm, about two smooth transforms of length 2q
+per call.  The rounded correlation must lie within 0.25 of integers or
+it raises.  The direct O(q) sum for one parameter (`legendre_trace`,
+`clausen_trace`) is the tables' independent oracle and serves single
+queries; the naive point enumeration is the counting oracle for those.
 """
 
 from __future__ import annotations
@@ -56,19 +59,43 @@ def clausen_trace(field: PrimeField, lam: int) -> TraceRecord:
     return TraceRecord(lam, tr, q + 1 - tr)
 
 
+def _smooth_len(n: int) -> int:
+    """Smallest 2^i * 3^j * 5^k >= n."""
+    best = 1 << max(n - 1, 0).bit_length()  # a power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer cyclic correlation c[l] = sum_y a[y] * b[y + l] (mod len).
 
-    One pair of real transforms and one inverse; the result is rounded
-    to int64 only if every entry is within 0.25 of an integer, so a
-    precision loss raises instead of being rounded away.
+    The length q = len(a) is prime in every caller, and pocketfft
+    transforms a prime length by Bluestein's algorithm, about two smooth
+    transforms of length 2q each.  So a, zero-padded, is correlated with
+    b followed by b[:-1] at the smallest 5-smooth length N >= 2q - 1:
+    y + l <= 2q - 2 < N for y, l < q, so nothing wraps, and the first q
+    entries are the cyclic correlation.  One pair of real transforms and
+    one inverse; the result is rounded to int64 only if every entry is
+    within 0.25 of an integer, so a precision loss raises instead of
+    being rounded away.
     """
-    n = len(a)
-    c = np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(b), n)
+    q = len(a)
+    m = _smooth_len(2 * q - 1)
+    spec = np.conj(np.fft.rfft(a, m)) * np.fft.rfft(np.concatenate((b, b[:-1])), m)
+    c = np.fft.irfft(spec, m)[:q]
     out = np.rint(c)
     resid = float(np.abs(c - out).max())
     if resid >= 0.25:
-        raise ArithmeticError(f"trace correlation at q={n} is {resid:.3g} from an integer")
+        raise ArithmeticError(f"trace correlation at q={q} is {resid:.3g} from an integer")
     return out.astype(np.int64)
 
 

@@ -139,11 +139,14 @@ def _coeff_vector(params: HyperParams, tables: SumTables) -> np.ndarray:
 
 
 def _coeff_product(params: HyperParams, tables: SumTables) -> np.ndarray:
+    # Slot (A, B) contributes binomial_line(A - B)[j + A] to c[j].
     f = params.field
+    n = f.q - 1
+    ks = np.arange(n)
     a0 = params.uppers[0].index
-    c = np.roll(tables.binomial_line(a0), -a0)
+    c = tables.binomial_line(a0)[(ks + a0) % n]
     for up, lo in zip(params.uppers[1:], params.lowers):
-        c *= np.roll(tables.binomial_line(up.index - lo.index), -up.index)
+        c *= tables.binomial_line(up.index - lo.index)[(ks + up.index) % n]
     c *= f.q / (f.q - 1)
     return c
 
@@ -181,7 +184,7 @@ def hyper_twisted_sum(params: HyperParams, weights: np.ndarray, x: int, tables: 
         return 0j
     a = params.uppers[-1].index
     d = (a - params.lowers[-1].index) % n
-    last = np.roll(_line_kernel(tables, d, np.fft.ifft(weights) * n), -a)
+    last = _line_kernel(tables, d, np.fft.ifft(weights) * n)[(np.arange(n) + a) % n]
     c = _coeff_vector(params.dropped_last(), tables) * last
     return complex(c @ character_row(f, x))
 
@@ -329,7 +332,7 @@ def appell_f4_batch(
     ai, bi, ci, cpi = a.index, b.index, c.index, cp.index
     denom = g[ai] * g[bi] * g[(-ci) % n] * g[(-cpi) % n]
     ks = np.arange(n)
-    weights = np.fft.fft(np.roll(g, -ai) * np.roll(g, -bi)) / (n**3 * denom)
+    weights = np.fft.fft(g[(ks + ai) % n] * g[(ks + bi) % n]) / (n**3 * denom)
 
     def shifted(lower: int) -> np.ndarray:
         # Row m of this view is S_lower rotated left by m.

@@ -374,7 +374,7 @@ def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) ->
     an = params.uppers[-1].index
     d = an - params.lowers[-1].index
     # weights[p] = (A_n conj(B_n) chi_p over chi_p) chi_p(t)
-    weights = np.roll(tables.binomial_line(d), -d) * character_row(f, t)
+    weights = tables.binomial_line(d)[(np.arange(n) + d) % n] * character_row(f, t)
     lhs = q / n * hyper_twisted_sum(params, weights, x, tables)
     arg = x * f.inv((1 - t) % q) % q
     rhs = hyper_char(params, arg, tables) * Character(f, -an)((1 - t) % q) - generating_boundary_term(
@@ -461,6 +461,25 @@ def verify_remark_sums(lam: int, level: str, tables: SumTables) -> IdentityRepor
 # -- estimate sweeps ------------------------------------------------------------------
 
 
+_LIMB_Q_LIMIT = 10**9  # see _weighted_square_excess
+
+
+def _weighted_square_excess(w: np.ndarray, ap: np.ndarray, q: int) -> int:
+    """Exact sum of w * (ap^2 - q)^2 for |w| <= 1, |ap| <= 2 sqrt(q), len(ap) <= q.
+
+    Each term v = (ap^2 - q)^2 is below 9 q^2 < 2^63.  Split as
+    v = hi * 2^32 + lo, the sum of w * lo is below q * 2^32 and the sum
+    of w * hi below 9 q^3 / 2^32, both under 2^63 for q < 10^9; the two
+    int64 sums are joined as Python ints.
+    """
+    if not len(ap) <= q < _LIMB_Q_LIMIT:
+        raise Infeasible(f"exact int64 6F5 sum needs q < {_LIMB_Q_LIMIT} and at most q terms; got q={q}")
+    v = (ap * ap - q) ** 2
+    hi = int((w * (v >> 32)).sum())
+    lo = int((w * (v & 0xFFFFFFFF)).sum())
+    return (hi << 32) + lo
+
+
 def estimate_sweep(primes, which: str, budget: int = DEFAULT_BUDGET):
     """Exact trace-route values of 4F3(1) or 6F5(1) per prime, with bound checks.
 
@@ -478,7 +497,7 @@ def estimate_sweep(primes, which: str, budget: int = DEFAULT_BUDGET):
         if q == 2 or not is_prime(q):
             raise RejectedInput(f"{q} is not an odd prime")
         # One trace table per prime: two forward real FFTs and one inverse
-        # of length q.
+        # at the smooth padded length of curves._correlate, O(q log q).
         cost = 3 * q * q.bit_length()
         if cost > budget:
             raise Infeasible(f"trace-table cost 3*q*log2(q) = {cost} exceeds budget {budget}")
@@ -507,7 +526,7 @@ def estimate_sweep(primes, which: str, budget: int = DEFAULT_BUDGET):
             mus = np.arange(1, q - 1)
             leg = f.legendre_table
             w_both = leg[mus * (1 + mus) % q]
-            s = int((w_both * (ap[mus].astype(object) ** 2 - q) ** 2).sum())
+            s = _weighted_square_excess(w_both, ap[mus], q)
             t_sum = int((leg[(1 + mus) % q] * ap[mus] ** 2).sum())
             t = -1 - q - t_sum  # q^2 * 3F2(1)
             num = f.phi_minus_one * (s + t * t)

@@ -238,6 +238,34 @@ def test_verify_product_memory_bounded_at_q3203(tmp_path):
     assert max_rss_kb < 200 * 1024, f"peak RSS {max_rss_kb // 1024} MB"
 
 
+def test_cli_import_loads_only_stdlib_and_numpy():
+    """import ffhyper.cli pulls in no third-party module but numpy.
+
+    Each extra package (scipy.fft for one helper, say) adds its import
+    time to every command.  Modules the interpreter loaded before the
+    import (site hooks) are not counted.
+    """
+    child = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ffhyper.cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    src = str(Path(ffhyper.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "ffhyper" in loaded and "numpy" in loaded
+    extra = [m for m in loaded if m not in sys.stdlib_module_names and m not in ("numpy", "ffhyper")]
+    assert not extra, extra
+
+
 def test_verify_strict_range_exit_2(capsys):
     assert run(["verify", "--primes", "4..6"]) == EXIT_USAGE
     capsys.readouterr()

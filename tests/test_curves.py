@@ -6,6 +6,7 @@ import pytest
 from ffhyper import SingularParameter, make_field
 from ffhyper.curves import (
     _correlate,
+    _smooth_len,
     clausen_trace,
     clausen_trace_table,
     count_points_naive,
@@ -106,6 +107,28 @@ def test_trace_tables_hasse_bound(q):
 def test_trace_correlation_refuses_to_round_non_integers():
     with pytest.raises(ArithmeticError):
         _correlate(np.array([0.5, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+
+
+def test_smooth_len_is_smallest_5_smooth_at_least_n():
+    smooth = sorted(2**i * 3**j * 5**k for i in range(14) for j in range(9) for k in range(7))
+    for n in range(1, 5001):
+        assert _smooth_len(n) == next(m for m in smooth if m >= n), n
+
+
+def test_trace_tables_equal_prime_length_correlation():
+    def prime_length(a, b):
+        # The unpadded cyclic correlation at length q.
+        q = len(a)
+        return np.rint(np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(b), q)).astype(np.int64)
+
+    for q in (*primes_in_range(3, 1499), 10007):
+        f = make_field(q)
+        leg = f.legendre_table
+        xs = np.arange(q, dtype=np.int64)
+        u = leg[xs * (xs - 1) % q]
+        w = np.bincount(xs * xs % q, weights=leg[(xs - 1) % q], minlength=q)
+        assert np.array_equal(legendre_trace_table(f), -prime_length(leg, u)), q
+        assert np.array_equal(clausen_trace_table(f), -prime_length(w, leg)), q
 
 
 def test_naive_count_unknown_family():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from ffhyper import Infeasible, RejectedInput, SingularParameter, make_field
 from ffhyper.characters import Character, quadratic, trivial
 from ffhyper.charsums import SumTables
-from ffhyper.curves import clausen_trace, legendre_trace
+from ffhyper.curves import clausen_trace, clausen_trace_table, legendre_trace
 from ffhyper.hypergeo import HyperParams, QPowerRational, _coeff_vector, hyper_all_x, hyper_char, reconstruct
 from ffhyper.identities import (
     IdentityReport,
     _exact_report,
     _family_tables,
+    _weighted_square_excess,
     estimate_sweep,
     first_moment,
     generating_boundary_term,
@@ -446,6 +448,45 @@ def test_f65_trace_route_matches_character_backend(tables_for):
         t = tables_for(q)
         direct = reconstruct(hyper_char(HyperParams.phi_eps(t.field, 5), 1, t), 5, q)
         assert rows[0]["value"] == direct.fmt(q)
+
+
+@pytest.mark.parametrize("q", (1009, 10007))
+def test_f65_limb_sum_matches_python_integers(q):
+    f = make_field(q)
+    ap = clausen_trace_table(f)
+    mus = np.arange(1, q - 1)
+    w = f.legendre_table[mus * (1 + mus) % q]
+    expected = int((w * (ap[mus].astype(object) ** 2 - q) ** 2).sum())
+    assert _weighted_square_excess(w, ap[mus], q) == expected
+
+
+def test_f65_limb_sum_exact_where_int64_sum_overflows():
+    # Near-Hasse traces make each (a^2 - q)^2 close to 9 q^2 ~ 9e14, so
+    # 40,000 same-signed terms exceed 2^63.
+    q = 10**7 + 19
+    edge = math.isqrt(4 * q)
+    rng = np.random.default_rng(9)
+    ap = np.full(40_000, edge, dtype=np.int64)
+    ap[::2] = -edge
+    ap[::7] = rng.integers(-edge, edge + 1, size=len(ap[::7]))
+    w = np.ones(len(ap), dtype=np.int64)
+    w[::11] = -1
+    w[::13] = 0
+    expected = int((w.astype(object) * (ap.astype(object) ** 2 - q) ** 2).sum())
+    assert expected > 2**63
+    assert _weighted_square_excess(w, ap, q) == expected
+    assert _weighted_square_excess(-w, ap, q) == -expected
+
+
+def test_f65_limb_sum_refuses_outside_its_bound():
+    ap = np.array([0, 1, -1], dtype=np.int64)
+    w = np.ones(3, dtype=np.int64)
+    with pytest.raises(Infeasible):
+        _weighted_square_excess(w, ap, 10**9 + 7)
+    with pytest.raises(Infeasible):
+        _weighted_square_excess(w, ap, 2)
+    q = 10**9 - 63  # the largest prime below the bound
+    assert _weighted_square_excess(w, ap, q) == q**2 + 2 * (q - 1) ** 2
 
 
 def test_moment_sweep_budget_charges_table_cost():
