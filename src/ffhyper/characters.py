@@ -28,17 +28,16 @@ class Character:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x: int) -> complex:
-        """chi(x) as a complex number; exact integer fast paths for eps and phi."""
+        """chi(x) as a complex number, read off the field's unit roots.
+
+        The pinned roots make eps exactly 1 and phi exactly the Legendre
+        value off zero.
+        """
         q = self.field.q
         x %= q
         if x == 0:
             return 0j
-        j = self.index
-        if j == 0:
-            return complex(1)
-        if j == (q - 1) // 2:
-            return complex(self.field.legendre(x))
-        k = (j * int(self.field.dlog[x])) % (q - 1)
+        k = (self.index * int(self.field.dlog[x])) % (q - 1)
         return complex(self.field.unit_roots[k])
 
     def at_minus_one(self) -> int:
@@ -58,10 +57,6 @@ class Character:
     @property
     def is_trivial(self) -> bool:
         return self.index == 0
-
-    @property
-    def is_quadratic(self) -> bool:
-        return self.index == (self.field.q - 1) // 2
 
     def __repr__(self) -> str:
         return f"chi_{self.index}(mod {self.field.q})"

@@ -72,8 +72,10 @@ class SumTables:
 
 
 def _gauss_kernel(f: PrimeField) -> np.ndarray:
-    # g(chi_j) = sum_k zeta_{q-1}^{jk} zeta_q^{g^k}: one inverse DFT over k.
-    g = np.fft.ifft(f.zeta_add[f.exp]) * (f.q - 1)
+    # g(chi_j) = sum_k zeta_{q-1}^{jk} zeta_q^{g^k}: one inverse DFT over k
+    # of the additive character at the powers g^k, built here and dropped,
+    # since the memo keeps only the result.
+    g = np.fft.ifft(np.exp(2j * np.pi * f.exp / f.q)) * (f.q - 1)
     g[0] = -1.0  # exact: sum of all nontrivial q-th roots of unity
     return g
 

@@ -1,11 +1,11 @@
 """Command-line front end: evaluate, verify, sweep.
 
 Exit codes are a function of results only: 0 all checks pass, 1 any
-identity failure or a verify statement with no instances, 2 usage or
-configuration error, 3 work budget exceeded.  Verify processes one prime
-at a time and sorts its reports by (statement, prime) before writing, so
-the bytes emitted depend only on the configuration; CSV and JSON are
-UTF-8 with LF line endings.
+identity failure, failed reconstruction or verify statement with no
+instances, 2 usage or configuration error, 3 work budget exceeded.
+Verify processes one prime at a time and sorts its reports by
+(statement, prime) before writing, so the bytes emitted depend only on
+the configuration; CSV and JSON are UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import identities
 from .characters import Character
@@ -40,16 +40,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-
-
-@dataclass
-class RunConfig:
-    primes: list[int]
-    statements: list[str]
-    seed: int
-    work_budget: int
-    output_format: str
-    output_path: str | None
 
 
 class UsageError(ValueError):
@@ -235,19 +225,28 @@ def _emit(text: str, path: str | None) -> None:
 # -- verify -----------------------------------------------------------------
 
 
-def cmd_verify(config: RunConfig) -> int:
+def _charge_field(q: int, budget: int) -> None:
+    """Refuse F_q before building it if its cost exceeds budget.
+
+    The cost is the field tables and one length-(q-1) transform, which
+    every command on the field pays.
+    """
+    cost = q * q.bit_length()
+    if cost > budget:
+        raise Infeasible(f"field cost q*log2(q) = {cost} exceeds budget {budget}")
+
+
+def cmd_verify(
+    primes: list[int], statements: list[str], seed: int, budget: int, fmt: str, out: str | None
+) -> int:
     # One prime at a time, so only one field's tables are alive at once.
     results = []
-    for q in config.primes:
-        # The field tables and one length-(q-1) transform, which every
-        # statement pays.
-        cost = q * q.bit_length()
-        if cost > config.work_budget:
-            raise Infeasible(f"field cost q*log2(q) = {cost} exceeds budget {config.work_budget}")
+    for q in primes:
+        _charge_field(q, budget)
         tables = SumTables(make_field(q))
-        for si, label in enumerate(config.statements):
+        for si, label in enumerate(statements):
             try:
-                reports = identities.run_statement(label, tables, config.seed, config.work_budget)
+                reports = identities.run_statement(label, tables, seed, budget)
             except NotRational as e:
                 reports = [
                     IdentityReport(
@@ -260,27 +259,27 @@ def cmd_verify(config: RunConfig) -> int:
     reports: list[IdentityReport] = []
     for _, _, chunk in results:
         reports.extend(chunk)
-    by_label: dict[str, list[IdentityReport]] = {label: [] for label in config.statements}
+    by_label: dict[str, list[IdentityReport]] = {label: [] for label in statements}
     for r in reports:
         by_label.setdefault(r.name, []).append(r)
-    summaries = [identities.summarize(label, by_label[label]) for label in config.statements]
-    _emit(render_reports(reports, summaries, config.output_format), config.output_path)
+    summaries = [identities.summarize(label, by_label[label]) for label in statements]
+    _emit(render_reports(reports, summaries, fmt), out)
     # A statement with no instances checked nothing; that is not a pass.
     vacuous = [s.statement for s in summaries if s.instances == 0]
     for label in vacuous:
-        print(f"warning: {label} has no instances over primes {config.primes}", file=sys.stderr)
+        print(f"warning: {label} has no instances over primes {primes}", file=sys.stderr)
     return EXIT_OK if all(r.passed for r in reports) and not vacuous else EXIT_FAILED
 
 
 # -- sweep -----------------------------------------------------------------
 
 
-def cmd_sweep(config: RunConfig, which: str) -> int:
+def cmd_sweep(primes: list[int], which: str, budget: int, fmt: str, out: str | None) -> int:
     if which == "moments":
-        rows, summary = identities.moment_sweep_rows(config.primes, config.work_budget)
+        rows, summary = identities.moment_sweep_rows(primes, budget)
     else:
-        rows, summary = identities.estimate_sweep(config.primes, which, config.work_budget)
-    _emit(render_sweep_rows(rows, summary, config.output_format), config.output_path)
+        rows, summary = identities.estimate_sweep(primes, which, budget)
+    _emit(render_sweep_rows(rows, summary, fmt), out)
     return EXIT_OK if summary.failures == 0 else EXIT_FAILED
 
 
@@ -298,6 +297,7 @@ def _parse_indices(text: str | None, what: str) -> list[int]:
 
 def cmd_eval(args) -> int:
     start = time.perf_counter()
+    _charge_field(args.q, DEFAULT_BUDGET)
     f = make_field(args.q)
     tables = SumTables(f)
     fn = args.fn
@@ -344,11 +344,8 @@ def cmd_eval(args) -> int:
         else:
             params = HyperParams.phi_eps(f, n)
             val = hyper_char(params, args.x, tables)
-            try:
-                exact = reconstruct(val, n, f.q)
-                lines.append(f"{fn}({args.x}) = {exact.fmt(f.q)} = {val.real!r}")
-            except NotRational:
-                lines.append(f"{fn}({args.x}) = {val!r}")
+            exact = reconstruct(val, n, f.q)
+            lines.append(f"{fn}({args.x}) = {exact.fmt(f.q)} = {val.real!r}")
     elapsed = time.perf_counter() - start
     for line in lines:
         print(line)
@@ -361,8 +358,6 @@ def cmd_eval(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, fmt_choices, fmt_default) -> None:
     p.add_argument("--primes", required=True, help="range a..b or list a,b,c of odd primes")
-    p.add_argument("--statements", default="all")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=fmt_choices, default=fmt_default, dest="fmt")
     p.add_argument("--out", default=None, help="write the report stream to this file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -388,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="verify identity statements over a prime sweep")
     _add_common(pv, ("json", "csv", "text"), "text")
+    pv.add_argument("--statements", default="all")
+    pv.add_argument("--seed", type=int, default=0)
 
     ps = sub.add_parser("sweep", help="emit the estimate/moment trend tables")
     ps.add_argument("--which", choices=("F43", "F65", "moments"), required=True)
@@ -408,20 +405,18 @@ def run(argv=None) -> int:
     try:
         if args.command == "eval":
             return cmd_eval(args)
-        config = RunConfig(
-            primes=parse_primes(args.primes, args.strict),
-            statements=parse_statements(args.statements),
-            seed=args.seed,
-            work_budget=args.budget,
-            output_format=args.fmt,
-            output_path=args.out,
-        )
+        primes = parse_primes(args.primes, args.strict)
         if args.command == "verify":
-            return cmd_verify(config)
-        return cmd_sweep(config, args.which)
+            statements = parse_statements(args.statements)
+            return cmd_verify(primes, statements, args.seed, args.budget, args.fmt, args.out)
+        return cmd_sweep(primes, args.which, args.budget, args.fmt, args.out)
     except Infeasible as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except NotRational as e:
+        # A value that should be exact and is not: a failed check.
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAILED
     except (UsageError, RejectedInput, FFHyperError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -63,7 +63,9 @@ class PrimeField:
     The power table `exp` (exp[k] = g**k) and its inverse `dlog` are
     built baby-step/giant-step: O(sqrt(q)) Python steps for the powers
     g**j and g**(i*b) with b = isqrt(q-1) + 1, then one outer product
-    of the two for all q-1 powers.
+    of the two for all q-1 powers.  The one lazy table, `unit_roots`,
+    is built on first use; every other table derived from the prime
+    lives in charsums.SumTables.
 
     Immutable after construction; all tables are plain numpy arrays and
     all operations are pure, so instances are safe to share across
@@ -102,7 +104,6 @@ class PrimeField:
         leg[0] = 0
         self.legendre_table = leg
         self._unit_roots: np.ndarray | None = None
-        self._zeta_add: np.ndarray | None = None
 
     # -- element arithmetic -------------------------------------------------
 
@@ -141,15 +142,6 @@ class PrimeField:
                 roots[3 * n // 4] = -1j
             self._unit_roots = roots
         return self._unit_roots
-
-    @property
-    def zeta_add(self) -> np.ndarray:
-        """Values of the canonical additive character, exp(2*pi*i*x/q)."""
-        if self._zeta_add is None:
-            za = np.exp(2j * np.pi * np.arange(self.q) / self.q)
-            za[0] = 1.0
-            self._zeta_add = za
-        return self._zeta_add
 
     # -- plumbing -------------------------------------------------------------
 

@@ -30,12 +30,15 @@ def test_zero_absorbing_convention():
 
 
 def test_quadratic_matches_legendre():
-    f = make_field(7)
-    phi = quadratic(f)
-    assert phi(3) == -1
-    for x in range(7):
-        assert phi(x) == f.legendre(x)
-        assert phi(x).imag == 0.0  # exact integer fast path
+    assert quadratic(make_field(7))(3) == -1
+    for q in (3, 5, 7, 101, 1009):
+        f = make_field(q)
+        phi, eps = quadratic(f), trivial(f)
+        for x in range(q):
+            assert phi(x) == f.legendre(x)
+            assert phi(x).imag == 0.0  # pinned unit roots
+            if x:
+                assert eps(x) == 1 + 0j and eps(x).imag == 0.0
 
 
 def test_group_ops():

@@ -36,6 +36,16 @@ def test_gauss_trivial_exact(tables_for):
     assert t.gauss_vector[0] == -1.0 + 0j  # stored exactly, never summed
 
 
+@pytest.mark.parametrize("q", (3, 7, 101, 1009, 10007))
+def test_gauss_vector_is_one_inverse_dft_of_the_additive_character(q, tables_for):
+    # The same transform over a full additive-character table, read at g^k:
+    # equal to the last bit.
+    f = tables_for(q).field
+    expect = np.fft.ifft(np.exp(2j * np.pi * np.arange(q) / q)[f.exp]) * (q - 1)
+    expect[0] = -1.0
+    assert np.array_equal(tables_for(q).gauss_vector, expect)
+
+
 def test_gauss_quadratic_square(tables_for):
     for q in (5, 7, 13, 29):
         t = tables_for(q)

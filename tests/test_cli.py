@@ -137,6 +137,27 @@ def test_eval_unknown_fn(capsys):
     capsys.readouterr()
 
 
+def test_eval_failed_reconstruction_exits_1(capsys):
+    """At q=10007 the float 8F7(2) is too far from m/q^7 to be exact; eval says so."""
+    rc = run(["eval", "--q", "10007", "--fn", "8F7", "--x", "2"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_FAILED
+    assert captured.out == ""
+    assert captured.err.startswith("error: imaginary part too large")
+    assert re.search(r"\(residual \d\.\d{3}e[-+]\d\d\)$", captured.err.strip())
+
+
+def test_eval_budget_refuses_field_before_building_it(monkeypatch, capsys):
+    def refuse(q):
+        raise AssertionError(f"built F_{q}")
+
+    monkeypatch.setattr("ffhyper.cli.make_field", refuse)
+    assert run(["eval", "--q", "1000000007", "--fn", "2F1", "--x", "2"]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert f"= {1000000007 * 30} exceeds budget 1000000000" in captured.err
+    assert captured.out == ""
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -316,6 +337,14 @@ def test_sweep_f43_bounds(tmp_path):
         assert float(row["abs_dev"]) <= 4 / int(row["q"])
 
 
+@pytest.mark.parametrize("flag", (["--seed", "1"], ["--statements", "all"]))
+def test_sweep_rejects_verify_only_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--which", "F43", "--primes", "5", *flag])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sweep_f65_json(tmp_path):
     out = tmp_path / "f65.json"
     rc = run(["sweep", "--which", "F65", "--primes", "53..97", "--format", "json", "--out", str(out)])
@@ -324,6 +353,32 @@ def test_sweep_f65_json(tmp_path):
     assert payload["summary"]["failures"] == 0
     for row in payload["rows"]:
         assert row["scaled_abs"] <= 12
+
+
+# -- benchmark tracer -------------------------------------------------------------
+
+
+def test_perfbench_tracer_hooks_a_verify_run(monkeypatch, capsys):
+    """perfbench's span tracer installs over every layer it names and restores them.
+
+    It reads each hooked name through owner.__dict__[attr], so a layer
+    renamed or deleted here would break the traced benchmark run.
+    """
+    from ffhyper.characters import Character
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    call = Character.__dict__["__call__"]
+    tracer = Tracer()
+    with tracer.installed():
+        assert Character.__dict__["__call__"] is not call
+        assert run(["verify", "--primes", "13", "--statements", "all"]) == EXIT_OK
+    assert Character.__dict__["__call__"] is call
+    calls = tracer.span_counts()
+    assert [label for label in STATEMENTS if calls.get(f"identities.{label}") != 1] == []
+    assert calls["cli.render"] == 1
+    capsys.readouterr()
 
 
 # -- README -----------------------------------------------------------------------

@@ -431,7 +431,8 @@ def test_estimate_sweep_budget():
 
 
 def test_estimate_sweep_budget_charges_fft_cost():
-    # Per prime: two forward real FFTs and one inverse of length q.
+    # Per prime: two forward real FFTs and one inverse at the padded
+    # length curves._smooth_len(2q-1), charged as 3*q*log2(q).
     cost = 3 * 101 * (101).bit_length()
     rows, _ = estimate_sweep([101], "F65", budget=cost)
     assert len(rows) == 1
