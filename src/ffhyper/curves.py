@@ -103,12 +103,13 @@ def legendre_trace_table(field: PrimeField) -> np.ndarray:
     """Traces for every lambda at once; entries at lambda in {0,1} are unused.
 
     a(lam) = -sum_x u[x] phi(x - lam) with u[x] = phi(x(x-1)), which is
-    -sum_y phi(y) u[y + lam]: one correlation of phi against u.
+    -sum_y phi(y) u[y + lam]: one correlation of phi against u.  phi is
+    completely multiplicative, so u[x] = phi(x) phi(x-1) is a product of
+    two shifted slices of the Legendre table (u[0] = 0), and the table
+    reads no discrete log.
     """
-    q = field.q
     leg = field.legendre_table
-    xs = np.arange(q, dtype=np.int64)
-    u = leg[xs * (xs - 1) % q]
+    u = np.concatenate(([0], leg[1:] * leg[:-1]))
     return -_correlate(leg, u)
 
 

@@ -1,14 +1,18 @@
 """Prime fields F_q with a fixed primitive root and discrete-log table.
 
 Every character evaluation downstream reduces to exponent arithmetic on
-the table built here: a nonzero residue x is identified with the unique
+the tables built here: a nonzero residue x is identified with the unique
 k in [0, q-2] such that g**k == x (mod q).  The smallest primitive root
-is chosen so character indices are reproducible across runs.
+is chosen so character indices are reproducible across runs.  Each table
+is built on first read, so a caller that needs only the Legendre symbol
+(the curve trace tables) never searches for a root or takes a discrete
+log.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +34,26 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Odd primes in the closed interval [lo, hi]."""
-    return [n for n in range(max(lo, 3), hi + 1) if n % 2 == 1 and is_prime(n)]
+    """Odd primes in the closed interval [lo, hi].
+
+    A segmented sieve: the window [max(lo, 3), hi] is struck by the
+    primes up to isqrt(hi), so memory is O(hi - lo + sqrt(hi)).
+    """
+    lo = max(lo, 3)
+    if hi < lo:
+        return []
+    root = math.isqrt(hi)
+    base = np.ones(root + 1, dtype=bool)
+    base[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if base[p]:
+            base[p * p :: p] = False
+    window = np.ones(hi - lo + 1, dtype=bool)
+    for p in np.flatnonzero(base).tolist():
+        # Multiples below p*p have a smaller prime factor, so start there.
+        start = max(p * p, (lo + p - 1) // p * p)
+        window[start - lo :: p] = False
+    return (np.flatnonzero(window) + lo).tolist()
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -60,16 +82,20 @@ def smallest_primitive_root(q: int) -> int:
 class PrimeField:
     """F_q for an odd prime q.
 
-    The power table `exp` (exp[k] = g**k) and its inverse `dlog` are
+    Construction only validates q; every table is built on first read
+    and kept on the instance (functools.cached_property).  `g` is the
+    smallest primitive root.  The power table `exp` (exp[k] = g**k) is
     built baby-step/giant-step: O(sqrt(q)) Python steps for the powers
     g**j and g**(i*b) with b = isqrt(q-1) + 1, then one outer product
-    of the two for all q-1 powers.  The one lazy table, `unit_roots`,
-    is built on first use; every other table derived from the prime
-    lives in charsums.SumTables.
+    of the two for all q-1 powers; `dlog` is its inverse, read off
+    `exp`.  `legendre_table` is built from the squares x**2 for x in
+    1..(q-1)/2 and needs neither `g` nor `dlog`.  `unit_roots` holds
+    the (q-1)-th roots of unity.  Every other table derived from the
+    prime lives in charsums.SumTables.
 
-    Immutable after construction; all tables are plain numpy arrays and
-    all operations are pure, so instances are safe to share across
-    threads.
+    The tables are plain numpy arrays and all operations are pure, so
+    instances are safe to share across threads: a first read racing
+    another builds an equal table.
     """
 
     def __init__(self, q: int):
@@ -78,7 +104,14 @@ class PrimeField:
         if not is_prime(q):
             raise NotPrime(f"{q} is not prime")
         self.q = q
-        self.g = smallest_primitive_root(q)
+
+    @cached_property
+    def g(self) -> int:
+        return smallest_primitive_root(self.q)
+
+    @cached_property
+    def exp(self) -> np.ndarray:
+        q, g = self.q, self.g
         n = q - 1
         # Baby steps small[j] = g**j, giant steps big[i] = g**(i*b); since
         # b*b > n, g**(i*b + j) = big[i] * small[j] covers every k < n.
@@ -88,22 +121,28 @@ class PrimeField:
         acc = 1
         for j in range(b):
             small[j] = acc
-            acc = acc * self.g % q
+            acc = acc * g % q
         big = np.empty(b, dtype=np.int64)
         step, acc = acc, 1  # acc is now g**b
         for i in range(b):
             big[i] = acc
             acc = acc * step % q
-        exp = (big[:, None] * small[None, :] % q).ravel()[:n]
-        dlog = np.full(q, -1, dtype=np.int64)
-        dlog[exp] = np.arange(n, dtype=np.int64)
-        self.dlog = dlog
-        self.exp = exp
-        # Squares are exactly the even powers of g.
-        leg = np.where(dlog % 2 == 0, 1, -1).astype(np.int64)
+        return (big[:, None] * small[None, :] % q).ravel()[:n]
+
+    @cached_property
+    def dlog(self) -> np.ndarray:
+        dlog = np.full(self.q, -1, dtype=np.int64)
+        dlog[self.exp] = np.arange(self.q - 1, dtype=np.int64)
+        return dlog
+
+    @cached_property
+    def legendre_table(self) -> np.ndarray:
+        q = self.q
+        leg = np.full(q, -1, dtype=np.int64)
         leg[0] = 0
-        self.legendre_table = leg
-        self._unit_roots: np.ndarray | None = None
+        xs = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)
+        leg[xs * xs % q] = 1
+        return leg
 
     # -- element arithmetic -------------------------------------------------
 
@@ -123,7 +162,7 @@ class PrimeField:
 
     # -- shared complex tables ----------------------------------------------
 
-    @property
+    @cached_property
     def unit_roots(self) -> np.ndarray:
         """The (q-1)-th roots of unity, exp(2*pi*i*k/(q-1)).
 
@@ -132,16 +171,14 @@ class PrimeField:
         character must take exactly the Legendre value, and half-turn
         indices occur in every sum involving it.
         """
-        if self._unit_roots is None:
-            n = self.q - 1
-            roots = np.exp(2j * np.pi * np.arange(n) / n)
-            roots[0] = 1.0
-            roots[n // 2] = -1.0
-            if n % 4 == 0:
-                roots[n // 4] = 1j
-                roots[3 * n // 4] = -1j
-            self._unit_roots = roots
-        return self._unit_roots
+        n = self.q - 1
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        roots[0] = 1.0
+        roots[n // 2] = -1.0
+        if n % 4 == 0:
+            roots[n // 4] = 1j
+            roots[3 * n // 4] = -1j
+        return roots
 
     # -- plumbing -------------------------------------------------------------
 

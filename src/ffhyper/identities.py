@@ -504,8 +504,7 @@ def estimate_sweep(primes, which: str, budget: int = DEFAULT_BUDGET):
         f = make_field(q)
         if which == "F43":
             a = legendre_trace_table(f)
-            lams = np.arange(2, q)
-            s = int((f.legendre_table[lams] * a[lams] ** 2).sum())
+            s = int((f.legendre_table[2:] * a[2:] ** 2).sum())  # lambda = 2..q-1
             value = QPowerRational.make(s + 1, 3, q)
             dev = abs(s) / q**3  # |value - 1/q^3|
             bound = 4 / q
@@ -522,12 +521,12 @@ def estimate_sweep(primes, which: str, budget: int = DEFAULT_BUDGET):
             )
             monitored = dev
         else:
-            ap = clausen_trace_table(f)
-            mus = np.arange(1, q - 1)
+            # mu = 1..q-2: ap[1:q-1] is ap(mu), leg[2:] is phi(1 + mu), and
+            # phi(mu(1 + mu)) = phi(mu) phi(1 + mu) by multiplicativity.
+            ap = clausen_trace_table(f)[1 : q - 1]
             leg = f.legendre_table
-            w_both = leg[mus * (1 + mus) % q]
-            s = _weighted_square_excess(w_both, ap[mus], q)
-            t_sum = int((leg[(1 + mus) % q] * ap[mus] ** 2).sum())
+            s = _weighted_square_excess(leg[1 : q - 1] * leg[2:], ap, q)
+            t_sum = int((leg[2:] * ap**2).sum())
             t = -1 - q - t_sum  # q^2 * 3F2(1)
             num = f.phi_minus_one * (s + t * t)
             value = QPowerRational.make(num, 5, q)

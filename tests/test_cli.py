@@ -355,6 +355,46 @@ def test_sweep_f65_json(tmp_path):
         assert row["scaled_abs"] <= 12
 
 
+@pytest.mark.parametrize("which", ("F43", "F65"))
+def test_sweep_csv_matches_golden_bytes(which, capsys):
+    """Byte for byte the committed sweep output over primes 101..199.
+
+    The rows are exact integers and float quotients of them, so no FFT
+    rounding can move a byte.
+    """
+    golden = Path(__file__).resolve().parent / "data" / f"sweep_{which}_101_199.csv"
+    assert run(["sweep", "--which", which, "--primes", "101..199", "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_trace_paths_compute_no_discrete_log(monkeypatch, capsys):
+    """The trace sweeps and trace evals read only the Legendre table."""
+    argvs = [
+        ["sweep", "--which", "F43", "--primes", "101..151"],
+        ["sweep", "--which", "F65", "--primes", "101..151"],
+        ["eval", "--q", "101", "--fn", "trace-legendre", "--lambda", "5"],
+        ["eval", "--q", "101", "--fn", "trace-clausen", "--lambda", "5"],
+    ]
+
+    def outputs():
+        outs = []
+        for argv in argvs:
+            assert run(argv) == EXIT_OK, argv
+            outs.append(re.sub(r"elapsed \d+\.\d+s", "elapsed", capsys.readouterr().out))
+        return outs
+
+    expected = outputs()
+
+    def refuse(q):
+        raise AssertionError(f"primitive-root search at q={q}")
+
+    monkeypatch.setattr("ffhyper.field.smallest_primitive_root", refuse)
+    assert outputs() == expected
+    monkeypatch.undo()
+    f = make_field(101)
+    assert f.dlog is f.dlog
+
+
 # -- benchmark tracer -------------------------------------------------------------
 
 

@@ -63,7 +63,7 @@ def test_dlog_roundtrip(q):
     assert sorted(int(v) for v in f.exp) == list(range(1, q))
 
 
-@pytest.mark.parametrize("q", primes_in_range(3, 61))
+@pytest.mark.parametrize("q", primes_in_range(3, 61) + [401, 577, 1009, 10007])
 def test_legendre_euler_criterion(q):
     f = make_field(q)
     for x in range(q):
@@ -99,3 +99,13 @@ def test_legendre_multiplicative_property(q, x, y):
 def test_is_prime_basics():
     assert is_prime(2) and is_prime(3) and is_prime(293)
     assert not is_prime(1) and not is_prime(9) and not is_prime(291)
+
+
+def test_primes_in_range_sieve_matches_trial_division():
+    for lo in range(-2, 41):
+        for hi in range(-2, 301):
+            expected = [n for n in range(max(lo, 3), hi + 1) if n % 2 == 1 and is_prime(n)]
+            assert primes_in_range(lo, hi) == expected, (lo, hi)
+    # pi(10^6) = 78498 counts the prime 2; 1000003 is the next prime.
+    assert len(primes_in_range(3, 10**6)) == 78497
+    assert len(primes_in_range(3, 1000003)) == 78498

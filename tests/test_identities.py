@@ -451,6 +451,27 @@ def test_f65_trace_route_matches_character_backend(tables_for):
         assert rows[0]["value"] == direct.fmt(q)
 
 
+@pytest.mark.parametrize("q", (101, 103, 1009))
+def test_estimate_sweep_matches_direct_trace_sums(q):
+    # The sweeps read the trace tables through shifted slices; rebuild both
+    # values from the direct one-parameter traces.  q = 103 is 3 mod 4: at
+    # every prime q = 1 mod 4 below 400 the 3F2 sum comes out the same
+    # weighted by phi(mu) as by phi(1 + mu), so such primes miss that slip.
+    f = make_field(q)
+    phi = f.legendre
+    s43 = sum(phi(lam) * legendre_trace(f, lam).trace ** 2 for lam in range(2, q))
+    (row,), _ = estimate_sweep([q], "F43")
+    assert row["value"] == QPowerRational.make(s43 + 1, 3, q).fmt(q)
+    s65 = t_sum = 0
+    for mu in range(1, q - 1):
+        ap = clausen_trace(f, mu).trace
+        s65 += phi(mu * (1 + mu)) * (ap * ap - q) ** 2
+        t_sum += phi(1 + mu) * ap * ap
+    t = -1 - q - t_sum
+    (row,), _ = estimate_sweep([q], "F65")
+    assert row["value"] == QPowerRational.make(f.phi_minus_one * (s65 + t * t), 5, q).fmt(q)
+
+
 @pytest.mark.parametrize("q", (1009, 10007))
 def test_f65_limb_sum_matches_python_integers(q):
     f = make_field(q)
