@@ -8,9 +8,9 @@ is uniform in the characters, and one length-(q-1) transform evaluates
 it for a whole binomial line at once.
 
 SumTables is the one memo space for tables derived from a prime: the
-Gauss vector, the line bins and binomial lines here, and the
-coefficient vectors, all-x value tables and curve-family tables of the
-layers above all go through SumTables.memo.
+Gauss vector, the line bins, the line sign parity and binomial lines
+here, and the coefficient vectors, all-x value tables, F4* spectra and
+curve-family tables of the layers above all go through SumTables.memo.
 """
 
 from __future__ import annotations
@@ -80,6 +80,10 @@ def _gauss_kernel(f: PrimeField) -> np.ndarray:
     return g
 
 
+def _parity(n: int) -> np.ndarray:
+    return np.where(np.arange(n) % 2, -1.0, 1.0)
+
+
 def _line_bins(f: PrimeField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """d1 = dlog x, d2 = dlog(1-x) and the bins (d1-d2) mod (q-1), x in 2..q-1."""
     xs = np.arange(2, f.q)  # x = 0, 1 contribute nothing to J
@@ -106,5 +110,7 @@ def _line_kernel(tables: SumTables, diff: int, by_dlog: np.ndarray | None = None
     hist = np.zeros(n, dtype=complex)
     np.add.at(hist, bins, weights)
     jac = np.fft.ifft(hist) * n  # jac[m] = J(chi_m, chi_{diff-m}) when unweighted
-    signs = np.where((np.arange(n) - diff) % 2, -1.0, 1.0)
+    signs = tables.memo("parity", _parity, n)  # (-1)^m
+    if diff % 2:
+        signs = -signs
     return signs * jac / f.q

@@ -5,7 +5,10 @@ identity failure, failed reconstruction or verify statement with no
 instances, 2 usage or configuration error, 3 work budget exceeded.
 Verify processes one prime at a time and sorts its reports by
 (statement, prime) before writing, so the bytes emitted depend only on
-the configuration; CSV and JSON are UTF-8 with LF line endings.
+the configuration; CSV and JSON are UTF-8 with LF line endings.  A
+statement's reports come as a list of IdentityReports or, for
+trace-bridge, as a ReportBlock, whose rows are written and summarised
+straight from its columns.
 """
 
 from __future__ import annotations
@@ -18,7 +21,11 @@ import json
 import re
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import asdict
+from itertools import repeat
+
+import numpy as np
 
 from . import identities
 from .characters import Character
@@ -34,7 +41,7 @@ from .hypergeo import (
     hyper_char,
     reconstruct,
 )
-from .identities import IdentityReport, SweepSummary
+from .identities import IdentityReport, ReportBlock, SweepSummary
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -149,22 +156,66 @@ def report_from_json(d: dict) -> IdentityReport:
     )
 
 
-def render_reports(reports: list[IdentityReport], summaries: list[SweepSummary], fmt: str) -> str:
+def _fmt_column(nums: np.ndarray, pows: np.ndarray, q: int) -> list[str]:
+    """QPowerRational.fmt over numerator and power columns."""
+    return [f"{n}/{q}^{p}" if p else str(n) for n, p in zip(nums.tolist(), pows.tolist())]
+
+
+def _cells(chunk):
+    """(statement, q, instance, lhs, rhs, residual, pass) per report, lhs and rhs as printed."""
+    if isinstance(chunk, ReportBlock):
+        n, q = len(chunk), chunk.q
+        return zip(
+            repeat(chunk.name, n),
+            repeat(q, n),
+            chunk.instances,
+            _fmt_column(chunk.lhs_num, chunk.lhs_pow, q),
+            _fmt_column(chunk.rhs_num, chunk.rhs_pow, q),
+            chunk.residual.tolist(),
+            chunk.passed.tolist(),
+        )
+    return ((r.name, r.q, r.instance, fmt_value(r.lhs, r.q), fmt_value(r.rhs, r.q), r.residual, r.passed) for r in chunk)
+
+
+def _json_rows(chunk) -> list[dict]:
+    """report_to_json of every report, a ReportBlock's read off its columns."""
+    if not isinstance(chunk, ReportBlock):
+        return [report_to_json(r) for r in chunk]
+    sides = [
+        [{"num": n, "npow": p} for n, p in zip(nums.tolist(), pows.tolist())]
+        for nums, pows in ((chunk.lhs_num, chunk.lhs_pow), (chunk.rhs_num, chunk.rhs_pow))
+    ]
+    return [
+        {
+            "statement": chunk.name,
+            "q": chunk.q,
+            "instance": instance,
+            "lhs": lhs,
+            "rhs": rhs,
+            "residual": residual,
+            "tolerance": chunk.tolerance,
+            "pass": passed,
+        }
+        for instance, lhs, rhs, residual, passed in zip(
+            chunk.instances, *sides, chunk.residual.tolist(), chunk.passed.tolist()
+        )
+    ]
+
+
+def render_reports(chunks: list[Sequence[IdentityReport]], summaries: list[SweepSummary], fmt: str) -> str:
+    """The report stream: each chunk's rows in order, then the summaries.
+
+    A chunk is a list of IdentityReports or a ReportBlock, whose rows are
+    formatted straight from its columns.
+    """
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["statement", "q", "instance", "lhs", "rhs", "residual", "pass"])
-        for r in reports:
-            w.writerow(
-                [
-                    r.name,
-                    r.q,
-                    r.instance,
-                    fmt_value(r.lhs, r.q),
-                    fmt_value(r.rhs, r.q),
-                    repr(r.residual),
-                    "true" if r.passed else "false",
-                ]
+        for chunk in chunks:
+            w.writerows(
+                [name, q, instance, lhs, rhs, repr(residual), "true" if passed else "false"]
+                for name, q, instance, lhs, rhs, residual, passed in _cells(chunk)
             )
         w.writerow([])
         w.writerow(["statement", "primes", "instances", "failures", "max_residual", "first_failure"])
@@ -181,15 +232,15 @@ def render_reports(reports: list[IdentityReport], summaries: list[SweepSummary],
             )
         return buf.getvalue()
     if fmt == "json":
-        payload = [report_to_json(r) for r in reports]
+        payload = [row for chunk in chunks for row in _json_rows(chunk)]
         payload.append({"summaries": [asdict(s) for s in summaries]})
         return json.dumps(payload, indent=2) + "\n"
     lines = []
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"{status} {r.name} q={r.q} [{r.instance}] "
-            f"lhs={fmt_value(r.lhs, r.q)} rhs={fmt_value(r.rhs, r.q)} residual={r.residual:.3e}"
+    for chunk in chunks:
+        lines.extend(
+            f"{'PASS' if passed else 'FAIL'} {name} q={q} [{instance}] "
+            f"lhs={lhs} rhs={rhs} residual={residual:.3e}"
+            for name, q, instance, lhs, rhs, residual, passed in _cells(chunk)
         )
     lines.append("")
     for s in summaries:
@@ -246,29 +297,27 @@ def cmd_verify(
         tables = SumTables(make_field(q))
         for si, label in enumerate(statements):
             try:
-                reports = identities.run_statement(label, tables, seed, budget)
+                chunk = identities.run_statement(label, tables, seed, budget)
             except NotRational as e:
-                reports = [
+                chunk = [
                     IdentityReport(
                         label, q, "<reconstruction failure>", 0j, 0j, e.residual, 0.0, False
                     )
                 ]
-            results.append((si, q, reports))
+            results.append((si, q, chunk))
     results.sort(key=lambda item: (item[0], item[1]))
 
-    reports: list[IdentityReport] = []
-    for _, _, chunk in results:
-        reports.extend(chunk)
-    by_label: dict[str, list[IdentityReport]] = {label: [] for label in statements}
-    for r in reports:
-        by_label.setdefault(r.name, []).append(r)
-    summaries = [identities.summarize(label, by_label[label]) for label in statements]
-    _emit(render_reports(reports, summaries, fmt), out)
+    chunks = [chunk for _, _, chunk in results]
+    by_label: dict[str, list[Sequence[IdentityReport]]] = {label: [] for label in statements}
+    for si, _, chunk in results:
+        by_label[statements[si]].append(chunk)
+    summaries = [identities.summarize(label, *by_label[label]) for label in statements]
+    _emit(render_reports(chunks, summaries, fmt), out)
     # A statement with no instances checked nothing; that is not a pass.
     vacuous = [s.statement for s in summaries if s.instances == 0]
     for label in vacuous:
         print(f"warning: {label} has no instances over primes {primes}", file=sys.stderr)
-    return EXIT_OK if all(r.passed for r in reports) and not vacuous else EXIT_FAILED
+    return EXIT_OK if all(s.failures == 0 for s in summaries) and not vacuous else EXIT_FAILED
 
 
 # -- sweep -----------------------------------------------------------------

@@ -9,9 +9,9 @@ Coefficient vectors and all-x value tables (the 1F0 table included) are
 memoised per prime through SumTables.memo.  A weighted sum over psi of
 F with its last upper character twisted by psi is one weighted binomial
 line (hyper_twisted_sum), not q-1 separate evaluations.  The Appell
-series F4* is three length-(q-1) transforms per batch of points: every
-point reads one gathered dot product off the same two shifted spectra
-(appell_f4_batch).
+series F4* is three length-(q-1) transforms per prime and character
+tuple, memoised through SumTables.memo: every point then reads one
+gathered dot product off the same two shifted spectra (appell_f4_batch).
 For the all-phi/eps parameter family an exact backend unrolls the
 one-slot descent down to the base case and sums Legendre symbols in
 arbitrary-precision integer arithmetic, which anchors the rational
@@ -31,8 +31,9 @@ from .errors import FieldMismatch, Infeasible, NotRational
 from .field import PrimeField
 
 DEFAULT_BUDGET = 10**9
-# Points per gathered block in appell_f4_batch: bounds its working memory
-# to a few (_CHUNK, q-1) arrays whatever the batch size.
+# Points per gathered block in appell_f4_batch: bounds its per-call working
+# memory to a few (_CHUNK, q-1) arrays whatever the batch size; the memoised
+# spectra it gathers from are O(q) per character tuple.
 _CHUNK = 256
 
 
@@ -111,23 +112,43 @@ class QPowerRational:
         return f"{self.num}/{q}^{self.npow}"
 
 
+# Reconstruction guard: two orders of magnitude above observed floating
+# residuals, far below the unit gap between integers.
+_EXACT_GAP = 0.01
+
+
 def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
     """Recover the integer m with v ~= m / q**npow, or fail loudly.
 
     Both the imaginary part and the distance to the nearest integer of
-    v * q**npow must stay below 0.01 -- two orders of magnitude above
-    observed floating residuals, far below the unit gap between integers.
+    v * q**npow must stay below _EXACT_GAP = 0.01.
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
     scaled = complex(v) * q**npow
-    if abs(scaled.imag) >= 0.01:
+    if abs(scaled.imag) >= _EXACT_GAP:
         raise NotRational(f"imaginary part too large for an exact value at scale q^{npow}", abs(scaled.imag))
     m = round(scaled.real)
     resid = abs(scaled.real - m)
-    if resid >= 0.01:
+    if resid >= _EXACT_GAP:
         raise NotRational(f"not within rounding distance of an integer at scale q^{npow}", resid)
     return QPowerRational.make(m, npow, q)
+
+
+def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> np.ndarray:
+    """The integers m[i] with values[i] ~= m[i] / q**npow, as int64, by reconstruct's rule.
+
+    One array pass: the arithmetic and the guard are reconstruct's, so
+    the first entry that fails raises the NotRational that reconstruct
+    raises for it, with the same message and residual.
+    """
+    scaled = values * q**npow
+    m = np.rint(scaled.real)
+    # "not below" rather than "at or above", so that NaN is caught here too.
+    bad = (np.abs(scaled.imag) >= _EXACT_GAP) | ~(np.abs(scaled.real - m) < _EXACT_GAP)
+    if bad.any():
+        reconstruct(values[np.argmax(bad)], npow, q)  # raises for this entry
+    return m.astype(np.int64)
 
 
 # -- character-sum backend ---------------------------------------------------
@@ -317,19 +338,33 @@ def appell_f4_batch(
 
         F4*(x, y) = sum_k P[k] S_C[k + dlog x] S_C'[k + dlog y] / ((q-1)^3 denom).
 
-    So a batch costs three length-(q-1) transforms, then one gathered dot
-    product per point, taken _CHUNK points at a time so that no
-    (points, q-1) array is built.
+    The weights P / ((q-1)^3 denom) and both shifted spectra depend only on
+    the characters, so they are built once per SumTables and character
+    tuple through SumTables.memo: a batch costs three length-(q-1)
+    transforms on its tuple's first use, then one gathered dot product
+    per point, taken _CHUNK points at a time so that no (points, q-1)
+    array is built.
     """
     f = tables.field
     q = f.q
-    n = q - 1
     xs = np.asarray(xs, dtype=np.int64) % q
     ys = np.asarray(ys, dtype=np.int64) % q
     out = np.zeros(len(xs), dtype=complex)
     live = np.flatnonzero((xs != 0) & (ys != 0))
+    indices = (a.index, b.index, c.index, cp.index)
+    weights, rows_x, rows_y = tables.memo(("f4", *indices), _f4_spectra, tables, *indices)
+    dx, dy = f.dlog[xs[live]], f.dlog[ys[live]]
+    for s in range(0, len(live), _CHUNK):
+        block = rows_x[dx[s : s + _CHUNK]]
+        block *= rows_y[dy[s : s + _CHUNK]]
+        out[live[s : s + _CHUNK]] = block @ weights
+    return out
+
+
+def _f4_spectra(tables: SumTables, ai: int, bi: int, ci: int, cpi: int):
+    """The F4* weights and the shifted spectra of C and C' (see appell_f4_batch)."""
+    n = tables.field.q - 1
     g = tables.gauss_vector
-    ai, bi, ci, cpi = a.index, b.index, c.index, cp.index
     denom = g[ai] * g[bi] * g[(-ci) % n] * g[(-cpi) % n]
     ks = np.arange(n)
     weights = np.fft.fft(g[(ks + ai) % n] * g[(ks + bi) % n]) / (n**3 * denom)
@@ -339,10 +374,4 @@ def appell_f4_batch(
         spec = np.fft.ifft(g[(-lower - ks) % n] * g[(-ks) % n]) * n
         return sliding_window_view(np.concatenate((spec, spec[:-1])), n)
 
-    rows_x, rows_y = shifted(ci), shifted(cpi)
-    dx, dy = f.dlog[xs[live]], f.dlog[ys[live]]
-    for s in range(0, len(live), _CHUNK):
-        block = rows_x[dx[s : s + _CHUNK]]
-        block *= rows_y[dy[s : s + _CHUNK]]
-        out[live[s : s + _CHUNK]] = block @ weights
-    return out
+    return weights, shifted(ci), shifted(cpi)

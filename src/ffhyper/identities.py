@@ -2,7 +2,10 @@
 
 Identities whose two sides live in q**-m * Z are checked in exact integer
 arithmetic after rational reconstruction; everything else is checked in
-floating point against a scale-aware tolerance.  Randomized instance
+floating point against a scale-aware tolerance.  The trace bridges, 2(q-2)
+exact checks per prime, are checked one family per array pass and come
+back as a ReportBlock of columns; the per-lambda checks are its oracle.
+Randomized instance
 generation happens in the statement runner, never inside the checks, and
 every instance is fully described in its report so failures reproduce.
 """
@@ -10,7 +13,9 @@ every instance is fully described in its report so failures reproduce.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from .hypergeo import (
     hyper_char,
     hyper_twisted_sum,
     reconstruct,
+    reconstruct_ints,
 )
 
 
@@ -41,6 +47,48 @@ class IdentityReport:
     residual: float
     tolerance: float
     passed: bool
+
+
+@dataclass(frozen=True, eq=False)
+class ReportBlock(Sequence):
+    """Exact checks of one statement at one prime, held as columns.
+
+    Row i compares lhs_num[i] / q**lhs_pow[i] with rhs_num[i] / q**rhs_pow[i],
+    each in QPowerRational's canonical form, with _exact_report's residual
+    and verdict.  len() is the row count; indexing and iteration build each
+    row's IdentityReport on demand, while summarize and the cli renderers
+    read the columns.
+    """
+
+    tolerance: ClassVar[float] = 0.0
+
+    name: str
+    q: int
+    instances: list[str]
+    lhs_num: np.ndarray
+    lhs_pow: np.ndarray
+    rhs_num: np.ndarray
+    rhs_pow: np.ndarray
+    residual: np.ndarray
+    passed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.instances)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        instance = self.instances[i]
+        return IdentityReport(
+            self.name,
+            self.q,
+            instance,
+            QPowerRational(int(self.lhs_num[i]), int(self.lhs_pow[i])),
+            QPowerRational(int(self.rhs_num[i]), int(self.rhs_pow[i])),
+            float(self.residual[i]),
+            self.tolerance,
+            bool(self.passed[i]),
+        )
 
 
 @dataclass
@@ -71,6 +119,24 @@ def _exact_report(
     diff = abs(lhs.num * q**rhs.npow - rhs.num * q**lhs.npow)
     residual = float(diff) / q ** (lhs.npow + rhs.npow) if diff else 0.0
     return IdentityReport(name, q, instance, lhs, rhs, residual, 0.0, diff == 0)
+
+
+def _canonical(num: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """QPowerRational.make(num[i], npow, q) for every i, as numerator and power columns."""
+    pows = np.full(len(num), npow, dtype=np.int64)
+    for _ in range(npow):
+        cut = (pows > 0) & (num % q == 0)
+        num = np.where(cut, num // q, num)
+        pows -= cut
+    return num, pows
+
+
+def _exact_block(name: str, q: int, instances: list[str], lhs, rhs) -> ReportBlock:
+    """_exact_report over columns; lhs and rhs are canonical (num, pow) column pairs."""
+    (lhs_num, lhs_pow), (rhs_num, rhs_pow) = lhs, rhs
+    diff = np.abs(lhs_num * q**rhs_pow - rhs_num * q**lhs_pow)
+    residual = diff / q ** (lhs_pow + rhs_pow)
+    return ReportBlock(name, q, instances, lhs_num, lhs_pow, rhs_num, rhs_pow, residual, diff == 0)
 
 
 def _idx(chars) -> str:
@@ -154,8 +220,11 @@ def verify_product(
     z %= q
     if x in (0, 1) or z in (0, 1):
         raise RejectedInput("x and z must avoid {0, 1}")
-    # q-2 F4* points, each one gathered dot product of length q-1, after
-    # three transforms of length q-1.
+    # q-2 F4* points, each one gathered dot product of length q-1, plus
+    # the three length-(q-1) transforms of the F4* spectra.  Those are
+    # memoised per prime and character tuple, so only the first instance
+    # builds them, but every instance is charged for them: its cost does
+    # not depend on which instances ran before it.
     cost = (q - 2) * (q - 1) + 3 * (q - 1) * (q - 1).bit_length()
     if cost > budget:
         raise Infeasible(f"w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1) = {cost} exceeds budget {budget}")
@@ -324,6 +393,35 @@ def verify_clausen_bridge(lam: int, tables: SumTables) -> IdentityReport:
     lhs = QPowerRational.make(trace**2, 0, q)
     rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
     return _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
+
+
+def trace_bridge_block(tables: SumTables) -> ReportBlock:
+    """Both trace bridges at every lambda in 2..q-1, one array pass per family.
+
+    Row for row what verify_legendre_bridge and then verify_clausen_bridge
+    give over that range; those per-lambda checks are its oracle.  Each
+    family is reconstructed in one reconstruct_ints call, so the first
+    lambda that fails reconstruction, in that order, raises the same
+    NotRational as the per-lambda loop.  mu = lambda/(1-lambda) is read
+    off the discrete-log tables.
+    """
+    f = tables.field
+    q = f.q
+    lams = np.arange(2, q)
+    a, f21 = _family_tables("legendre", tables)
+    legendre_lhs = _canonical(reconstruct_ints(f.phi_minus_one * f21[2:], 1, q), 1, q)
+    legendre_rhs = _canonical(-a[2:], 1, q)
+    ap, f32 = _family_tables("clausen", tables)
+    t2 = reconstruct_ints(f32[2:], 2, q)
+    one_minus = (1 - lams) % q
+    mus = f.exp[(f.dlog[lams] - f.dlog[one_minus]) % (q - 1)]
+    clausen_lhs = _canonical(ap[mus] ** 2, 0, q)
+    clausen_rhs = _canonical(q + f.legendre_table[one_minus] * t2, 0, q)
+    instances = [f"legendre lambda={lam}" for lam in range(2, q)]
+    instances += [f"clausen lambda={lam} mu={mu}" for lam, mu in zip(range(2, q), mus.tolist())]
+    lhs = [np.concatenate(cols) for cols in zip(legendre_lhs, clausen_lhs)]
+    rhs = [np.concatenate(cols) for cols in zip(legendre_rhs, clausen_rhs)]
+    return _exact_block("trace-bridge", q, instances, lhs, rhs)
 
 
 # -- generating function and the closed-form psi-sum -----------------------------------
@@ -622,7 +720,11 @@ def _rand_x(rng: random.Random, q: int, exclude=(0,)) -> int:
 
 
 def run_statement(label: str, tables: SumTables, seed: int, budget: int = DEFAULT_BUDGET):
-    """Default instance set for one statement over one prime; deterministic in seed."""
+    """Default instance set for one statement over one prime; deterministic in seed.
+
+    A list of IdentityReports, or for trace-bridge the ReportBlock of its
+    2(q-2) rows; either way a Sequence whose len is its row count.
+    """
     f = tables.field
     q = f.q
     rng = _rng_for(seed, label, q)
@@ -642,10 +744,7 @@ def run_statement(label: str, tables: SumTables, seed: int, budget: int = DEFAUL
         for n, k in ((2, 1), (3, 2)):
             out.append(second_weighted_moment(n, k, _rand_x(rng, q), tables))
     elif label == "trace-bridge":
-        for lam in range(2, q):
-            out.append(verify_legendre_bridge(lam, tables))
-        for lam in range(2, q):
-            out.append(verify_clausen_bridge(lam, tables))
+        return trace_bridge_block(tables)
     elif label == "contiguous":
         base = HyperParams.phi_eps(f, 1)
         for x in ((2, 3) if q > 3 else (1, 2)):
@@ -713,9 +812,33 @@ def run_statement(label: str, tables: SumTables, seed: int, budget: int = DEFAUL
     return out
 
 
-def summarize(label: str, reports: list[IdentityReport]) -> SweepSummary:
-    primes = sorted({r.q for r in reports})
-    failures = [r for r in reports if not r.passed]
-    first = f"q={failures[0].q} {failures[0].instance}" if failures else ""
-    max_resid = max((r.residual for r in reports), default=0.0)
-    return SweepSummary(label, primes, len(reports), len(failures), first, max_resid)
+def summarize(label: str, *chunks: Sequence[IdentityReport]) -> SweepSummary:
+    """Counts, first failure and largest residual of one statement's reports.
+
+    Each chunk is a list of IdentityReports or a ReportBlock, whose
+    columns are read directly; the result is that of the chunks' reports
+    in order.
+    """
+    primes: set[int] = set()
+    residuals: list[float] = []
+    failures = 0
+    first = ""
+    for chunk in chunks:
+        if isinstance(chunk, ReportBlock):
+            if not len(chunk):
+                continue
+            primes.add(chunk.q)
+            residuals.append(float(chunk.residual.max()))
+            failed = np.flatnonzero(~chunk.passed)
+            failures += len(failed)
+            if len(failed) and not first:
+                first = f"q={chunk.q} {chunk.instances[failed[0]]}"
+            continue
+        for r in chunk:
+            primes.add(r.q)
+            residuals.append(r.residual)
+            if not r.passed:
+                failures += 1
+                first = first or f"q={r.q} {r.instance}"
+    instances = sum(len(chunk) for chunk in chunks)
+    return SweepSummary(label, sorted(primes), instances, failures, first, max(residuals, default=0.0))

@@ -20,12 +20,22 @@ from ffhyper.cli import (
     UsageError,
     parse_primes,
     parse_statements,
+    render_reports,
     report_from_json,
     report_to_json,
     run,
 )
 from ffhyper.curves import hasse_bound, legendre_trace
-from ffhyper.identities import STATEMENTS
+from ffhyper.charsums import SumTables
+from ffhyper.errors import NotRational
+from ffhyper.identities import (
+    STATEMENTS,
+    IdentityReport,
+    run_statement,
+    summarize,
+    verify_clausen_bridge,
+    verify_legendre_bridge,
+)
 
 
 # -- primes / statements parsing -------------------------------------------------
@@ -367,6 +377,80 @@ def test_sweep_csv_matches_golden_bytes(which, capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, failing with the first differing line: pytest's own diff
+    of two texts this long takes minutes."""
+    if got != want:
+        a, b = got.splitlines(), want.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {i + 1} differs: {a[i : i + 1]} != {b[i : i + 1]} ({len(a)} vs {len(b)} lines)")
+
+
+@pytest.mark.parametrize("fmt, ext", (("csv", "csv"), ("json", "json"), ("text", "txt")))
+def test_verify_exact_statements_match_golden_bytes(fmt, ext, capsys):
+    """Byte for byte the committed exact-statement report over primes 101..151.
+
+    Only exact statements are in it, so a change to a float kernel
+    cannot move a byte.
+    """
+    golden = Path(__file__).resolve().parent / "data" / f"verify_exact_101_151.{ext}"
+    argv = ["verify", "--primes", "101..151", "--statements", "first-moment,trace-moments,trace-bridge"]
+    assert run([*argv, "--seed", "42", "--format", fmt]) == EXIT_OK
+    assert_same_text(capsys.readouterr().out, golden.read_text(encoding="utf-8"))
+
+
+def _bridge_loop(q):
+    """trace-bridge at q by the per-lambda checks, in run_statement's order."""
+    t = SumTables(make_field(q))
+    return [verify_legendre_bridge(lam, t) for lam in range(2, q)] + [
+        verify_clausen_bridge(lam, t) for lam in range(2, q)
+    ]
+
+
+def _patch_family(monkeypatch, family, lams, table, offset):
+    """Move entries of a family's trace table (0) or value table (1) by offset."""
+    import ffhyper.identities as ids
+
+    def pair(fam, tables, build=ids._family_pair):
+        tabs = [a.copy() for a in build(fam, tables)]
+        if fam == family:
+            tabs[table][list(lams)] += offset
+        return tuple(tabs)
+
+    monkeypatch.setattr(ids, "_family_pair", pair)
+
+
+@pytest.mark.parametrize("family", ("legendre", "clausen"))
+def test_verify_writes_reconstruction_failure_of_loop(family, monkeypatch, capsys):
+    """A value off by 0.02 at scale: verify writes the loop's failure row and exits 1."""
+    q = 101
+    _patch_family(monkeypatch, family, (17,), 1, 0.02 / q ** (1 if family == "legendre" else 2))
+    with pytest.raises(NotRational) as loop:
+        _bridge_loop(q)
+    row = [IdentityReport("trace-bridge", q, "<reconstruction failure>", 0j, 0j, loop.value.residual, 0.0, False)]
+    for fmt in ("csv", "json", "text"):
+        assert run(["verify", "--primes", str(q), "--statements", "trace-bridge", "--format", fmt]) == EXIT_FAILED
+        assert_same_text(capsys.readouterr().out, render_reports([row], [summarize("trace-bridge", row)], fmt))
+
+
+@pytest.mark.parametrize("family, lams", (("legendre", (30, 44)), ("clausen", (61, 9))))
+def test_failing_bridge_rows_render_like_loop(family, lams, monkeypatch, capsys):
+    """Traces off by one fail their rows; the block renders the loop's bytes."""
+    q = 101
+    _patch_family(monkeypatch, family, lams, 0, 1)
+    loop = _bridge_loop(q)
+    block = run_statement("trace-bridge", SumTables(make_field(q)), 0)
+    assert [r.passed for r in block].count(False) == 2
+    want, got = summarize("trace-bridge", loop), summarize("trace-bridge", block)
+    assert want.failures == 2 and want.max_residual > 0
+    assert (got.first_failure, got.max_residual) == (want.first_failure, want.max_residual)
+    assert got == want
+    for fmt in ("csv", "json", "text"):
+        assert_same_text(render_reports([block], [got], fmt), render_reports([loop], [want], fmt))
+        assert run(["verify", "--primes", str(q), "--statements", "trace-bridge", "--format", fmt]) == EXIT_FAILED
+        assert_same_text(capsys.readouterr().out, render_reports([loop], [want], fmt))
+
+
 def test_trace_paths_compute_no_discrete_log(monkeypatch, capsys):
     """The trace sweeps and trace evals read only the Legendre table."""
     argvs = [
@@ -418,6 +502,7 @@ def test_perfbench_tracer_hooks_a_verify_run(monkeypatch, capsys):
     calls = tracer.span_counts()
     assert [label for label in STATEMENTS if calls.get(f"identities.{label}") != 1] == []
     assert calls["cli.render"] == 1
+    assert tracer.counts["identities.trace-bridge.checks"] == 22  # 2 * (13 - 2)
     capsys.readouterr()
 
 

@@ -161,6 +161,33 @@ def test_appell_f4_batch_matches_scalar(q, points, tables_for):
                 assert abs(v - appell_f4(*chars, int(x), int(y), t)) <= 1e-12 * q
 
 
+def test_f4_spectra_built_once_per_tables_and_key(monkeypatch):
+    """product's 5 instances at q=101 build the F4* spectra once per SumTables."""
+    import ffhyper.hypergeo as hg
+    from ffhyper.charsums import SumTables
+    from ffhyper.identities import run_statement
+
+    built = []
+
+    def counted(tables, *indices, build=hg._f4_spectra):
+        built.append((id(tables), indices))
+        return build(tables, *indices)
+
+    monkeypatch.setattr(hg, "_f4_spectra", counted)
+    key = (50, 50, 0, 0)  # (phi, phi, eps, eps) at q = 101
+    for _ in range(2):
+        t = SumTables(make_field(101))
+        reports = run_statement("product", t, 42)
+        assert len(reports) == 5 and all(r.passed for r in reports)
+        assert built[-1] == (id(t), key)
+        spectra = t.memo(("f4", *key), pytest.fail)
+        for arr in spectra:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    assert [indices for _, indices in built] == [key, key]
+
+
 def _psi_loop(params, weights, x, t):
     """sum_p weights[p] F(params with last upper A_n chi_p | x), one value at a time,
     and the sum of the magnitudes of its terms."""

@@ -1,16 +1,18 @@
 import math
 import random
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
-from ffhyper import Infeasible, RejectedInput, SingularParameter, make_field
+from ffhyper import Infeasible, NotRational, RejectedInput, SingularParameter, make_field
 from ffhyper.characters import Character, quadratic, trivial
-from ffhyper.charsums import SumTables
+from ffhyper.charsums import SumTables, _parity
 from ffhyper.curves import clausen_trace, clausen_trace_table, legendre_trace
 from ffhyper.hypergeo import HyperParams, QPowerRational, _coeff_vector, hyper_all_x, hyper_char, reconstruct
 from ffhyper.identities import (
     IdentityReport,
+    ReportBlock,
     _exact_report,
     _family_tables,
     _weighted_square_excess,
@@ -247,6 +249,68 @@ def test_bridges_match_direct_trace_oracle(q, tables_for):
         assert verify_clausen_bridge(lam, t) == want
 
 
+def bridge_oracle(t):
+    """The trace-bridge rows by the per-lambda checks, in run_statement's order."""
+    q = t.field.q
+    return [verify_legendre_bridge(lam, t) for lam in range(2, q)] + [
+        verify_clausen_bridge(lam, t) for lam in range(2, q)
+    ]
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 13, 101, 797))
+def test_trace_bridge_block_matches_per_lambda_oracle(q, tables_for):
+    """The array pass gives the per-lambda reports row for row."""
+    t = tables_for(q)
+    block = run_statement("trace-bridge", t, 0)
+    assert isinstance(block, ReportBlock) and isinstance(block, Sequence)
+    assert len(block) == 2 * (q - 2)
+    want = bridge_oracle(t)
+    assert list(block) == want
+    assert [block[i] for i in range(-len(block), 0)] == want
+    assert block[1:4] == want[1:4]
+    with pytest.raises(IndexError):
+        block[len(block)]
+    s = summarize("trace-bridge", block)
+    assert s == summarize("trace-bridge", want)
+    assert s.instances == 2 * (q - 2) and s.failures == 0 and s.primes == [q]
+
+
+def off_family(monkeypatch, offsets):
+    """Patch the family tables so values[lam] moves by offset for each (family, lam)."""
+    import ffhyper.identities as ids
+
+    def pair(family, tables, build=ids._family_pair):
+        traces, values = build(family, tables)
+        values = values.copy()
+        for (fam, lam), offset in offsets.items():
+            if fam == family:
+                values[lam] += offset
+        return traces, values
+
+    monkeypatch.setattr(ids, "_family_pair", pair)
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    (
+        # per-lambda order is every Legendre lambda before any Clausen one
+        {("legendre", 9): 0.03 / 101, ("clausen", 3): 0.02 / 101**2},
+        {("legendre", 40): 0.02j / 101},
+        {("clausen", 7): 0.04 / 101**2, ("clausen", 4): 0.02j / 101**2},
+        {("clausen", 100): -0.02 / 101**2},
+    ),
+)
+def test_trace_bridge_block_raises_first_failure_of_loop(offsets, monkeypatch):
+    """A family value off by 0.02 at scale raises what the per-lambda loop raises first."""
+    off_family(monkeypatch, offsets)
+    with pytest.raises(NotRational) as loop:
+        bridge_oracle(SumTables(make_field(101)))
+    with pytest.raises(NotRational) as block:
+        run_statement("trace-bridge", SumTables(make_field(101)), 0)
+    assert str(block.value) == str(loop.value)
+    assert block.value.residual == loop.value.residual
+
+
 def test_trace_tables_built_once_per_tables(monkeypatch):
     """trace-moments and both bridges share one memoised table per family."""
     import ffhyper.identities as ids
@@ -282,6 +346,7 @@ def test_memo_returns_one_read_only_table():
         "legendre-2F1": lambda: _family_tables("legendre", t)[1],
         "clausen": lambda: _family_tables("clausen", t)[0],
         "clausen-3F2": lambda: _family_tables("clausen", t)[1],
+        "parity": lambda: t.memo("parity", _parity, 12),
     }
     for name, get in getters.items():
         table = get()
