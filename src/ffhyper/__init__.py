@@ -2,9 +2,9 @@
 the machine verification of their moment, product and generating-function
 identities."""
 
-from .characters import Character, all_characters, delta_char, delta_elem, quadratic, trivial
+from .characters import Character, quadratic, trivial
 from .charsums import SumTables
-from .curves import TraceRecord, clausen_trace, count_points_naive, legendre_trace
+from .curves import TraceRecord, clausen_trace, legendre_trace
 from .errors import (
     DivisionByZero,
     FFHyperError,
@@ -25,7 +25,6 @@ from .hypergeo import (
     hyper_all_x,
     hyper_char,
     hyper_exact_phi,
-    hyper_inductive_step,
     reconstruct,
 )
 
@@ -46,16 +45,11 @@ __all__ = [
     "SingularParameter",
     "SumTables",
     "TraceRecord",
-    "all_characters",
     "appell_f4",
     "clausen_trace",
-    "count_points_naive",
-    "delta_char",
-    "delta_elem",
     "hyper_all_x",
     "hyper_char",
     "hyper_exact_phi",
-    "hyper_inductive_step",
     "is_prime",
     "legendre_trace",
     "make_field",

@@ -40,10 +40,6 @@ class Character:
         k = (self.index * int(self.field.dlog[x])) % (q - 1)
         return complex(self.field.unit_roots[k])
 
-    def at_minus_one(self) -> int:
-        """chi(-1) = (-1)**index, exactly."""
-        return -1 if self.index % 2 else 1
-
     # -- group structure -------------------------------------------------------
 
     def __mul__(self, other: "Character") -> "Character":
@@ -70,22 +66,7 @@ def quadratic(field: PrimeField) -> Character:
     return Character(field, (field.q - 1) // 2)
 
 
-def all_characters(field: PrimeField):
-    """All q-1 characters, in index order."""
-    return (Character(field, j) for j in range(field.q - 1))
-
-
 def character_row(field: PrimeField, x: int) -> np.ndarray:
     """chi_j(x) for every j, by index, as a fresh array; x must be nonzero."""
     n = field.q - 1
     return field.unit_roots[(np.arange(n) * int(field.dlog[x % field.q])) % n]
-
-
-def delta_elem(x: int) -> int:
-    """1 if x = 0 else 0."""
-    return 1 if x == 0 else 0
-
-
-def delta_char(chi: Character) -> int:
-    """1 if chi is trivial else 0."""
-    return 1 if chi.is_trivial else 0

@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -53,11 +54,14 @@ class UsageError(ValueError):
     pass
 
 
-def parse_primes(text: str, strict: bool) -> list[int]:
+def parse_primes(text: str, strict: bool, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Parse 'a..b' or 'a,b,c' into a sorted list of odd primes.
 
     Strict mode (the default) rejects any non-prime entry or range
-    endpoint instead of silently skipping it.
+    endpoint instead of silently skipping it.  The work is charged
+    against budget before it runs: about isqrt(n) per entry or endpoint
+    (trial division, or the sieve's base primes) and b-a+1 for the sieve
+    window of a range a..b.
     """
     text = text.strip()
     if ".." in text:
@@ -66,6 +70,7 @@ def parse_primes(text: str, strict: bool) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError as e:
             raise UsageError(f"bad prime range {text!r}") from e
+        _charge_selection((lo, hi), hi - max(lo, 3) + 1, budget)
         if strict:
             for end in (lo, hi):
                 if end == 2 or not is_prime(end):
@@ -78,6 +83,7 @@ def parse_primes(text: str, strict: bool) -> list[int]:
             entries = [int(tok) for tok in text.split(",") if tok.strip()]
         except ValueError as e:
             raise UsageError(f"bad prime list {text!r}") from e
+        _charge_selection(entries, 0, budget)
         if strict:
             for n in entries:
                 if n == 2 or not is_prime(n):
@@ -89,6 +95,13 @@ def parse_primes(text: str, strict: bool) -> list[int]:
     if not primes:
         raise UsageError(f"prime selection {text!r} is empty")
     return primes
+
+
+def _charge_selection(numbers, window: int, budget: int) -> None:
+    """Refuse a prime selection whose primality work exceeds budget."""
+    cost = sum(math.isqrt(max(n, 0)) for n in numbers) + max(window, 0)
+    if cost > budget:
+        raise Infeasible(f"prime selection cost sum(isqrt(n)) + window = {cost} exceeds budget {budget}")
 
 
 def parse_statements(text: str) -> list[str]:
@@ -124,12 +137,6 @@ def value_to_json(v):
     return {"re": c.real, "im": c.imag}
 
 
-def value_from_json(d):
-    if "num" in d:
-        return QPowerRational(d["num"], d["npow"])
-    return complex(d["re"], d["im"])
-
-
 def report_to_json(r: IdentityReport) -> dict:
     return {
         "statement": r.name,
@@ -141,19 +148,6 @@ def report_to_json(r: IdentityReport) -> dict:
         "tolerance": r.tolerance,
         "pass": r.passed,
     }
-
-
-def report_from_json(d: dict) -> IdentityReport:
-    return IdentityReport(
-        d["statement"],
-        d["q"],
-        d["instance"],
-        value_from_json(d["lhs"]),
-        value_from_json(d["rhs"]),
-        d["residual"],
-        d["tolerance"],
-        d["pass"],
-    )
 
 
 def _fmt_column(nums: np.ndarray, pows: np.ndarray, q: int) -> list[str]:
@@ -454,7 +448,7 @@ def run(argv=None) -> int:
     try:
         if args.command == "eval":
             return cmd_eval(args)
-        primes = parse_primes(args.primes, args.strict)
+        primes = parse_primes(args.primes, args.strict, args.budget)
         if args.command == "verify":
             statements = parse_statements(args.statements)
             return cmd_verify(primes, statements, args.seed, args.budget, args.fmt, args.out)

@@ -9,12 +9,11 @@ q by Bluestein's algorithm, about two smooth transforms of length 2q
 per call.  The rounded correlation must lie within 0.25 of integers or
 it raises.  The direct O(q) sum for one parameter (`legendre_trace`,
 `clausen_trace`) is the tables' independent oracle and serves single
-queries; the naive point enumeration is the counting oracle for those.
+queries; the tests count points naively (tests/oracles.py) to check it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,28 +123,3 @@ def clausen_trace_table(field: PrimeField) -> np.ndarray:
     xs = np.arange(q, dtype=np.int64)
     w = np.bincount(xs * xs % q, weights=leg[(xs - 1) % q], minlength=q)
     return -_correlate(w, leg)
-
-
-def count_points_naive(field: PrimeField, family: str, lam: int) -> int:
-    """#E(F_q) by enumerating all (x, y) pairs, plus the point at infinity.
-
-    Test-only oracle; quadratic in q, use for q <= a few dozen.
-    """
-    q = field.q
-    lam %= q
-    count = 1  # infinity
-    for x in range(q):
-        if family == "legendre":
-            rhs = x * (x - 1) * (x - lam) % q
-        elif family == "clausen":
-            rhs = (x - 1) * (x * x + lam) % q
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        for y in range(q):
-            if y * y % q == rhs:
-                count += 1
-    return count
-
-
-def hasse_bound(q: int) -> int:
-    return math.isqrt(4 * q)

@@ -14,12 +14,14 @@ tuple, memoised through SumTables.memo: every point then reads one
 gathered dot product off the same two shifted spectra (appell_f4_batch).
 For the all-phi/eps parameter family an exact backend unrolls the
 one-slot descent down to the base case and sums Legendre symbols in
-arbitrary-precision integer arithmetic, which anchors the rational
-reconstruction used by the exact identity checks; it keeps no memo.
+arbitrary-precision integer arithmetic; it keeps no memo.  No command
+runs it: the exact identity checks reconstruct their integers from the
+character backend, and only the tests compare the two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +99,6 @@ class QPowerRational:
             npow -= 1
         return cls(num, npow)
 
-    def value(self, q: int) -> float:
-        return self.num / q**self.npow
-
     def scaled_int(self, npow: int, q: int) -> int:
         """num * q**(npow - self.npow); requires npow >= self.npow."""
         if npow < self.npow:
@@ -121,11 +120,15 @@ def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
     """Recover the integer m with v ~= m / q**npow, or fail loudly.
 
     Both the imaginary part and the distance to the nearest integer of
-    v * q**npow must stay below _EXACT_GAP = 0.01.
+    v * q**npow must stay below _EXACT_GAP = 0.01, and q**npow must fit
+    in a float.
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
-    scaled = complex(v) * q**npow
+    try:
+        scaled = complex(v) * q**npow
+    except OverflowError:
+        raise NotRational(f"scale q^{npow} = {q}^{npow} is beyond float range", math.inf) from None
     if abs(scaled.imag) >= _EXACT_GAP:
         raise NotRational(f"imaginary part too large for an exact value at scale q^{npow}", abs(scaled.imag))
     m = round(scaled.real)
@@ -233,34 +236,6 @@ def _all_x_values(params: HyperParams, tables: SumTables) -> np.ndarray:
         vals_by_dlog = np.fft.ifft(c) * (q - 1)
         out[f.exp] = vals_by_dlog
     return out
-
-
-def hyper_inductive_step(params: HyperParams, x: int, tables: SumTables) -> complex:
-    """One descent step: peel the last slot and sum over the lower level.
-
-    Equals hyper_char(params, x) for arbitrary characters; this is the
-    implementation-independent check of the descent relation itself.
-    """
-    if params.n < 1:
-        raise ValueError("descent needs at least one lower character")
-    f = params.field
-    q = f.q
-    x %= q
-    if x == 0:
-        return 0j
-    an = params.uppers[-1].index
-    bn = params.lowers[-1].index
-    n = q - 1
-    lower_vals = hyper_all_x(params.dropped_last(), tables)
-    ys = np.arange(1, q)
-    one_minus = (1 - ys) % q
-    mask = one_minus != 0
-    ys = ys[mask]
-    one_minus = one_minus[mask]
-    factor = f.unit_roots[(an * f.dlog[ys]) % n] * f.unit_roots[((bn - an) * f.dlog[one_minus]) % n]
-    total = complex((lower_vals[(x * ys) % q] * factor).sum())
-    sign = -1.0 if (an + bn) % 2 else 1.0
-    return sign / q * total
 
 
 # -- exact integer backend for the all-phi/eps family -------------------------

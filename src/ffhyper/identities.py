@@ -4,10 +4,10 @@ Identities whose two sides live in q**-m * Z are checked in exact integer
 arithmetic after rational reconstruction; everything else is checked in
 floating point against a scale-aware tolerance.  The trace bridges, 2(q-2)
 exact checks per prime, are checked one family per array pass and come
-back as a ReportBlock of columns; the per-lambda checks are its oracle.
-Randomized instance
-generation happens in the statement runner, never inside the checks, and
-every instance is fully described in its report so failures reproduce.
+back as a ReportBlock of columns; their per-lambda oracle lives in the
+tests (tests/oracles.py).  Randomized instance generation happens in the
+statement runner, never inside the checks, and every instance is fully
+described in its report so failures reproduce.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .characters import Character, character_row, quadratic, trivial
 from .charsums import SumTables
 from .curves import clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
-from .errors import Infeasible, RejectedInput, SingularParameter
+from .errors import Infeasible, RejectedInput
 from .field import PrimeField, is_prime, make_field
 from .hypergeo import (
     DEFAULT_BUDGET,
@@ -357,53 +357,16 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
 # -- trace bridges -----------------------------------------------------------------
 
 
-def verify_legendre_bridge(lam: int, tables: SumTables) -> IdentityReport:
-    """q*phi(-1)*2F1(lambda) reconstructs to minus the Legendre-family trace.
-
-    Both sides are read off memoised whole-family tables: the trace table
-    and the 2F1 values at every x.  legendre_trace is their oracle.
-    """
-    f = tables.field
-    q = f.q
-    lam %= q
-    if lam in (0, 1):
-        raise SingularParameter(f"lambda = {lam} is singular for the Legendre family")
-    traces, f21 = _family_tables("legendre", tables)
-    trace = int(traces[lam])
-    lhs = reconstruct(f.phi_minus_one * f21[lam], 1, q)
-    rhs = QPowerRational.make(-trace, 1, q)
-    return _exact_report("trace-bridge", q, f"legendre lambda={lam}", lhs, rhs)
-
-
-def verify_clausen_bridge(lam: int, tables: SumTables) -> IdentityReport:
-    """Clausen trace squared against q + q^2 phi(1-lambda) 3F2(lambda).
-
-    The trace at mu = lambda/(1-lambda) and 3F2(lambda) are read off
-    memoised whole-family tables; clausen_trace is their oracle.
-    """
-    f = tables.field
-    q = f.q
-    lam %= q
-    if lam in (0, 1):
-        raise RejectedInput("lambda must avoid {0, 1}")
-    mu = lam * f.inv((1 - lam) % q) % q
-    traces, f32 = _family_tables("clausen", tables)
-    trace = int(traces[mu])
-    t2 = reconstruct(f32[lam], 2, q).scaled_int(2, q)
-    lhs = QPowerRational.make(trace**2, 0, q)
-    rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
-    return _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
-
-
 def trace_bridge_block(tables: SumTables) -> ReportBlock:
     """Both trace bridges at every lambda in 2..q-1, one array pass per family.
 
-    Row for row what verify_legendre_bridge and then verify_clausen_bridge
-    give over that range; those per-lambda checks are its oracle.  Each
-    family is reconstructed in one reconstruct_ints call, so the first
-    lambda that fails reconstruction, in that order, raises the same
-    NotRational as the per-lambda loop.  mu = lambda/(1-lambda) is read
-    off the discrete-log tables.
+    A Legendre row checks that q*phi(-1)*2F1(lambda) reconstructs to minus
+    the Legendre trace at lambda; a Clausen row checks the square of the
+    Clausen trace at mu = lambda/(1-lambda) against
+    q + q^2 phi(1-lambda) 3F2(lambda).  Each family is reconstructed in one
+    reconstruct_ints call, so the first lambda that fails reconstruction,
+    Legendre before Clausen, raises the same NotRational as the per-lambda
+    oracle in tests/oracles.py.  mu is read off the discrete-log tables.
     """
     f = tables.field
     q = f.q

@@ -1,0 +1,165 @@
+"""Independent references that the tests compare the library against.
+
+None of these runs in a command: each is the slow, direct form of
+something `ffhyper` computes another way (the descent relation, the
+point count, the per-lambda trace bridges, reading a JSON report back),
+plus the helpers that drive the bridge oracles and perturb the family
+tables they read.
+"""
+
+import math
+
+import numpy as np
+
+import ffhyper.identities as ids
+from ffhyper.charsums import SumTables
+from ffhyper.errors import RejectedInput, SingularParameter
+from ffhyper.field import PrimeField
+from ffhyper.hypergeo import HyperParams, QPowerRational, hyper_all_x, reconstruct
+from ffhyper.identities import IdentityReport, _exact_report, _family_tables
+
+# -- hypergeometric descent --------------------------------------------------------
+
+
+def hyper_inductive_step(params: HyperParams, x: int, tables: SumTables) -> complex:
+    """One descent step: peel the last slot and sum over the lower level.
+
+    Equals hyper_char(params, x) for arbitrary characters; this is the
+    implementation-independent check of the descent relation itself.
+    """
+    if params.n < 1:
+        raise ValueError("descent needs at least one lower character")
+    f = params.field
+    q = f.q
+    x %= q
+    if x == 0:
+        return 0j
+    an = params.uppers[-1].index
+    bn = params.lowers[-1].index
+    n = q - 1
+    lower_vals = hyper_all_x(params.dropped_last(), tables)
+    ys = np.arange(1, q)
+    one_minus = (1 - ys) % q
+    mask = one_minus != 0
+    ys = ys[mask]
+    one_minus = one_minus[mask]
+    factor = f.unit_roots[(an * f.dlog[ys]) % n] * f.unit_roots[((bn - an) * f.dlog[one_minus]) % n]
+    total = complex((lower_vals[(x * ys) % q] * factor).sum())
+    sign = -1.0 if (an + bn) % 2 else 1.0
+    return sign / q * total
+
+
+# -- curve point counts ------------------------------------------------------------
+
+
+def count_points_naive(field: PrimeField, family: str, lam: int) -> int:
+    """#E(F_q) by enumerating all (x, y) pairs, plus the point at infinity.
+
+    Test-only oracle; quadratic in q, use for q <= a few dozen.
+    """
+    q = field.q
+    lam %= q
+    count = 1  # infinity
+    for x in range(q):
+        if family == "legendre":
+            rhs = x * (x - 1) * (x - lam) % q
+        elif family == "clausen":
+            rhs = (x - 1) * (x * x + lam) % q
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        for y in range(q):
+            if y * y % q == rhs:
+                count += 1
+    return count
+
+
+def hasse_bound(q: int) -> int:
+    return math.isqrt(4 * q)
+
+
+# -- trace bridges, one lambda at a time ---------------------------------------------
+
+
+def verify_legendre_bridge(lam: int, tables: SumTables) -> IdentityReport:
+    """q*phi(-1)*2F1(lambda) reconstructs to minus the Legendre-family trace.
+
+    Both sides are read off memoised whole-family tables: the trace table
+    and the 2F1 values at every x.  legendre_trace is their oracle.
+    """
+    f = tables.field
+    q = f.q
+    lam %= q
+    if lam in (0, 1):
+        raise SingularParameter(f"lambda = {lam} is singular for the Legendre family")
+    traces, f21 = _family_tables("legendre", tables)
+    trace = int(traces[lam])
+    lhs = reconstruct(f.phi_minus_one * f21[lam], 1, q)
+    rhs = QPowerRational.make(-trace, 1, q)
+    return _exact_report("trace-bridge", q, f"legendre lambda={lam}", lhs, rhs)
+
+
+def verify_clausen_bridge(lam: int, tables: SumTables) -> IdentityReport:
+    """Clausen trace squared against q + q^2 phi(1-lambda) 3F2(lambda).
+
+    The trace at mu = lambda/(1-lambda) and 3F2(lambda) are read off
+    memoised whole-family tables; clausen_trace is their oracle.
+    """
+    f = tables.field
+    q = f.q
+    lam %= q
+    if lam in (0, 1):
+        raise RejectedInput("lambda must avoid {0, 1}")
+    mu = lam * f.inv((1 - lam) % q) % q
+    traces, f32 = _family_tables("clausen", tables)
+    trace = int(traces[mu])
+    t2 = reconstruct(f32[lam], 2, q).scaled_int(2, q)
+    lhs = QPowerRational.make(trace**2, 0, q)
+    rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
+    return _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
+
+
+def bridge_loop(tables: SumTables) -> list[IdentityReport]:
+    """The trace-bridge rows by the per-lambda checks, in run_statement's order."""
+    q = tables.field.q
+    return [verify_legendre_bridge(lam, tables) for lam in range(2, q)] + [
+        verify_clausen_bridge(lam, tables) for lam in range(2, q)
+    ]
+
+
+def patch_family(monkeypatch, offsets, table=1):
+    """Move entries of the family tables: table[lam] += offset for each (family, lam).
+
+    table 0 is a family's trace table, 1 its hypergeometric values.  Only
+    SumTables made after the patch read the moved entries.
+    """
+
+    def pair(family, tables, build=ids._family_pair):
+        tabs = [a.copy() for a in build(family, tables)]
+        for (fam, lam), offset in offsets.items():
+            if fam == family:
+                tabs[table][lam] += offset
+        return tuple(tabs)
+
+    monkeypatch.setattr(ids, "_family_pair", pair)
+
+
+# -- reading a JSON report back --------------------------------------------------------
+
+
+def value_from_json(d):
+    if "num" in d:
+        return QPowerRational(d["num"], d["npow"])
+    return complex(d["re"], d["im"])
+
+
+def report_from_json(d: dict) -> IdentityReport:
+    return IdentityReport(
+        d["statement"],
+        d["q"],
+        d["instance"],
+        value_from_json(d["lhs"]),
+        value_from_json(d["rhs"]),
+        d["residual"],
+        d["tolerance"],
+        d["pass"],
+    )

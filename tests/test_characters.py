@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from ffhyper import FieldMismatch, make_field
-from ffhyper.characters import (
-    Character,
-    all_characters,
-    character_row,
-    delta_char,
-    delta_elem,
-    quadratic,
-    trivial,
-)
+from ffhyper.characters import Character, character_row, quadratic, trivial
 from ffhyper.field import primes_in_range
 
 
@@ -25,7 +17,7 @@ def test_trivial_on_nonzero():
 
 def test_zero_absorbing_convention():
     f = make_field(7)
-    for chi in all_characters(f):
+    for chi in [Character(f, j) for j in range(f.q - 1)]:
         assert chi(0) == 0
 
 
@@ -59,37 +51,35 @@ def test_field_mismatch():
 
 
 def test_delta_functions():
+    """The deltas of the paper: eps(x) = 1 - delta(x), delta(chi) = chi.is_trivial."""
     f = make_field(7)
-    assert delta_elem(0) == 1
-    assert delta_elem(1) == 0
-    assert delta_elem(6) == 0
-    assert delta_char(trivial(f)) == 1
-    assert delta_char(quadratic(f)) == 0
-    assert delta_char(Character(f, 1)) == 0
+    eps = trivial(f)
+    assert [1 - eps(x) for x in (0, 1, 6)] == [1, 0, 0]
+    assert [int(chi.is_trivial) for chi in (eps, quadratic(f), Character(f, 1))] == [1, 0, 0]
 
 
 @pytest.mark.parametrize("q", primes_in_range(3, 31))
 def test_orthogonality_over_characters(q):
     f = make_field(q)
     for x in range(2, q):
-        s = sum(chi(x) for chi in all_characters(f))
+        s = sum(Character(f, j)(x) for j in range(q - 1))
         assert abs(s) < 1e-10
-    s1 = sum(chi(1) for chi in all_characters(f))
+    s1 = sum(Character(f, j)(1) for j in range(q - 1))
     assert abs(s1 - (q - 1)) < 1e-10
 
 
 @pytest.mark.parametrize("q", primes_in_range(3, 31))
 def test_full_sum_detects_trivial(q):
     f = make_field(q)
-    for chi in all_characters(f):
+    for chi in [Character(f, j) for j in range(f.q - 1)]:
         s = sum(chi(x) for x in range(q))
-        expected = (q - 1) * delta_char(chi)
+        expected = (q - 1) * int(chi.is_trivial)
         assert abs(s - expected) < 1e-10
 
 
 def test_values_on_unit_circle():
     f = make_field(31)
-    for chi in all_characters(f):
+    for chi in [Character(f, j) for j in range(f.q - 1)]:
         for x in range(1, 31):
             assert abs(abs(chi(x)) - 1) < 1e-12
 
@@ -107,7 +97,7 @@ def test_character_at_minus_one():
     f = make_field(11)
     for j in range(10):
         chi = Character(f, j)
-        assert chi(10) == chi.at_minus_one() == (-1) ** j
+        assert chi(10) == (-1) ** chi.index == (-1) ** j
 
 
 def test_eval_agrees_with_cmath():

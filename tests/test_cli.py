@@ -21,21 +21,16 @@ from ffhyper.cli import (
     parse_primes,
     parse_statements,
     render_reports,
-    report_from_json,
     report_to_json,
     run,
 )
-from ffhyper.curves import hasse_bound, legendre_trace
+from ffhyper.curves import legendre_trace
 from ffhyper.charsums import SumTables
-from ffhyper.errors import NotRational
-from ffhyper.identities import (
-    STATEMENTS,
-    IdentityReport,
-    run_statement,
-    summarize,
-    verify_clausen_bridge,
-    verify_legendre_bridge,
-)
+from ffhyper.errors import Infeasible, NotRational
+from ffhyper.field import primes_in_range
+from ffhyper.hypergeo import reconstruct
+from ffhyper.identities import STATEMENTS, IdentityReport, run_statement, summarize
+from oracles import bridge_loop, hasse_bound, patch_family, report_from_json
 
 
 # -- primes / statements parsing -------------------------------------------------
@@ -155,6 +150,18 @@ def test_eval_failed_reconstruction_exits_1(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: imaginary part too large")
     assert re.search(r"\(residual \d\.\d{3}e[-+]\d\d\)$", captured.err.strip())
+
+
+def test_eval_scale_beyond_float_range_exits_1(capsys):
+    """q^119 at q=1009 is no float: a reconstruction failure that names the scale."""
+    rc = run(["eval", "--q", "1009", "--fn", "120F119", "--x", "2"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_FAILED
+    assert captured.out == ""
+    assert captured.err == "error: scale q^119 = 1009^119 is beyond float range (residual inf)\n"
+    with pytest.raises(NotRational, match=r"scale q\^200 = 1009\^200") as exc:
+        reconstruct(0.5 + 0j, 200, 1009)
+    assert exc.value.residual == float("inf")
 
 
 def test_eval_budget_refuses_field_before_building_it(monkeypatch, capsys):
@@ -317,6 +324,52 @@ def test_verify_budget_covers_field_build(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command",
+    (["verify", "--statements", "first-moment"], ["sweep", "--which", "F43"], ["sweep", "--which", "moments"]),
+    ids=("verify", "sweep-F43", "sweep-moments"),
+)
+@pytest.mark.parametrize(
+    "primes, cost",
+    (
+        ("10000000000000061", 10**8),
+        ("101,10000000000000061", 10 + 10**8),
+        ("101..100000000", 10 + 10**4 + 10**8 - 100),
+        ("-7..100000000", 10**4 + 10**8 - 2),
+    ),
+    ids=("entry", "list", "range", "negative-range"),
+)
+@pytest.mark.parametrize("strict", ("--strict", "--no-strict"))
+def test_prime_selection_charged_before_its_work(command, primes, cost, strict, monkeypatch, tmp_path, capsys):
+    """Trial division and the sieve window are charged first: exit 3, nothing written."""
+
+    def refuse(*args):
+        raise AssertionError(f"prime selection ran on {args}")
+
+    monkeypatch.setattr("ffhyper.cli.is_prime", refuse)
+    monkeypatch.setattr("ffhyper.cli.primes_in_range", refuse)
+    out = tmp_path / "r.txt"
+    rc = run([*command, f"--primes={primes}", strict, "--budget", "1000", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INFEASIBLE
+    assert captured.err == f"error: prime selection cost sum(isqrt(n)) + window = {cost} exceeds budget 1000\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_prime_selection_within_budget_runs():
+    assert parse_primes("101..199", strict=True, budget=10 + 14 + 99) == primes_in_range(101, 199)
+    with pytest.raises(Infeasible):
+        parse_primes("101..199", strict=True, budget=10 + 14 + 98)
+    assert parse_primes("101,10007", strict=True, budget=10 + 100) == [101, 10007]
+
+
+def test_sweep_moments_table_budget_exit_3(capsys):
+    """A selection within budget still meets the moments table charge."""
+    rc = run(["sweep", "--which", "moments", "--primes", "101", "--budget", "100"])
+    assert rc == EXIT_INFEASIBLE
+    assert "moment-table cost 4*(q-1)*log2(q-1) = 2800 exceeds budget 100" in capsys.readouterr().err
+
+
 # -- sweep -----------------------------------------------------------------------
 
 
@@ -399,34 +452,13 @@ def test_verify_exact_statements_match_golden_bytes(fmt, ext, capsys):
     assert_same_text(capsys.readouterr().out, golden.read_text(encoding="utf-8"))
 
 
-def _bridge_loop(q):
-    """trace-bridge at q by the per-lambda checks, in run_statement's order."""
-    t = SumTables(make_field(q))
-    return [verify_legendre_bridge(lam, t) for lam in range(2, q)] + [
-        verify_clausen_bridge(lam, t) for lam in range(2, q)
-    ]
-
-
-def _patch_family(monkeypatch, family, lams, table, offset):
-    """Move entries of a family's trace table (0) or value table (1) by offset."""
-    import ffhyper.identities as ids
-
-    def pair(fam, tables, build=ids._family_pair):
-        tabs = [a.copy() for a in build(fam, tables)]
-        if fam == family:
-            tabs[table][list(lams)] += offset
-        return tuple(tabs)
-
-    monkeypatch.setattr(ids, "_family_pair", pair)
-
-
 @pytest.mark.parametrize("family", ("legendre", "clausen"))
 def test_verify_writes_reconstruction_failure_of_loop(family, monkeypatch, capsys):
     """A value off by 0.02 at scale: verify writes the loop's failure row and exits 1."""
     q = 101
-    _patch_family(monkeypatch, family, (17,), 1, 0.02 / q ** (1 if family == "legendre" else 2))
+    patch_family(monkeypatch, {(family, 17): 0.02 / q ** (1 if family == "legendre" else 2)})
     with pytest.raises(NotRational) as loop:
-        _bridge_loop(q)
+        bridge_loop(SumTables(make_field(q)))
     row = [IdentityReport("trace-bridge", q, "<reconstruction failure>", 0j, 0j, loop.value.residual, 0.0, False)]
     for fmt in ("csv", "json", "text"):
         assert run(["verify", "--primes", str(q), "--statements", "trace-bridge", "--format", fmt]) == EXIT_FAILED
@@ -437,8 +469,8 @@ def test_verify_writes_reconstruction_failure_of_loop(family, monkeypatch, capsy
 def test_failing_bridge_rows_render_like_loop(family, lams, monkeypatch, capsys):
     """Traces off by one fail their rows; the block renders the loop's bytes."""
     q = 101
-    _patch_family(monkeypatch, family, lams, 0, 1)
-    loop = _bridge_loop(q)
+    patch_family(monkeypatch, {(family, lam): 1 for lam in lams}, table=0)
+    loop = bridge_loop(SumTables(make_field(q)))
     block = run_statement("trace-bridge", SumTables(make_field(q)), 0)
     assert [r.passed for r in block].count(False) == 2
     want, got = summarize("trace-bridge", loop), summarize("trace-bridge", block)

@@ -9,12 +9,11 @@ from ffhyper.curves import (
     _smooth_len,
     clausen_trace,
     clausen_trace_table,
-    count_points_naive,
-    hasse_bound,
     legendre_trace,
     legendre_trace_table,
 )
 from ffhyper.field import primes_in_range
+from oracles import count_points_naive, hasse_bound
 
 
 def test_legendre_q5_lambda2():

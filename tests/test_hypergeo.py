@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from ffhyper import Infeasible, NotRational, make_field
 from ffhyper.characters import Character, quadratic, trivial
-from ffhyper.curves import count_points_naive
 from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import (
     HyperParams,
@@ -16,10 +15,10 @@ from ffhyper.hypergeo import (
     hyper_all_x,
     hyper_char,
     hyper_exact_phi,
-    hyper_inductive_step,
     hyper_twisted_sum,
     reconstruct,
 )
+from oracles import count_points_naive, hyper_inductive_step
 
 
 def rand_params(rng, f, n):
@@ -88,8 +87,8 @@ def test_backend_agreement(q, tables_for):
     for n in (1, 2, 3):
         vals = hyper_all_x(HyperParams.phi_eps(f, n), t)
         for x in range(q):
-            exact = hyper_exact_phi(n, x, f).value(q)
-            assert abs(vals[x] - exact) < 1e-8
+            exact = hyper_exact_phi(n, x, f)
+            assert abs(vals[x] - exact.num / q**exact.npow) < 1e-8
 
 
 def test_inductive_step_random_characters(tables_for):
@@ -110,7 +109,8 @@ def test_inductive_step_phi_eps_matches_exact(tables_for):
     f = t.field
     for x in range(1, 7):
         stepped = hyper_inductive_step(HyperParams.phi_eps(f, 1), x, t)
-        assert abs(stepped - hyper_exact_phi(1, x, f).value(7)) < 1e-8
+        exact = hyper_exact_phi(1, x, f)
+        assert abs(stepped - exact.num / 7**exact.npow) < 1e-8
     assert hyper_inductive_step(HyperParams.phi_eps(f, 1), 0, t) == 0
 
 
@@ -242,7 +242,7 @@ def _product_relation_sides(t, a, b, c, z, w):
     )
     f4 = appell_f4(A, B, C, ABbarC, z * (1 - w) % q, w * (1 - z) % q, t)
     coef = (
-        A.at_minus_one()
+        (-1) ** A.index
         * g[b]
         * g[(-c) % n]
         * g[(c - a - b) % n]
@@ -253,7 +253,7 @@ def _product_relation_sides(t, a, b, c, z, w):
     if delta_arg == 0:
         second = (
             q
-            * B.at_minus_one()
+            * (-1) ** B.index
             * A.inverse()((1 - z) % q)
             * (B.inverse() * C)(w)
             * C.inverse()((1 - w) % q)

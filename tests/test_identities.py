@@ -23,17 +23,16 @@ from ffhyper.identities import (
     run_statement,
     second_weighted_moment,
     summarize,
-    verify_clausen_bridge,
     verify_closed_form_sum,
     verify_contiguous,
     verify_generating,
     verify_inductive_k,
-    verify_legendre_bridge,
     verify_product,
     verify_remark_sums,
     verify_trace_moments,
 )
 from ffhyper.field import primes_in_range
+from oracles import bridge_loop, patch_family, verify_clausen_bridge, verify_legendre_bridge
 
 
 def rand_chars(rng, f, count):
@@ -249,14 +248,6 @@ def test_bridges_match_direct_trace_oracle(q, tables_for):
         assert verify_clausen_bridge(lam, t) == want
 
 
-def bridge_oracle(t):
-    """The trace-bridge rows by the per-lambda checks, in run_statement's order."""
-    q = t.field.q
-    return [verify_legendre_bridge(lam, t) for lam in range(2, q)] + [
-        verify_clausen_bridge(lam, t) for lam in range(2, q)
-    ]
-
-
 @pytest.mark.parametrize("q", (3, 5, 7, 13, 101, 797))
 def test_trace_bridge_block_matches_per_lambda_oracle(q, tables_for):
     """The array pass gives the per-lambda reports row for row."""
@@ -264,7 +255,7 @@ def test_trace_bridge_block_matches_per_lambda_oracle(q, tables_for):
     block = run_statement("trace-bridge", t, 0)
     assert isinstance(block, ReportBlock) and isinstance(block, Sequence)
     assert len(block) == 2 * (q - 2)
-    want = bridge_oracle(t)
+    want = bridge_loop(t)
     assert list(block) == want
     assert [block[i] for i in range(-len(block), 0)] == want
     assert block[1:4] == want[1:4]
@@ -273,21 +264,6 @@ def test_trace_bridge_block_matches_per_lambda_oracle(q, tables_for):
     s = summarize("trace-bridge", block)
     assert s == summarize("trace-bridge", want)
     assert s.instances == 2 * (q - 2) and s.failures == 0 and s.primes == [q]
-
-
-def off_family(monkeypatch, offsets):
-    """Patch the family tables so values[lam] moves by offset for each (family, lam)."""
-    import ffhyper.identities as ids
-
-    def pair(family, tables, build=ids._family_pair):
-        traces, values = build(family, tables)
-        values = values.copy()
-        for (fam, lam), offset in offsets.items():
-            if fam == family:
-                values[lam] += offset
-        return traces, values
-
-    monkeypatch.setattr(ids, "_family_pair", pair)
 
 
 @pytest.mark.parametrize(
@@ -302,9 +278,9 @@ def off_family(monkeypatch, offsets):
 )
 def test_trace_bridge_block_raises_first_failure_of_loop(offsets, monkeypatch):
     """A family value off by 0.02 at scale raises what the per-lambda loop raises first."""
-    off_family(monkeypatch, offsets)
+    patch_family(monkeypatch, offsets)
     with pytest.raises(NotRational) as loop:
-        bridge_oracle(SumTables(make_field(101)))
+        bridge_loop(SumTables(make_field(101)))
     with pytest.raises(NotRational) as block:
         run_statement("trace-bridge", SumTables(make_field(101)), 0)
     assert str(block.value) == str(loop.value)

@@ -1,0 +1,30 @@
+import importlib
+import pkgutil
+
+import ffhyper
+from ffhyper.characters import Character
+from ffhyper.hypergeo import QPowerRational
+
+# Test-only references, now in tests/oracles.py, and helpers no command used.
+GONE = (
+    "hyper_inductive_step",
+    "count_points_naive",
+    "hasse_bound",
+    "verify_legendre_bridge",
+    "verify_clausen_bridge",
+    "report_from_json",
+    "value_from_json",
+    "delta_elem",
+    "delta_char",
+    "all_characters",
+)
+
+
+def test_package_surface():
+    """__all__ resolves on the package, and no ffhyper module defines a test-only name."""
+    assert [name for name in ffhyper.__all__ if not hasattr(ffhyper, name)] == []
+    modules = [ffhyper] + [importlib.import_module(f"ffhyper.{m.name}") for m in pkgutil.iter_modules(ffhyper.__path__)]
+    assert len(modules) > 8
+    assert [(m.__name__, name) for m in modules for name in GONE if hasattr(m, name)] == []
+    assert not hasattr(Character, "at_minus_one")
+    assert not hasattr(QPowerRational, "value")
