@@ -5,10 +5,9 @@ identity failure, failed reconstruction or verify statement with no
 instances, 2 usage or configuration error, 3 work budget exceeded.
 Verify processes one prime at a time and sorts its reports by
 (statement, prime) before writing, so the bytes emitted depend only on
-the configuration; CSV and JSON are UTF-8 with LF line endings.  A
-statement's reports come as a list of IdentityReports or, for
-trace-bridge, as a ReportBlock, whose rows are written and summarised
-straight from its columns.
+the configuration; CSV and JSON are UTF-8 with LF line endings.  Each
+(statement, prime) comes as one ReportBlock, whose rows are written and
+summarised straight from its columns.
 """
 
 from __future__ import annotations
@@ -22,11 +21,8 @@ import math
 import re
 import sys
 import time
-from collections.abc import Sequence
 from dataclasses import asdict
 from itertools import repeat
-
-import numpy as np
 
 from . import identities
 from .characters import Character
@@ -34,14 +30,7 @@ from .charsums import SumTables
 from .curves import clausen_trace, legendre_trace
 from .errors import FFHyperError, Infeasible, NotRational, RejectedInput
 from .field import is_prime, make_field, primes_in_range
-from .hypergeo import (
-    DEFAULT_BUDGET,
-    HyperParams,
-    QPowerRational,
-    appell_f4,
-    hyper_char,
-    reconstruct,
-)
+from .hypergeo import DEFAULT_BUDGET, HyperParams, appell_f4, float_scale, hyper_char, reconstruct
 from .identities import IdentityReport, ReportBlock, SweepSummary
 
 EXIT_OK = 0
@@ -123,93 +112,38 @@ def parse_statements(text: str) -> list[str]:
 # -- report serialization -----------------------------------------------------
 
 
-def fmt_value(v, q: int) -> str:
-    if isinstance(v, QPowerRational):
-        return v.fmt(q)
-    c = complex(v)
-    return repr(c)
+def _sides(block: ReportBlock, as_json: bool = False) -> tuple[list, list]:
+    """Every row's lhs and rhs, as printed or as JSON values, read off the block's columns.
 
-
-def value_to_json(v):
-    if isinstance(v, QPowerRational):
-        return {"num": v.num, "npow": v.npow}
-    c = complex(v)
-    return {"re": c.real, "im": c.imag}
-
-
-def report_to_json(r: IdentityReport) -> dict:
-    return {
-        "statement": r.name,
-        "q": r.q,
-        "instance": r.instance,
-        "lhs": value_to_json(r.lhs),
-        "rhs": value_to_json(r.rhs),
-        "residual": r.residual,
-        "tolerance": r.tolerance,
-        "pass": r.passed,
-    }
-
-
-def _fmt_column(nums: np.ndarray, pows: np.ndarray, q: int) -> list[str]:
-    """QPowerRational.fmt over numerator and power columns."""
-    return [f"{n}/{q}^{p}" if p else str(n) for n, p in zip(nums.tolist(), pows.tolist())]
-
-
-def _cells(chunk):
-    """(statement, q, instance, lhs, rhs, residual, pass) per report, lhs and rhs as printed."""
-    if isinstance(chunk, ReportBlock):
-        n, q = len(chunk), chunk.q
-        return zip(
-            repeat(chunk.name, n),
-            repeat(q, n),
-            chunk.instances,
-            _fmt_column(chunk.lhs_num, chunk.lhs_pow, q),
-            _fmt_column(chunk.rhs_num, chunk.rhs_pow, q),
-            chunk.residual.tolist(),
-            chunk.passed.tolist(),
-        )
-    return ((r.name, r.q, r.instance, fmt_value(r.lhs, r.q), fmt_value(r.rhs, r.q), r.residual, r.passed) for r in chunk)
-
-
-def _json_rows(chunk) -> list[dict]:
-    """report_to_json of every report, a ReportBlock's read off its columns."""
-    if not isinstance(chunk, ReportBlock):
-        return [report_to_json(r) for r in chunk]
-    sides = [
-        [{"num": n, "npow": p} for n, p in zip(nums.tolist(), pows.tolist())]
-        for nums, pows in ((chunk.lhs_num, chunk.lhs_pow), (chunk.rhs_num, chunk.rhs_pow))
-    ]
-    return [
-        {
-            "statement": chunk.name,
-            "q": chunk.q,
-            "instance": instance,
-            "lhs": lhs,
-            "rhs": rhs,
-            "residual": residual,
-            "tolerance": chunk.tolerance,
-            "pass": passed,
-        }
-        for instance, lhs, rhs, residual, passed in zip(
-            chunk.instances, *sides, chunk.residual.tolist(), chunk.passed.tolist()
-        )
-    ]
-
-
-def render_reports(chunks: list[Sequence[IdentityReport]], summaries: list[SweepSummary], fmt: str) -> str:
-    """The report stream: each chunk's rows in order, then the summaries.
-
-    A chunk is a list of IdentityReports or a ReportBlock, whose rows are
-    formatted straight from its columns.
+    An exact side prints as num/q^pow (num alone at power 0) and is
+    {"num", "npow"} in JSON; a float side prints as its complex repr and is
+    {"re", "im"}.
     """
+    q = block.q
+
+    def side(a: list, b: list) -> list:
+        if as_json:
+            return [{"num": x, "npow": y} if e else {"re": x, "im": y} for e, x, y in zip(block.exact, a, b)]
+        return [(f"{x}/{q}^{y}" if y else str(x)) if e else repr(complex(x, y)) for e, x, y in zip(block.exact, a, b)]
+
+    return side(block.lhs_a, block.lhs_b), side(block.rhs_a, block.rhs_b)
+
+
+def _cells(block: ReportBlock):
+    """(statement, q, instance, lhs, rhs, residual, pass) per row, lhs and rhs as printed."""
+    return zip(repeat(block.name), repeat(block.q), block.instances, *_sides(block), block.residual, block.passed)
+
+
+def render_reports(blocks: list[ReportBlock], summaries: list[SweepSummary], fmt: str) -> str:
+    """The report stream: each block's rows in order, then the summaries."""
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["statement", "q", "instance", "lhs", "rhs", "residual", "pass"])
-        for chunk in chunks:
+        for block in blocks:
             w.writerows(
                 [name, q, instance, lhs, rhs, repr(residual), "true" if passed else "false"]
-                for name, q, instance, lhs, rhs, residual, passed in _cells(chunk)
+                for name, q, instance, lhs, rhs, residual, passed in _cells(block)
             )
         w.writerow([])
         w.writerow(["statement", "primes", "instances", "failures", "max_residual", "first_failure"])
@@ -226,15 +160,30 @@ def render_reports(chunks: list[Sequence[IdentityReport]], summaries: list[Sweep
             )
         return buf.getvalue()
     if fmt == "json":
-        payload = [row for chunk in chunks for row in _json_rows(chunk)]
+        payload = [
+            {
+                "statement": b.name,
+                "q": b.q,
+                "instance": instance,
+                "lhs": lhs,
+                "rhs": rhs,
+                "residual": residual,
+                "tolerance": tolerance,
+                "pass": passed,
+            }
+            for b in blocks
+            for instance, lhs, rhs, residual, tolerance, passed in zip(
+                b.instances, *_sides(b, as_json=True), b.residual, b.tolerance, b.passed
+            )
+        ]
         payload.append({"summaries": [asdict(s) for s in summaries]})
         return json.dumps(payload, indent=2) + "\n"
     lines = []
-    for chunk in chunks:
+    for block in blocks:
         lines.extend(
             f"{'PASS' if passed else 'FAIL'} {name} q={q} [{instance}] "
             f"lhs={lhs} rhs={rhs} residual={residual:.3e}"
-            for name, q, instance, lhs, rhs, residual, passed in _cells(chunk)
+            for name, q, instance, lhs, rhs, residual, passed in _cells(block)
         )
     lines.append("")
     for s in summaries:
@@ -291,22 +240,19 @@ def cmd_verify(
         tables = SumTables(make_field(q))
         for si, label in enumerate(statements):
             try:
-                chunk = identities.run_statement(label, tables, seed, budget)
+                block = identities.run_statement(label, tables, seed, budget)
             except NotRational as e:
-                chunk = [
-                    IdentityReport(
-                        label, q, "<reconstruction failure>", 0j, 0j, e.residual, 0.0, False
-                    )
-                ]
-            results.append((si, q, chunk))
+                failure = IdentityReport(label, q, "<reconstruction failure>", 0j, 0j, e.residual, 0.0, False)
+                block = ReportBlock.of(label, q, [failure])
+            results.append((si, q, block))
     results.sort(key=lambda item: (item[0], item[1]))
 
-    chunks = [chunk for _, _, chunk in results]
-    by_label: dict[str, list[Sequence[IdentityReport]]] = {label: [] for label in statements}
-    for si, _, chunk in results:
-        by_label[statements[si]].append(chunk)
+    blocks = [block for _, _, block in results]
+    by_label: dict[str, list[ReportBlock]] = {label: [] for label in statements}
+    for si, _, block in results:
+        by_label[statements[si]].append(block)
     summaries = [identities.summarize(label, *by_label[label]) for label in statements]
-    _emit(render_reports(chunks, summaries, fmt), out)
+    _emit(render_reports(blocks, summaries, fmt), out)
     # A statement with no instances checked nothing; that is not a pass.
     vacuous = [s.statement for s in summaries if s.instances == 0]
     for label in vacuous:
@@ -385,6 +331,7 @@ def cmd_eval(args) -> int:
             val = hyper_char(params, args.x, tables)
             lines.append(f"{fn}({args.x}) = {val!r}")
         else:
+            float_scale(n, f.q)  # refuse a scale reconstruct would refuse, before any work
             params = HyperParams.phi_eps(f, n)
             val = hyper_char(params, args.x, tables)
             exact = reconstruct(val, n, f.q)

@@ -116,6 +116,14 @@ class QPowerRational:
 _EXACT_GAP = 0.01
 
 
+def float_scale(npow: int, q: int) -> float:
+    """q**npow as a float, or NotRational when it is beyond float range."""
+    try:
+        return float(q**npow)
+    except OverflowError:
+        raise NotRational(f"scale q^{npow} = {q}^{npow} is beyond float range", math.inf) from None
+
+
 def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
     """Recover the integer m with v ~= m / q**npow, or fail loudly.
 
@@ -125,10 +133,7 @@ def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
-    try:
-        scaled = complex(v) * q**npow
-    except OverflowError:
-        raise NotRational(f"scale q^{npow} = {q}^{npow} is beyond float range", math.inf) from None
+    scaled = complex(v) * float_scale(npow, q)
     if abs(scaled.imag) >= _EXACT_GAP:
         raise NotRational(f"imaginary part too large for an exact value at scale q^{npow}", abs(scaled.imag))
     m = round(scaled.real)
@@ -183,7 +188,9 @@ def hyper_char(params: HyperParams, x: int, tables: SumTables) -> complex:
         return complex(hyper_all_x(params, tables)[x])
     if x == 0:
         return 0j
-    return complex(_coeff_vector(params, tables) @ character_row(f, x))
+    # A numpy sum, not a 1-D complex @: BLAS splits that dot product across
+    # its threads, so its bits would depend on the thread count.
+    return complex((_coeff_vector(params, tables) * character_row(f, x)).sum())
 
 
 def hyper_twisted_sum(params: HyperParams, weights: np.ndarray, x: int, tables: SumTables) -> complex:
@@ -210,7 +217,7 @@ def hyper_twisted_sum(params: HyperParams, weights: np.ndarray, x: int, tables: 
     d = (a - params.lowers[-1].index) % n
     last = _line_kernel(tables, d, np.fft.ifft(weights) * n)[(np.arange(n) + a) % n]
     c = _coeff_vector(params.dropped_last(), tables) * last
-    return complex(c @ character_row(f, x))
+    return complex((c * character_row(f, x)).sum())  # not @, as in hyper_char
 
 
 def hyper_all_x(params: HyperParams, tables: SumTables) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 Identities whose two sides live in q**-m * Z are checked in exact integer
 arithmetic after rational reconstruction; everything else is checked in
-floating point against a scale-aware tolerance.  The trace bridges, 2(q-2)
-exact checks per prime, are checked one family per array pass and come
-back as a ReportBlock of columns; their per-lambda oracle lives in the
-tests (tests/oracles.py).  Randomized instance generation happens in the
-statement runner, never inside the checks, and every instance is fully
-described in its report so failures reproduce.
+floating point against a scale-aware tolerance.  Each check returns one
+IdentityReport; the statement runner returns a statement's rows at one
+prime as one ReportBlock of columns, exact and float rows alike.  The
+trace bridges, 2(q-2) exact checks per prime, are checked one family per
+array pass straight into those columns; their per-lambda oracle lives in
+the tests (tests/oracles.py).  Randomized instance generation happens in
+the statement runner, never inside the checks, and every instance is
+fully described in its report so failures reproduce.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -51,26 +52,47 @@ class IdentityReport:
 
 @dataclass(frozen=True, eq=False)
 class ReportBlock(Sequence):
-    """Exact checks of one statement at one prime, held as columns.
+    """The checks of one statement at one prime, held as columns.
 
-    Row i compares lhs_num[i] / q**lhs_pow[i] with rhs_num[i] / q**rhs_pow[i],
-    each in QPowerRational's canonical form, with _exact_report's residual
-    and verdict.  len() is the row count; indexing and iteration build each
+    Row i compares two sides, each held in two columns (a, b).  An exact
+    row (exact[i]) holds numerator and power, the value a / q**b in
+    QPowerRational's canonical form; a float row holds the real and
+    imaginary parts.  Columns are Python lists, so exact numerators stay
+    unbounded.  len() is the row count; indexing and iteration build each
     row's IdentityReport on demand, while summarize and the cli renderers
     read the columns.
     """
 
-    tolerance: ClassVar[float] = 0.0
-
     name: str
     q: int
     instances: list[str]
-    lhs_num: np.ndarray
-    lhs_pow: np.ndarray
-    rhs_num: np.ndarray
-    rhs_pow: np.ndarray
-    residual: np.ndarray
-    passed: np.ndarray
+    exact: list[bool]
+    lhs_a: list
+    lhs_b: list
+    rhs_a: list
+    rhs_b: list
+    residual: list[float]
+    tolerance: list[float]
+    passed: list[bool]
+
+    @classmethod
+    def of(cls, name: str, q: int, reports: list[IdentityReport]) -> ReportBlock:
+        """The block of one statement's reports at q, in order."""
+        lhs = [_parts(r.lhs) for r in reports]
+        rhs = [_parts(r.rhs) for r in reports]
+        return cls(
+            name,
+            q,
+            [r.instance for r in reports],
+            [isinstance(r.lhs, QPowerRational) for r in reports],
+            [a for a, _ in lhs],
+            [b for _, b in lhs],
+            [a for a, _ in rhs],
+            [b for _, b in rhs],
+            [r.residual for r in reports],
+            [r.tolerance for r in reports],
+            [r.passed for r in reports],
+        )
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -78,17 +100,22 @@ class ReportBlock(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        instance = self.instances[i]
+        side = QPowerRational if self.exact[i] else complex
         return IdentityReport(
             self.name,
             self.q,
-            instance,
-            QPowerRational(int(self.lhs_num[i]), int(self.lhs_pow[i])),
-            QPowerRational(int(self.rhs_num[i]), int(self.rhs_pow[i])),
-            float(self.residual[i]),
-            self.tolerance,
-            bool(self.passed[i]),
+            self.instances[i],
+            side(self.lhs_a[i], self.lhs_b[i]),
+            side(self.rhs_a[i], self.rhs_b[i]),
+            self.residual[i],
+            self.tolerance[i],
+            self.passed[i],
         )
+
+
+def _parts(v) -> tuple:
+    """A side's two column entries: numerator and power, or real and imaginary part."""
+    return (v.num, v.npow) if isinstance(v, QPowerRational) else (v.real, v.imag)
 
 
 @dataclass
@@ -129,14 +156,6 @@ def _canonical(num: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarr
         num = np.where(cut, num // q, num)
         pows -= cut
     return num, pows
-
-
-def _exact_block(name: str, q: int, instances: list[str], lhs, rhs) -> ReportBlock:
-    """_exact_report over columns; lhs and rhs are canonical (num, pow) column pairs."""
-    (lhs_num, lhs_pow), (rhs_num, rhs_pow) = lhs, rhs
-    diff = np.abs(lhs_num * q**rhs_pow - rhs_num * q**lhs_pow)
-    residual = diff / q ** (lhs_pow + rhs_pow)
-    return ReportBlock(name, q, instances, lhs_num, lhs_pow, rhs_num, rhs_pow, residual, diff == 0)
 
 
 def _idx(chars) -> str:
@@ -382,9 +401,17 @@ def trace_bridge_block(tables: SumTables) -> ReportBlock:
     clausen_rhs = _canonical(q + f.legendre_table[one_minus] * t2, 0, q)
     instances = [f"legendre lambda={lam}" for lam in range(2, q)]
     instances += [f"clausen lambda={lam} mu={mu}" for lam, mu in zip(range(2, q), mus.tolist())]
-    lhs = [np.concatenate(cols) for cols in zip(legendre_lhs, clausen_lhs)]
-    rhs = [np.concatenate(cols) for cols in zip(legendre_rhs, clausen_rhs)]
-    return _exact_block("trace-bridge", q, instances, lhs, rhs)
+    # _exact_report over the int64 columns: every power is at most 1, so
+    # num * q**pow stays far inside int64.
+    lhs_num, lhs_pow = (np.concatenate(cols) for cols in zip(legendre_lhs, clausen_lhs))
+    rhs_num, rhs_pow = (np.concatenate(cols) for cols in zip(legendre_rhs, clausen_rhs))
+    diff = np.abs(lhs_num * q**rhs_pow - rhs_num * q**lhs_pow)
+    residual = diff / q ** (lhs_pow + rhs_pow)
+    n = len(instances)
+    columns = (lhs_num, lhs_pow, rhs_num, rhs_pow, residual)
+    return ReportBlock(
+        "trace-bridge", q, instances, [True] * n, *(c.tolist() for c in columns), [0.0] * n, (diff == 0).tolist()
+    )
 
 
 # -- generating function and the closed-form psi-sum -----------------------------------
@@ -685,8 +712,9 @@ def _rand_x(rng: random.Random, q: int, exclude=(0,)) -> int:
 def run_statement(label: str, tables: SumTables, seed: int, budget: int = DEFAULT_BUDGET):
     """Default instance set for one statement over one prime; deterministic in seed.
 
-    A list of IdentityReports, or for trace-bridge the ReportBlock of its
-    2(q-2) rows; either way a Sequence whose len is its row count.
+    One ReportBlock of the statement's rows at this prime: trace-bridge's
+    2(q-2) rows come from its array pass, every other statement's reports
+    are packed in the order they were checked.
     """
     f = tables.field
     q = f.q
@@ -772,36 +800,20 @@ def run_statement(label: str, tables: SumTables, seed: int, budget: int = DEFAUL
                 out.append(verify_remark_sums(lam, level, tables))
     else:
         raise RejectedInput(f"unknown statement {label!r}")
-    return out
+    return ReportBlock.of(label, q, out)
 
 
-def summarize(label: str, *chunks: Sequence[IdentityReport]) -> SweepSummary:
-    """Counts, first failure and largest residual of one statement's reports.
+def summarize(label: str, *blocks: ReportBlock) -> SweepSummary:
+    """Counts, first failure and largest residual of one statement's blocks.
 
-    Each chunk is a list of IdentityReports or a ReportBlock, whose
-    columns are read directly; the result is that of the chunks' reports
-    in order.
+    Read off the blocks' columns; the result is that of their rows in order.
     """
-    primes: set[int] = set()
-    residuals: list[float] = []
-    failures = 0
-    first = ""
-    for chunk in chunks:
-        if isinstance(chunk, ReportBlock):
-            if not len(chunk):
-                continue
-            primes.add(chunk.q)
-            residuals.append(float(chunk.residual.max()))
-            failed = np.flatnonzero(~chunk.passed)
-            failures += len(failed)
-            if len(failed) and not first:
-                first = f"q={chunk.q} {chunk.instances[failed[0]]}"
-            continue
-        for r in chunk:
-            primes.add(r.q)
-            residuals.append(r.residual)
-            if not r.passed:
-                failures += 1
-                first = first or f"q={r.q} {r.instance}"
-    instances = sum(len(chunk) for chunk in chunks)
-    return SweepSummary(label, sorted(primes), instances, failures, first, max(residuals, default=0.0))
+    failed = [(b.q, instance) for b in blocks for instance, ok in zip(b.instances, b.passed) if not ok]
+    return SweepSummary(
+        label,
+        sorted({b.q for b in blocks if len(b)}),
+        sum(map(len, blocks)),
+        len(failed),
+        "q={} {}".format(*failed[0]) if failed else "",
+        max((r for b in blocks for r in b.residual), default=0.0),
+    )

@@ -21,7 +21,6 @@ from ffhyper.cli import (
     parse_primes,
     parse_statements,
     render_reports,
-    report_to_json,
     run,
 )
 from ffhyper.curves import legendre_trace
@@ -29,7 +28,7 @@ from ffhyper.charsums import SumTables
 from ffhyper.errors import Infeasible, NotRational
 from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import reconstruct
-from ffhyper.identities import STATEMENTS, IdentityReport, run_statement, summarize
+from ffhyper.identities import STATEMENTS, IdentityReport, ReportBlock, run_statement, summarize
 from oracles import bridge_loop, hasse_bound, patch_family, report_from_json
 
 
@@ -164,6 +163,20 @@ def test_eval_scale_beyond_float_range_exits_1(capsys):
     assert exc.value.residual == float("inf")
 
 
+def test_eval_refuses_scale_before_building_coefficients(monkeypatch, capsys):
+    """A phi/eps scale q^n beyond float range is refused before any coefficient is built."""
+
+    def refuse(params, tables):
+        raise AssertionError(f"built the coefficients of {params.n + 1}F{params.n}")
+
+    monkeypatch.setattr("ffhyper.hypergeo._coeff_product", refuse)
+    for n in (119, 10000):
+        assert run(["eval", "--q", "1009", "--fn", f"{n + 1}F{n}", "--x", "2"]) == EXIT_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: scale q^{n} = 1009^{n} is beyond float range (residual inf)\n"
+
+
 def test_eval_budget_refuses_field_before_building_it(monkeypatch, capsys):
     def refuse(q):
         raise AssertionError(f"built F_{q}")
@@ -205,9 +218,15 @@ def test_verify_json_roundtrip(tmp_path):
     payload = json.loads(out.read_text())
     *reports, tail = payload
     assert "summaries" in tail
-    for obj in reports:
-        rebuilt = report_to_json(report_from_json(obj))
-        assert rebuilt == obj
+    rows = [
+        r
+        for label in ("trace-moments", "second-moment")
+        for q in (5, 7)
+        for r in run_statement(label, SumTables(make_field(q)), 0)
+    ]
+    for obj, row in zip(reports, rows, strict=True):
+        rebuilt = report_from_json(obj)
+        assert rebuilt == row
     assert {s["statement"] for s in tail["summaries"]} == {"trace-moments", "second-moment"}
 
 
@@ -274,6 +293,28 @@ def test_verify_product_memory_bounded_at_q3203(tmp_path):
     rc, max_rss_kb = map(int, proc.stdout.split())
     assert rc == EXIT_OK
     assert max_rss_kb < 200 * 1024, f"peak RSS {max_rss_kb // 1024} MB"
+
+
+def test_verify_bytes_do_not_depend_on_blas_threads():
+    """One verify run writes the same bytes with one BLAS thread and with two.
+
+    A 1-D complex BLAS dot product is split across threads at q=10007, so
+    its last bits would move with the thread count; the checks sum in numpy.
+    """
+    statements = ",".join(s for s in STATEMENTS if s != "product")
+    argv = ["verify", "--primes", "10007", "--statements", statements, "--seed", "0", "--format", "csv"]
+    src = str(Path(ffhyper.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffhyper.cli", *argv],
+            capture_output=True,
+            timeout=600,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_cli_import_loads_only_stdlib_and_numpy():
@@ -459,7 +500,8 @@ def test_verify_writes_reconstruction_failure_of_loop(family, monkeypatch, capsy
     patch_family(monkeypatch, {(family, 17): 0.02 / q ** (1 if family == "legendre" else 2)})
     with pytest.raises(NotRational) as loop:
         bridge_loop(SumTables(make_field(q)))
-    row = [IdentityReport("trace-bridge", q, "<reconstruction failure>", 0j, 0j, loop.value.residual, 0.0, False)]
+    failure = IdentityReport("trace-bridge", q, "<reconstruction failure>", 0j, 0j, loop.value.residual, 0.0, False)
+    row = ReportBlock.of("trace-bridge", q, [failure])
     for fmt in ("csv", "json", "text"):
         assert run(["verify", "--primes", str(q), "--statements", "trace-bridge", "--format", fmt]) == EXIT_FAILED
         assert_same_text(capsys.readouterr().out, render_reports([row], [summarize("trace-bridge", row)], fmt))
@@ -470,7 +512,7 @@ def test_failing_bridge_rows_render_like_loop(family, lams, monkeypatch, capsys)
     """Traces off by one fail their rows; the block renders the loop's bytes."""
     q = 101
     patch_family(monkeypatch, {(family, lam): 1 for lam in lams}, table=0)
-    loop = bridge_loop(SumTables(make_field(q)))
+    loop = ReportBlock.of("trace-bridge", q, bridge_loop(SumTables(make_field(q))))
     block = run_statement("trace-bridge", SumTables(make_field(q)), 0)
     assert [r.passed for r in block].count(False) == 2
     want, got = summarize("trace-bridge", loop), summarize("trace-bridge", block)

@@ -11,6 +11,7 @@ from ffhyper.charsums import SumTables, _parity
 from ffhyper.curves import clausen_trace, clausen_trace_table, legendre_trace
 from ffhyper.hypergeo import HyperParams, QPowerRational, _coeff_vector, hyper_all_x, hyper_char, reconstruct
 from ffhyper.identities import (
+    STATEMENTS,
     IdentityReport,
     ReportBlock,
     _exact_report,
@@ -18,6 +19,7 @@ from ffhyper.identities import (
     _weighted_square_excess,
     estimate_sweep,
     first_moment,
+    float_tol,
     generating_boundary_term,
     moment_sweep_rows,
     run_statement,
@@ -262,7 +264,7 @@ def test_trace_bridge_block_matches_per_lambda_oracle(q, tables_for):
     with pytest.raises(IndexError):
         block[len(block)]
     s = summarize("trace-bridge", block)
-    assert s == summarize("trace-bridge", want)
+    assert s == summarize("trace-bridge", ReportBlock.of("trace-bridge", q, want))
     assert s.instances == 2 * (q - 2) and s.failures == 0 and s.primes == [q]
 
 
@@ -596,9 +598,53 @@ def test_summarize():
         IdentityReport("x", 5, "a", 0j, 0j, 0.0, 1e-6, True),
         IdentityReport("x", 7, "b", 0j, 0j, 2e-5, 1e-6, False),
     ]
-    s = summarize("x", reports)
+    s = summarize("x", *(ReportBlock.of("x", r.q, [r]) for r in reports))
     assert s.primes == [5, 7]
     assert s.instances == 2
     assert s.failures == 1
     assert s.first_failure == "q=7 b"
     assert s.max_residual == 2e-5
+
+
+def test_run_statement_returns_one_block_per_statement(tables_for):
+    t = tables_for(13)
+    for label in STATEMENTS:
+        block = run_statement(label, t, 0)
+        assert isinstance(block, ReportBlock) and (block.name, block.q) == (label, 13)
+        columns = (block.exact, block.lhs_a, block.lhs_b, block.rhs_a, block.rhs_b)
+        columns += (block.residual, block.tolerance, block.passed)
+        assert all(len(c) == len(block) for c in columns), label
+
+
+def test_second_moment_block_keeps_exact_peaks_at_q10007(monkeypatch):
+    """Exact peak rows and float rows share one block; the peaks stay in Python ints.
+
+    At q=10007 the k=3 peak is 7600117151/10007^4, so comparing its sides
+    takes num * q**4 and q**8, both past int64.
+    """
+    import ffhyper.identities as ids
+
+    q = 10007
+    t = SumTables(make_field(q))
+    block = run_statement("second-moment", t, 0)
+    assert block.exact == [True, True, False, False]
+    assert block[0] == second_weighted_moment(3, 2, 1, t)
+    assert block[1] == second_weighted_moment(5, 3, 1, t)
+    assert block.tolerance == [0.0, 0.0, float_tol(q), float_tol(q)]
+    assert all(block.passed)
+
+    peak = block[1]
+    assert peak.rhs == QPowerRational(7600117151, 4) and q**8 > 2**63
+    off = QPowerRational(peak.rhs.num + 1, peak.rhs.npow)
+    want = _exact_report("second-moment", q, peak.instance, peak.lhs, off)
+    assert not want.passed and math.isclose(want.residual, q**-4, rel_tol=1e-12)
+
+    def off_by_one(n, k, x, tables, check=ids.second_weighted_moment):
+        return want if (n, k, x) == (5, 3, 1) else check(n, k, x, tables)
+
+    monkeypatch.setattr(ids, "second_weighted_moment", off_by_one)
+    block = run_statement("second-moment", t, 0)
+    assert block[1] == want
+    assert (block.residual[1], block.passed[1]) == (want.residual, False)
+    s = summarize("second-moment", block)
+    assert (s.failures, s.first_failure) == (1, f"q={q} {peak.instance}")

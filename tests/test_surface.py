@@ -5,7 +5,8 @@ import ffhyper
 from ffhyper.characters import Character
 from ffhyper.hypergeo import QPowerRational
 
-# Test-only references, now in tests/oracles.py, and helpers no command used.
+# Test-only references, now in tests/oracles.py, helpers no command used, and
+# the per-row report formatters that ReportBlock's columns replaced.
 GONE = (
     "hyper_inductive_step",
     "count_points_naive",
@@ -14,6 +15,9 @@ GONE = (
     "verify_clausen_bridge",
     "report_from_json",
     "value_from_json",
+    "fmt_value",
+    "value_to_json",
+    "report_to_json",
     "delta_elem",
     "delta_char",
     "all_characters",
