@@ -1,13 +1,13 @@
 """Command-line front end: evaluate, verify, sweep.
 
 Exit codes are a function of results only: 0 all checks pass, 1 any
-identity failure, failed reconstruction or verify statement with no
-instances, 2 usage or configuration error, 3 work budget exceeded.
-Verify processes one prime at a time and sorts its reports by
-(statement, prime) before writing, so the bytes emitted depend only on
-the configuration; CSV and JSON are UTF-8 with LF line endings.  Each
-(statement, prime) comes as one ReportBlock, whose rows are written and
-summarised straight from its columns.
+failed row (a failed reconstruction is one) or verify statement with no
+instances, 2 usage or configuration error (an unwritable --out is one),
+3 work budget exceeded, with nothing written.  Verify writes its rows by
+statement, in the order first named, then by prime, so the bytes emitted
+depend only on the configuration; CSV and JSON are UTF-8 with LF line
+endings.  Each (statement, prime) comes as one ReportBlock, whose rows
+are written and summarised straight from its columns.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .curves import clausen_trace, legendre_trace
 from .errors import FFHyperError, Infeasible, NotRational, RejectedInput
 from .field import is_prime, make_field, primes_in_range
 from .hypergeo import DEFAULT_BUDGET, HyperParams, appell_f4, float_scale, hyper_char, reconstruct
-from .identities import IdentityReport, ReportBlock, SweepSummary
+from .identities import ReportBlock, SweepSummary
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -94,16 +94,13 @@ def _charge_selection(numbers, window: int, budget: int) -> None:
 
 
 def parse_statements(text: str) -> list[str]:
+    """Parse 'all' or 'a,b,c' into statement labels, each kept once, where first named."""
     if text.strip() == "all":
         return list(identities.STATEMENTS)
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    out = list(dict.fromkeys(tok.strip() for tok in text.split(",") if tok.strip()))
+    for tok in out:
         if tok not in identities.STATEMENTS:
             raise UsageError(f"unknown statement {tok!r}; known: {', '.join(identities.STATEMENTS)}")
-        out.append(tok)
     if not out:
         raise UsageError("statement selection is empty")
     return out
@@ -211,9 +208,12 @@ def render_sweep_rows(rows: list[dict], summary: SweepSummary, fmt: str) -> str:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write --out {path}: {e.strerror}") from e
 
 
 # -- verify -----------------------------------------------------------------
@@ -233,26 +233,15 @@ def _charge_field(q: int, budget: int) -> None:
 def cmd_verify(
     primes: list[int], statements: list[str], seed: int, budget: int, fmt: str, out: str | None
 ) -> int:
-    # One prime at a time, so only one field's tables are alive at once.
-    results = []
+    """Check every statement at every prime, one field's tables alive at a time, and write one report."""
+    blocks: dict[str, list[ReportBlock]] = {label: [] for label in statements}
     for q in primes:
         _charge_field(q, budget)
         tables = SumTables(make_field(q))
-        for si, label in enumerate(statements):
-            try:
-                block = identities.run_statement(label, tables, seed, budget)
-            except NotRational as e:
-                failure = IdentityReport(label, q, "<reconstruction failure>", 0j, 0j, e.residual, 0.0, False)
-                block = ReportBlock.of(label, q, [failure])
-            results.append((si, q, block))
-    results.sort(key=lambda item: (item[0], item[1]))
-
-    blocks = [block for _, _, block in results]
-    by_label: dict[str, list[ReportBlock]] = {label: [] for label in statements}
-    for si, _, block in results:
-        by_label[statements[si]].append(block)
-    summaries = [identities.summarize(label, *by_label[label]) for label in statements]
-    _emit(render_reports(blocks, summaries, fmt), out)
+        for label in statements:
+            blocks[label].append(identities.run_statement(label, tables, seed, budget))
+    summaries = [identities.summarize(label, *blocks[label]) for label in statements]
+    _emit(render_reports([b for bs in blocks.values() for b in bs], summaries, fmt), out)
     # A statement with no instances checked nothing; that is not a pass.
     vacuous = [s.statement for s in summaries if s.instances == 0]
     for label in vacuous:
@@ -404,7 +393,7 @@ def run(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NotRational as e:
-        # A value that should be exact and is not: a failed check.
+        # eval's value that should be exact and is not: a failed check.
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILED
     except (UsageError, RejectedInput, FFHyperError, ValueError) as e:

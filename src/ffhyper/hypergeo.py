@@ -33,10 +33,10 @@ from .errors import FieldMismatch, Infeasible, NotRational
 from .field import PrimeField
 
 DEFAULT_BUDGET = 10**9
-# Points per gathered block in appell_f4_batch: bounds its per-call working
-# memory to a few (_CHUNK, q-1) arrays whatever the batch size; the memoised
-# spectra it gathers from are O(q) per character tuple.
-_CHUNK = 256
+# Entries per gathered block in appell_f4_batch: 2**15 complex entries
+# (512 KiB) bound its per-call working memory whatever q and the batch size;
+# the memoised spectra it gathers from are O(q) per character tuple.
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class QPowerRational:
 
 # Reconstruction guard: two orders of magnitude above observed floating
 # residuals, far below the unit gap between integers.
-_EXACT_GAP = 0.01
+EXACT_GAP = 0.01
 
 
 def float_scale(npow: int, q: int) -> float:
@@ -128,35 +128,33 @@ def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
     """Recover the integer m with v ~= m / q**npow, or fail loudly.
 
     Both the imaginary part and the distance to the nearest integer of
-    v * q**npow must stay below _EXACT_GAP = 0.01, and q**npow must fit
+    v * q**npow must stay below EXACT_GAP = 0.01, and q**npow must fit
     in a float.
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
     scaled = complex(v) * float_scale(npow, q)
-    if abs(scaled.imag) >= _EXACT_GAP:
+    if abs(scaled.imag) >= EXACT_GAP:
         raise NotRational(f"imaginary part too large for an exact value at scale q^{npow}", abs(scaled.imag))
     m = round(scaled.real)
     resid = abs(scaled.real - m)
-    if resid >= _EXACT_GAP:
+    if resid >= EXACT_GAP:
         raise NotRational(f"not within rounding distance of an integer at scale q^{npow}", resid)
     return QPowerRational.make(m, npow, q)
 
 
-def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> np.ndarray:
-    """The integers m[i] with values[i] ~= m[i] / q**npow, as int64, by reconstruct's rule.
+def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The integers m[i] nearest values[i] * q**npow, as int64, and each entry's margin.
 
-    One array pass: the arithmetic and the guard are reconstruct's, so
-    the first entry that fails raises the NotRational that reconstruct
-    raises for it, with the same message and residual.
+    The margin is the residual reconstruct raises for the entry: the scaled
+    imaginary part if not below EXACT_GAP, else the distance to m[i].  An
+    entry passes reconstruct's rule exactly when its margin is below
+    EXACT_GAP, so NaN fails; m[i] is 0 where the scaled value is not finite.
     """
     scaled = values * q**npow
-    m = np.rint(scaled.real)
-    # "not below" rather than "at or above", so that NaN is caught here too.
-    bad = (np.abs(scaled.imag) >= _EXACT_GAP) | ~(np.abs(scaled.real - m) < _EXACT_GAP)
-    if bad.any():
-        reconstruct(values[np.argmax(bad)], npow, q)  # raises for this entry
-    return m.astype(np.int64)
+    m = np.rint(np.nan_to_num(scaled.real, nan=0.0, posinf=0.0, neginf=0.0))
+    margin = np.where(np.abs(scaled.imag) < EXACT_GAP, np.abs(scaled.real - m), np.abs(scaled.imag))
+    return m.astype(np.int64), margin
 
 
 # -- character-sum backend ---------------------------------------------------
@@ -324,8 +322,8 @@ def appell_f4_batch(
     the characters, so they are built once per SumTables and character
     tuple through SumTables.memo: a batch costs three length-(q-1)
     transforms on its tuple's first use, then one gathered dot product
-    per point, taken _CHUNK points at a time so that no (points, q-1)
-    array is built.
+    per point, gathered max(1, 2**15 // (q-1)) points at a time so that
+    no block holds more than 2**15 entries (512 KiB).
     """
     f = tables.field
     q = f.q
@@ -336,10 +334,11 @@ def appell_f4_batch(
     indices = (a.index, b.index, c.index, cp.index)
     weights, rows_x, rows_y = tables.memo(("f4", *indices), _f4_spectra, tables, *indices)
     dx, dy = f.dlog[xs[live]], f.dlog[ys[live]]
-    for s in range(0, len(live), _CHUNK):
-        block = rows_x[dx[s : s + _CHUNK]]
-        block *= rows_y[dy[s : s + _CHUNK]]
-        out[live[s : s + _CHUNK]] = block @ weights
+    step = max(1, _BLOCK // (q - 1))
+    for s in range(0, len(live), step):
+        block = rows_x[dx[s : s + step]]
+        block *= rows_y[dy[s : s + step]]
+        out[live[s : s + step]] = block @ weights
     return out
 
 

@@ -2,7 +2,9 @@
 
 Identities whose two sides live in q**-m * Z are checked in exact integer
 arithmetic after rational reconstruction; everything else is checked in
-floating point against a scale-aware tolerance.  Each check returns one
+floating point against a scale-aware tolerance.  A value that fails
+reconstruction fails only the rows that read it, each holding its nearest
+value over q**m and its margin as the residual.  Each check returns one
 IdentityReport; the statement runner returns a statement's rows at one
 prime as one ReportBlock of columns, exact and float rows alike.  The
 trace bridges, 2(q-2) exact checks per prime, are checked one family per
@@ -23,10 +25,11 @@ import numpy as np
 from .characters import Character, character_row, quadratic, trivial
 from .charsums import SumTables
 from .curves import clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
-from .errors import Infeasible, RejectedInput
+from .errors import Infeasible, NotRational, RejectedInput
 from .field import PrimeField, is_prime, make_field
 from .hypergeo import (
     DEFAULT_BUDGET,
+    EXACT_GAP,
     HyperParams,
     QPowerRational,
     appell_f4_batch,
@@ -141,11 +144,20 @@ def _float_report(name: str, q: int, instance: str, lhs: complex, rhs: complex) 
 
 
 def _exact_report(
-    name: str, q: int, instance: str, lhs: QPowerRational, rhs: QPowerRational
+    name: str, q: int, instance: str, lhs: QPowerRational, rhs: QPowerRational, margin: float = 0.0
 ) -> IdentityReport:
+    """lhs == rhs exactly; a nonzero margin is a side's failed reconstruction, and the row's residual."""
     diff = abs(lhs.num * q**rhs.npow - rhs.num * q**lhs.npow)
-    residual = float(diff) / q ** (lhs.npow + rhs.npow) if diff else 0.0
-    return IdentityReport(name, q, instance, lhs, rhs, residual, 0.0, diff == 0)
+    residual = margin or (float(diff) / q ** (lhs.npow + rhs.npow) if diff else 0.0)
+    return IdentityReport(name, q, instance, lhs, rhs, residual, 0.0, diff == 0 and not margin)
+
+
+def _reconstructed(v: complex, npow: int, q: int) -> tuple[QPowerRational, float]:
+    """reconstruct(v, npow, q) and margin 0.0, or the nearest value over q**npow and its residual."""
+    try:
+        return reconstruct(v, npow, q), 0.0
+    except NotRational as e:
+        return QPowerRational.make(round(complex(v).real * q**npow), npow, q), e.residual
 
 
 def _canonical(num: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -284,10 +296,10 @@ def first_moment(n: int, weighted: bool, tables: SumTables) -> IdentityReport:
     else:
         total = complex(vals.sum())
         expected = (-1) ** (n + 1)
-    lhs = reconstruct(total, n, q)
+    lhs, margin = _reconstructed(total, n, q)
     rhs = QPowerRational.make(expected, n, q)
     inst = f"n={n} {'weighted' if weighted else 'unweighted'}"
-    return _exact_report("first-moment", q, inst, lhs, rhs)
+    return _exact_report("first-moment", q, inst, lhs, rhs, margin)
 
 
 # -- trace moment identities -------------------------------------------------------
@@ -316,24 +328,24 @@ def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
     leg = f.legendre_table
     a, _ = _family_tables("legendre", tables)
     ap, _ = _family_tables("clausen", tables)
-    t2 = reconstruct(hyper_char(HyperParams.phi_eps(f, 2), 1, tables), 2, q).scaled_int(2, q)
+    f32, margin = _reconstructed(hyper_char(HyperParams.phi_eps(f, 2), 1, tables), 2, q)
     phi_m1 = f.phi_minus_one
 
     sum_a = int(a[2:].sum())
     lhs1 = sum_a + phi_m1
     lams = np.arange(1, q - 1)  # clausen-valid: lambda not in {0, -1}
-    lhs2 = int((leg[(1 + lams) % q] * ap[lams] ** 2).sum()) + q + t2
-    lhs3 = int((leg[lams] * ap[lams] ** 2).sum()) + q * phi_m1 + t2
+    lhs2 = int((leg[(1 + lams) % q] * ap[lams] ** 2).sum()) + q + f32.scaled_int(2, q)
+    lhs3 = int((leg[lams] * ap[lams] ** 2).sum()) + q * phi_m1 + f32.scaled_int(2, q)
 
-    def rep(lhs, rhs, inst):
+    def rep(lhs, rhs, inst, margin=0.0):
         return _exact_report(
-            "trace-moments", q, inst, QPowerRational.make(lhs, 0, q), QPowerRational.make(rhs, 0, q)
+            "trace-moments", q, inst, QPowerRational.make(lhs, 0, q), QPowerRational.make(rhs, 0, q), margin
         )
 
     return [
         rep(lhs1, -1, "sum a_lambda + phi(-1)"),
-        rep(lhs2, -1, "phi(1+lambda)-weighted clausen squares"),
-        rep(lhs3, -phi_m1, "phi(lambda)-weighted clausen squares"),
+        rep(lhs2, -1, "phi(1+lambda)-weighted clausen squares", margin),
+        rep(lhs3, -phi_m1, "phi(lambda)-weighted clausen squares", margin),
     ]
 
 
@@ -352,8 +364,8 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
     if x == 1 and n + 1 == 2 * k:
         vals = hyper_all_x(HyperParams.phi_eps(f, k - 1), tables)
         total = complex((leg[lams] * vals[lams] ** 2).sum())
-        left = reconstruct(total, 2 * k - 2, q)
-        right = reconstruct(hyper_char(HyperParams.phi_eps(f, 2 * k - 1), 1, tables), 2 * k - 1, q)
+        left, left_margin = _reconstructed(total, 2 * k - 2, q)
+        right, right_margin = _reconstructed(hyper_char(HyperParams.phi_eps(f, 2 * k - 1), 1, tables), 2 * k - 1, q)
         # Compare q**(2k-1) * both sides as integers.
         lhs_int = left.scaled_int(2 * k - 1, q)
         rhs_int = f.phi_minus_one**k * right.scaled_int(2 * k, q)
@@ -364,6 +376,7 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
             inst,
             QPowerRational.make(lhs_int, 2 * k - 1, q),
             QPowerRational.make(rhs_int, 2 * k - 1, q),
+            max(left_margin, right_margin),
         )
     lhs = hyper_char(HyperParams.phi_eps(f, n), x, tables)
     vals_hi = hyper_all_x(HyperParams.phi_eps(f, n - k), tables)
@@ -383,18 +396,19 @@ def trace_bridge_block(tables: SumTables) -> ReportBlock:
     the Legendre trace at lambda; a Clausen row checks the square of the
     Clausen trace at mu = lambda/(1-lambda) against
     q + q^2 phi(1-lambda) 3F2(lambda).  Each family is reconstructed in one
-    reconstruct_ints call, so the first lambda that fails reconstruction,
-    Legendre before Clausen, raises the same NotRational as the per-lambda
-    oracle in tests/oracles.py.  mu is read off the discrete-log tables.
+    reconstruct_ints call; a lambda whose value fails reconstruction fails
+    its own row, with the residual the per-lambda oracle in
+    tests/oracles.py raises.  mu is read off the discrete-log tables.
     """
     f = tables.field
     q = f.q
     lams = np.arange(2, q)
     a, f21 = _family_tables("legendre", tables)
-    legendre_lhs = _canonical(reconstruct_ints(f.phi_minus_one * f21[2:], 1, q), 1, q)
+    legendre_ints, legendre_margin = reconstruct_ints(f.phi_minus_one * f21[2:], 1, q)
+    legendre_lhs = _canonical(legendre_ints, 1, q)
     legendre_rhs = _canonical(-a[2:], 1, q)
     ap, f32 = _family_tables("clausen", tables)
-    t2 = reconstruct_ints(f32[2:], 2, q)
+    t2, clausen_margin = reconstruct_ints(f32[2:], 2, q)
     one_minus = (1 - lams) % q
     mus = f.exp[(f.dlog[lams] - f.dlog[one_minus]) % (q - 1)]
     clausen_lhs = _canonical(ap[mus] ** 2, 0, q)
@@ -406,12 +420,13 @@ def trace_bridge_block(tables: SumTables) -> ReportBlock:
     lhs_num, lhs_pow = (np.concatenate(cols) for cols in zip(legendre_lhs, clausen_lhs))
     rhs_num, rhs_pow = (np.concatenate(cols) for cols in zip(legendre_rhs, clausen_rhs))
     diff = np.abs(lhs_num * q**rhs_pow - rhs_num * q**lhs_pow)
-    residual = diff / q ** (lhs_pow + rhs_pow)
+    margin = np.concatenate((legendre_margin, clausen_margin))
+    ok = margin < EXACT_GAP
+    residual = np.where(ok, diff / q ** (lhs_pow + rhs_pow), margin)
     n = len(instances)
     columns = (lhs_num, lhs_pow, rhs_num, rhs_pow, residual)
-    return ReportBlock(
-        "trace-bridge", q, instances, [True] * n, *(c.tolist() for c in columns), [0.0] * n, (diff == 0).tolist()
-    )
+    passed = (ok & (diff == 0)).tolist()
+    return ReportBlock("trace-bridge", q, instances, [True] * n, *(c.tolist() for c in columns), [0.0] * n, passed)
 
 
 # -- generating function and the closed-form psi-sum -----------------------------------

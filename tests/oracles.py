@@ -4,7 +4,7 @@ None of these runs in a command: each is the slow, direct form of
 something `ffhyper` computes another way (the descent relation, the
 point count, the per-lambda trace bridges, reading a JSON report back),
 plus the helpers that drive the bridge oracles and perturb the family
-tables they read.
+tables and 3F2 values the checks read.
 """
 
 import math
@@ -141,6 +141,27 @@ def patch_family(monkeypatch, offsets, table=1):
         return tuple(tabs)
 
     monkeypatch.setattr(ids, "_family_pair", pair)
+
+
+def move_3f2(monkeypatch, lam):
+    """Move the phi/eps 3F2 at lam by 0.02 at scale q^2, in every all-x table and point value the checks read."""
+
+    def moved(fn):
+        def wrapper(params, *args):
+            value = fn(params, *args)
+            if params.index_key() != HyperParams.phi_eps(params.field, 2).index_key():
+                return value
+            offset = 0.02 / params.field.q**2
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+                value[lam] += offset
+                return value
+            return value + offset if args[0] == lam else value
+
+        return wrapper
+
+    monkeypatch.setattr(ids, "hyper_all_x", moved(ids.hyper_all_x))
+    monkeypatch.setattr(ids, "hyper_char", moved(ids.hyper_char))
 
 
 # -- reading a JSON report back --------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,9 @@ from ffhyper.charsums import SumTables
 from ffhyper.errors import Infeasible, NotRational
 from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import reconstruct
-from ffhyper.identities import STATEMENTS, IdentityReport, ReportBlock, run_statement, summarize
-from oracles import bridge_loop, hasse_bound, patch_family, report_from_json
+import ffhyper.identities as ids
+from ffhyper.identities import STATEMENTS, ReportBlock, run_statement, summarize
+from oracles import bridge_loop, hasse_bound, move_3f2, patch_family, report_from_json
 
 
 # -- primes / statements parsing -------------------------------------------------
@@ -256,6 +258,26 @@ def test_verify_no_instances_exits_1(capsys):
     assert capsys.readouterr().err == "warning: remark-sums has no instances over primes [3]\n"
     assert run(["verify", "--primes", "3,5", "--statements", "remark-sums"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_verify_runs_a_statement_named_twice_once(capsys):
+    """A repeated --statements entry runs once: the report is that of naming it once."""
+    argv = ["verify", "--primes", "5,7", "--format", "csv", "--statements"]
+    assert run([*argv, "first-moment"]) == EXIT_OK
+    once = capsys.readouterr().out
+    assert run([*argv, "first-moment,first-moment"]) == EXIT_OK
+    assert capsys.readouterr().out == once
+
+
+@pytest.mark.parametrize("command", (["verify", "--statements", "first-moment"], ["sweep", "--which", "moments"]))
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    """An --out that cannot be opened is a configuration error: one error line, exit 2, no file."""
+    out = tmp_path / "missing" / "r.csv"
+    assert run([*command, "--primes", "5", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {out}: No such file or directory\n"
+    assert not out.parent.exists()
 
 
 def test_run_calls_share_no_arguments(capsys):
@@ -495,16 +517,57 @@ def test_verify_exact_statements_match_golden_bytes(fmt, ext, capsys):
 
 @pytest.mark.parametrize("family", ("legendre", "clausen"))
 def test_verify_writes_reconstruction_failure_of_loop(family, monkeypatch, capsys):
-    """A value off by 0.02 at scale: verify writes the loop's failure row and exits 1."""
+    """A value off by 0.02 at scale: verify writes every row, fails only that lambda's, and exits 1.
+
+    The failed row keeps its instance and its sides (the nearest values, so
+    those of the unmoved table), with the loop's residual and tolerance 0.
+    """
     q = 101
+    rows = bridge_loop(SumTables(make_field(q)))
     patch_family(monkeypatch, {(family, 17): 0.02 / q ** (1 if family == "legendre" else 2)})
     with pytest.raises(NotRational) as loop:
         bridge_loop(SumTables(make_field(q)))
-    failure = IdentityReport("trace-bridge", q, "<reconstruction failure>", 0j, 0j, loop.value.residual, 0.0, False)
-    row = ReportBlock.of("trace-bridge", q, [failure])
+    i = 15 + (q - 2) * (family == "clausen")
+    assert rows[i].instance.startswith(f"{family} lambda=17") and rows[i].passed
+    rows[i] = replace(rows[i], residual=loop.value.residual, passed=False)
+    block = ReportBlock.of("trace-bridge", q, rows)
     for fmt in ("csv", "json", "text"):
         assert run(["verify", "--primes", str(q), "--statements", "trace-bridge", "--format", fmt]) == EXIT_FAILED
-        assert_same_text(capsys.readouterr().out, render_reports([row], [summarize("trace-bridge", row)], fmt))
+        assert_same_text(capsys.readouterr().out, render_reports([block], [summarize("trace-bridge", block)], fmt))
+
+
+def test_verify_q100003_second_moment_fails_only_its_k3_peak(monkeypatch, capsys):
+    """At q=100003 the k=3 peak's lambda-sum misses its integer over q^4 by 0.0127.
+
+    That row fails with the residual reconstruct raises, both sides at the
+    same nearest value (the float route's precision, not a false identity);
+    the k=2 peak and both off-peak rows are still checked, and pass.
+    """
+    raised = []
+
+    def recording(*args, reconstruct=ids.reconstruct):
+        try:
+            return reconstruct(*args)
+        except NotRational as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(ids, "reconstruct", recording)
+    assert run(["verify", "--primes", "100003", "--statements", "second-moment", "--format", "json"]) == EXIT_FAILED
+    rows = [report_from_json(d) for d in json.loads(capsys.readouterr().out)[:-1]]
+    assert len(rows) == 4
+    assert [r.instance for r in rows if not r.passed] == ["k=3 x=1 second-moment peak"]
+    (peak,) = (r for r in rows if not r.passed)
+    assert len(raised) == 1 and peak.residual == raised[0].residual
+    assert peak.tolerance == 0.0 and peak.lhs == peak.rhs
+
+
+def test_sweep_moments_writes_failed_reconstruction_as_row(monkeypatch, capsys):
+    """A first moment that fails reconstruction is a pass=False row of the table, and exit 1."""
+    move_3f2(monkeypatch, 5)
+    assert run(["sweep", "--which", "moments", "--primes", "101"]) == EXIT_FAILED
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(row["n"], row["pass"]) for row in rows] == [("1", "True"), ("2", "False"), ("3", "True")]
 
 
 @pytest.mark.parametrize("family, lams", (("legendre", (30, 44)), ("clausen", (61, 9))))

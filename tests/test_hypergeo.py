@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ffhyper import Infeasible, NotRational, make_field
 from ffhyper.characters import Character, quadratic, trivial
+from ffhyper.charsums import SumTables
 from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import (
     HyperParams,
@@ -17,6 +19,7 @@ from ffhyper.hypergeo import (
     hyper_exact_phi,
     hyper_twisted_sum,
     reconstruct,
+    reconstruct_ints,
 )
 from oracles import count_points_naive, hyper_inductive_step
 
@@ -159,6 +162,29 @@ def test_appell_f4_batch_matches_scalar(q, points, tables_for):
                 assert v == 0
             else:
                 assert abs(v - appell_f4(*chars, int(x), int(y), t)) <= 1e-12 * q
+
+
+def test_appell_f4_batch_memory_bounded_by_bytes():
+    """One batch of product's q-2 points at q=3203 stays under 2 MB of working memory.
+
+    A block of points holds at most 2**15 entries (512 KiB), where 256-point
+    blocks took about 25 MB; every value is still the one-point value.
+    """
+    q = 3203
+    t = SumTables(make_field(q))
+    phi, eps = quadratic(t.field), trivial(t.field)
+    ws = np.arange(2, q)
+    xs, ys = 5 * (1 - ws) % q, ws * (1 - 5) % q
+    appell_f4_batch(phi, phi, eps, eps, xs[:1], ys[:1], t)  # build the spectra
+    tracemalloc.start()
+    try:
+        batch = appell_f4_batch(phi, phi, eps, eps, xs, ys, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    one = np.array([appell_f4(phi, phi, eps, eps, int(x), int(y), t) for x, y in zip(xs, ys)])
+    assert np.abs(batch - one).max() <= 1e-12 * np.abs(one).max()
 
 
 def test_f4_spectra_built_once_per_tables_and_key(monkeypatch):
@@ -337,6 +363,23 @@ def test_reconstruct_examples():
         reconstruct(0.5 + 0j, 0, 7)
     with pytest.raises(NotRational):
         reconstruct(1 / 7 + 0.3j, 1, 7)
+
+
+def test_reconstruct_ints_margins_are_reconstructs_residuals():
+    """Each entry's margin is what reconstruct raises for it, or is below the gap where it passes; NaN fails."""
+    q = 7
+    values = np.array([3 / 49, -5 / 49 + 0.003j / 49, 0.5 / 49, 2 / 49 + 0.3j / 49, 1 / 49 + 0.02 / 49 + 0.02j / 49])
+    ints, margin = reconstruct_ints(values, 2, q)
+    assert ints.dtype == np.int64
+    assert ints.tolist() == [3, -5, 0, 2, 1]
+    for v, m, r in zip(values, ints, margin):
+        try:
+            assert reconstruct(v, 2, q) == QPowerRational.make(int(m), 2, q) and r < 0.01
+        except NotRational as e:
+            assert r == e.residual
+    assert (margin < 0.01).tolist() == [True, True, False, False, False]
+    ints, margin = reconstruct_ints(np.array([complex(np.nan, 0), complex(1, np.nan)]), 0, q)
+    assert ints.tolist() == [0, 0] and not (margin < 0.01).any()
 
 
 def test_reconstruct_canonicalizes():

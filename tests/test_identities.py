@@ -1,13 +1,16 @@
 import math
 import random
 from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ffhyper.identities as ids
 from ffhyper import Infeasible, NotRational, RejectedInput, SingularParameter, make_field
 from ffhyper.characters import Character, quadratic, trivial
 from ffhyper.charsums import SumTables, _parity
+from ffhyper.cli import EXIT_FAILED, run
 from ffhyper.curves import clausen_trace, clausen_trace_table, legendre_trace
 from ffhyper.hypergeo import HyperParams, QPowerRational, _coeff_vector, hyper_all_x, hyper_char, reconstruct
 from ffhyper.identities import (
@@ -34,7 +37,7 @@ from ffhyper.identities import (
     verify_trace_moments,
 )
 from ffhyper.field import primes_in_range
-from oracles import bridge_loop, patch_family, verify_clausen_bridge, verify_legendre_bridge
+from oracles import bridge_loop, move_3f2, patch_family, verify_clausen_bridge, verify_legendre_bridge
 
 
 def rand_chars(rng, f, count):
@@ -279,14 +282,49 @@ def test_trace_bridge_block_matches_per_lambda_oracle(q, tables_for):
     ),
 )
 def test_trace_bridge_block_raises_first_failure_of_loop(offsets, monkeypatch):
-    """A family value off by 0.02 at scale raises what the per-lambda loop raises first."""
+    """A family value off by 0.02 at scale fails its own row, and only it.
+
+    The failed row keeps its sides, the nearest values, and takes as residual
+    what the per-lambda check raises for that lambda; every other row passes.
+    """
+    q = 101
+    want = list(run_statement("trace-bridge", SumTables(make_field(q)), 0))
     patch_family(monkeypatch, offsets)
-    with pytest.raises(NotRational) as loop:
-        bridge_loop(SumTables(make_field(101)))
-    with pytest.raises(NotRational) as block:
-        run_statement("trace-bridge", SumTables(make_field(101)), 0)
-    assert str(block.value) == str(loop.value)
-    assert block.value.residual == loop.value.residual
+    t = SumTables(make_field(q))
+    for family, lam in offsets:
+        check = verify_legendre_bridge if family == "legendre" else verify_clausen_bridge
+        with pytest.raises(NotRational) as loop:
+            check(lam, t)
+        i = lam - 2 + (q - 2) * (family == "clausen")
+        assert want[i].passed
+        want[i] = replace(want[i], residual=loop.value.residual, passed=False)
+    block = run_statement("trace-bridge", t, 0)
+    assert list(block) == want
+    assert summarize("trace-bridge", block).failures == len(offsets)
+
+
+@pytest.mark.parametrize(
+    "label, lam, failing",
+    (
+        ("first-moment", 5, ("n=2 unweighted", "n=2 weighted")),
+        ("trace-moments", 1, ("phi(1+lambda)-weighted clausen squares", "phi(lambda)-weighted clausen squares")),
+    ),
+)
+def test_failed_reconstruction_fails_only_the_rows_that_read_it(label, lam, failing, monkeypatch):
+    """A 3F2 value off by 0.02 at scale q^2: the rows that read it fail with that margin, the others pass."""
+    q = 101
+    want = list(run_statement(label, SumTables(make_field(q)), 0))
+    move_3f2(monkeypatch, lam)
+    got = list(run_statement(label, SumTables(make_field(q)), 0))
+    assert [r.instance for r in got if not r.passed] == list(failing)
+    for r, w in zip(got, want):
+        assert w.passed
+        if r.instance in failing:
+            assert r.residual == pytest.approx(0.02, abs=1e-6)
+            assert r == replace(w, residual=r.residual, passed=False)
+        else:
+            assert r == w
+    assert run(["verify", "--primes", str(q), "--statements", label]) == EXIT_FAILED
 
 
 def test_trace_tables_built_once_per_tables(monkeypatch):
