@@ -3,8 +3,9 @@
 Exit codes are a function of results only: 0 all checks pass, 1 any
 failed row (a failed reconstruction is one) or verify statement with no
 instances, 2 usage or configuration error (an unwritable --out is one),
-3 work budget exceeded, with nothing written.  Verify writes its rows by
-statement, in the order first named, then by prime, so the bytes emitted
+3 work budget exceeded: a run is charged in full (CHARGES) before its
+first table is built, so a refusal writes nothing.  Verify writes its rows
+by statement, in the order first named, then by prime, so the bytes emitted
 depend only on the configuration; CSV and JSON are UTF-8 with LF line
 endings.  Each (statement, prime) comes as one ReportBlock, whose rows
 are written and summarised straight from its columns.
@@ -53,44 +54,60 @@ def parse_primes(text: str, strict: bool, budget: int = DEFAULT_BUDGET) -> list[
     window of a range a..b.
     """
     text = text.strip()
-    if ".." in text:
+    is_range = ".." in text
+    if is_range:
         lo_s, _, hi_s = text.partition("..")
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError as e:
             raise UsageError(f"bad prime range {text!r}") from e
-        _charge_selection((lo, hi), hi - max(lo, 3) + 1, budget)
-        if strict:
-            for end in (lo, hi):
-                if end == 2 or not is_prime(end):
-                    raise UsageError(
-                        f"range endpoint {end} is not an odd prime (pass --no-strict to allow)"
-                    )
-        primes = primes_in_range(lo, hi)
+        numbers, window = (lo, hi), hi - max(lo, 3) + 1
     else:
         try:
-            entries = [int(tok) for tok in text.split(",") if tok.strip()]
+            numbers, window = [int(tok) for tok in text.split(",") if tok.strip()], 0
         except ValueError as e:
             raise UsageError(f"bad prime list {text!r}") from e
-        _charge_selection(entries, 0, budget)
-        if strict:
-            for n in entries:
-                if n == 2 or not is_prime(n):
-                    raise UsageError(f"{n} is not an odd prime (pass --no-strict to allow)")
-            primes = entries
-        else:
-            primes = [n for n in entries if n != 2 and is_prime(n)]
+    cost = sum(math.isqrt(max(n, 0)) for n in numbers) + max(window, 0)
+    _charge([("prime selection cost sum(isqrt(n)) + window", cost)], budget)
+    if strict:
+        for n in numbers:
+            if n == 2 or not is_prime(n):
+                end = "range endpoint " if is_range else ""
+                raise UsageError(f"{end}{n} is not an odd prime (pass --no-strict to allow)")
+    primes = primes_in_range(lo, hi) if is_range else [n for n in numbers if strict or (n != 2 and is_prime(n))]
     primes = sorted(set(primes))
     if not primes:
         raise UsageError(f"prime selection {text!r} is empty")
     return primes
 
 
-def _charge_selection(numbers, window: int, budget: int) -> None:
-    """Refuse a prime selection whose primality work exceeds budget."""
-    cost = sum(math.isqrt(max(n, 0)) for n in numbers) + max(window, 0)
-    if cost > budget:
-        raise Infeasible(f"prime selection cost sum(isqrt(n)) + window = {cost} exceeds budget {budget}")
+# -- work budget ----------------------------------------------------------------
+
+# Per-prime charges, made for a whole run before its first table is built:
+# the formula a refusal names and the cost at q.  The field is its tables and
+# one length-(q-1) transform.  A product is q-2 F4* points of q-1 gathered
+# products plus the three transforms of the F4* spectra, memoised per prime,
+# so it is charged once per prime.  A sweep's trace table is two forward real
+# FFTs and one inverse; its moments table one binomial line and three inverse
+# transforms.  A verify statement with no entry costs nothing past its field.
+CHARGES = {
+    "field": ("field cost q*log2(q)", lambda q: q * q.bit_length()),
+    "product": ("w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1)", lambda q: (q - 1) * (q - 2 + 3 * (q - 1).bit_length())),
+    "trace": ("trace-table cost 3*q*log2(q)", lambda q: 3 * q * q.bit_length()),
+    "moments": ("moment-table cost 4*(q-1)*log2(q-1)", lambda q: 4 * (q - 1) * (q - 1).bit_length()),
+}
+
+
+def _per_prime(paths, primes):
+    """(formula, cost) of each charged path at each prime: prime by prime, paths in the order given."""
+    return ((CHARGES[p][0], CHARGES[p][1](q)) for q in primes for p in paths if p in CHARGES)
+
+
+def _charge(work, budget: int) -> None:
+    """Refuse at the first (formula, cost) in work whose cost, on its own, exceeds budget."""
+    for formula, cost in work:
+        if cost > budget:
+            raise Infeasible(f"{formula} = {cost} exceeds budget {budget}")
 
 
 def parse_statements(text: str) -> list[str]:
@@ -219,27 +236,20 @@ def _emit(text: str, path: str | None) -> None:
 # -- verify -----------------------------------------------------------------
 
 
-def _charge_field(q: int, budget: int) -> None:
-    """Refuse F_q before building it if its cost exceeds budget.
-
-    The cost is the field tables and one length-(q-1) transform, which
-    every command on the field pays.
-    """
-    cost = q * q.bit_length()
-    if cost > budget:
-        raise Infeasible(f"field cost q*log2(q) = {cost} exceeds budget {budget}")
-
-
 def cmd_verify(
     primes: list[int], statements: list[str], seed: int, budget: int, fmt: str, out: str | None
 ) -> int:
-    """Check every statement at every prime, one field's tables alive at a time, and write one report."""
+    """Check every statement at every prime, one field's tables alive at a time, and write one report.
+
+    The whole run is charged first, in the order it runs: per prime, the
+    field, then each named statement.
+    """
+    _charge(_per_prime(("field", *statements), primes), budget)
     blocks: dict[str, list[ReportBlock]] = {label: [] for label in statements}
     for q in primes:
-        _charge_field(q, budget)
         tables = SumTables(make_field(q))
         for label in statements:
-            blocks[label].append(identities.run_statement(label, tables, seed, budget))
+            blocks[label].append(identities.run_statement(label, tables, seed))
     summaries = [identities.summarize(label, *blocks[label]) for label in statements]
     _emit(render_reports([b for bs in blocks.values() for b in bs], summaries, fmt), out)
     # A statement with no instances checked nothing; that is not a pass.
@@ -253,10 +263,10 @@ def cmd_verify(
 
 
 def cmd_sweep(primes: list[int], which: str, budget: int, fmt: str, out: str | None) -> int:
-    if which == "moments":
-        rows, summary = identities.moment_sweep_rows(primes, budget)
-    else:
-        rows, summary = identities.estimate_sweep(primes, which, budget)
+    """One trend table over the primes, every prime's table charged before the first is built."""
+    moments = which == "moments"
+    _charge(_per_prime(("moments" if moments else "trace",), primes), budget)
+    rows, summary = identities.moment_sweep_rows(primes) if moments else identities.estimate_sweep(primes, which)
     _emit(render_sweep_rows(rows, summary, fmt), out)
     return EXIT_OK if summary.failures == 0 else EXIT_FAILED
 
@@ -275,7 +285,7 @@ def _parse_indices(text: str | None, what: str) -> list[int]:
 
 def cmd_eval(args) -> int:
     start = time.perf_counter()
-    _charge_field(args.q, DEFAULT_BUDGET)
+    _charge(_per_prime(("field",), (args.q,)), DEFAULT_BUDGET)
     f = make_field(args.q)
     tables = SumTables(f)
     fn = args.fn

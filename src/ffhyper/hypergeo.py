@@ -128,18 +128,19 @@ def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
     """Recover the integer m with v ~= m / q**npow, or fail loudly.
 
     Both the imaginary part and the distance to the nearest integer of
-    v * q**npow must stay below EXACT_GAP = 0.01, and q**npow must fit
-    in a float.
+    v * q**npow must stay below EXACT_GAP = 0.01 (reconstruct_ints's margin,
+    which a NaN or infinite value fails), and q**npow must fit in a float.
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
     scaled = complex(v) * float_scale(npow, q)
-    if abs(scaled.imag) >= EXACT_GAP:
-        raise NotRational(f"imaginary part too large for an exact value at scale q^{npow}", abs(scaled.imag))
-    m = round(scaled.real)
-    resid = abs(scaled.real - m)
-    if resid >= EXACT_GAP:
-        raise NotRational(f"not within rounding distance of an integer at scale q^{npow}", resid)
+    m = round(scaled.real) if math.isfinite(scaled.real) else 0
+    if abs(scaled.imag) < EXACT_GAP:
+        margin, why = abs(scaled.real - m), "not within rounding distance of an integer"
+    else:
+        margin, why = abs(scaled.imag), "imaginary part too large for an exact value"
+    if not margin < EXACT_GAP:  # NaN fails
+        raise NotRational(f"{why} at scale q^{npow}", margin)
     return QPowerRational.make(m, npow, q)
 
 

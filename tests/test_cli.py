@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -177,6 +178,17 @@ def test_eval_refuses_scale_before_building_coefficients(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: scale q^{n} = 1009^{n} is beyond float range (residual inf)\n"
+
+
+@pytest.mark.parametrize("value", (complex(math.nan, 0), complex(math.inf, 0), complex(0, math.nan)), ids=str)
+def test_eval_non_finite_value_exits_1(value, monkeypatch, capsys):
+    """A NaN or infinite phi/eps value fails reconstruction: exit 1 with its residual, no value line."""
+    monkeypatch.setattr("ffhyper.cli.hyper_char", lambda params, x, tables: value)
+    rc = run(["eval", "--q", "7", "--fn", "2F1", "--x", "3"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_FAILED
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .* at scale q\^1 \(residual (nan|inf)\)\n", captured.err)
 
 
 def test_eval_budget_refuses_field_before_building_it(monkeypatch, capsys):
@@ -424,6 +436,40 @@ def test_prime_selection_within_budget_runs():
     with pytest.raises(Infeasible):
         parse_primes("101..199", strict=True, budget=10 + 14 + 98)
     assert parse_primes("101,10007", strict=True, budget=10 + 100) == [101, 10007]
+
+
+@pytest.mark.parametrize(
+    "command, err",
+    (
+        (
+            ["verify", "--primes", "101,40009", "--statements", "product"],
+            "w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1) = 1602520440 exceeds budget 1000000000",
+        ),
+        (
+            ["sweep", "--which", "moments", "--primes", "101,103", "--budget", "2850"],
+            "moment-table cost 4*(q-1)*log2(q-1) = 2856 exceeds budget 2850",
+        ),
+        (
+            ["sweep", "--which", "F43", "--primes", "101,103", "--budget", "2130"],
+            "trace-table cost 3*q*log2(q) = 2163 exceeds budget 2130",
+        ),
+    ),
+    ids=("verify-product", "sweep-moments", "sweep-F43"),
+)
+def test_run_charged_before_its_first_field(command, err, monkeypatch, tmp_path, capsys):
+    """A charge refused at the last prime refuses the run before the first prime's field is built."""
+
+    def refuse(q):
+        raise AssertionError(f"built F_{q}")
+
+    monkeypatch.setattr("ffhyper.cli.make_field", refuse)
+    monkeypatch.setattr("ffhyper.identities.make_field", refuse)
+    out = tmp_path / "r.txt"
+    rc = run([*command, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INFEASIBLE
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_sweep_moments_table_budget_exit_3(capsys):

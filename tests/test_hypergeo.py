@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -142,7 +143,7 @@ def test_appell_swap_symmetry(tables_for):
 def test_appell_f4_batch_matches_scalar(q, points, tables_for):
     """Every batched F4* value equals the one-point value, zeros included.
 
-    600 points span three gather blocks of the batch kernel."""
+    600 points span two gather blocks of the batch kernel: 2**15 // (q-1) = 327 points fit in one."""
     t = tables_for(q)
     f = t.field
     rng = random.Random(q)
@@ -380,6 +381,18 @@ def test_reconstruct_ints_margins_are_reconstructs_residuals():
     assert (margin < 0.01).tolist() == [True, True, False, False, False]
     ints, margin = reconstruct_ints(np.array([complex(np.nan, 0), complex(1, np.nan)]), 0, q)
     assert ints.tolist() == [0, 0] and not (margin < 0.01).any()
+
+
+@pytest.mark.parametrize("value", (complex(math.nan, 0), complex(-math.inf, 0), complex(1, math.nan)), ids=str)
+@pytest.mark.parametrize("npow", (0, 2))
+def test_reconstruct_non_finite_raises_not_rational(value, npow):
+    """reconstruct fails a NaN or infinite value with reconstruct_ints's margin, not round's ValueError."""
+    with pytest.raises(NotRational) as exc:
+        reconstruct(value, npow, 7)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the complex product
+        _, margin = reconstruct_ints(np.array([value]), npow, 7)
+    assert not exc.value.residual < 0.01
+    assert np.array_equal([exc.value.residual], margin, equal_nan=True)
 
 
 def test_reconstruct_canonicalizes():

@@ -10,7 +10,7 @@ import ffhyper.identities as ids
 from ffhyper import Infeasible, NotRational, RejectedInput, SingularParameter, make_field
 from ffhyper.characters import Character, quadratic, trivial
 from ffhyper.charsums import SumTables, _parity
-from ffhyper.cli import EXIT_FAILED, run
+from ffhyper.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, run
 from ffhyper.curves import clausen_trace, clausen_trace_table, legendre_trace
 from ffhyper.hypergeo import HyperParams, QPowerRational, _coeff_vector, hyper_all_x, hyper_char, reconstruct
 from ffhyper.identities import (
@@ -147,11 +147,20 @@ def test_product_rejects_bad_arguments(tables_for):
         verify_product((phi,), (), 0, 3, t)
 
 
-def test_product_budget(tables_for):
-    t = tables_for(11)
-    phi = quadratic(t.field)
-    with pytest.raises(Infeasible):
-        verify_product((phi,), (), 2, 3, t, budget=100)
+def _refuse_field(q):
+    raise AssertionError(f"built F_{q}")
+
+
+def test_product_budget(monkeypatch, capsys):
+    """verify charges product at q=11, (q-2)(q-1) + 3(q-1)log2(q-1) = 210, before it builds F_11."""
+    command = ["verify", "--primes", "11", "--statements", "product", "--budget"]
+    assert run([*command, "210"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr("ffhyper.cli.make_field", _refuse_field)
+    assert run([*command, "100"]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.err == "error: w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1) = 210 exceeds budget 100\n"
+    assert captured.out == ""
 
 
 # -- first moments ------------------------------------------------------------------
@@ -325,6 +334,16 @@ def test_failed_reconstruction_fails_only_the_rows_that_read_it(label, lam, fail
         else:
             assert r == w
     assert run(["verify", "--primes", str(q), "--statements", label]) == EXIT_FAILED
+
+
+def test_non_finite_value_is_a_failed_row(monkeypatch, capsys):
+    """A NaN exact value fails every row that reads it, nearest value 0 and residual NaN: verify exits 1, not 2."""
+    monkeypatch.setattr(ids, "hyper_all_x", lambda params, tables: np.full(tables.field.q, complex(math.nan, 0)))
+    block = run_statement("first-moment", SumTables(make_field(7)), 0)
+    assert len(block) == 6 and not any(block.passed)
+    assert block.lhs_a == [0] * 6 and all(math.isnan(r) for r in block.residual)
+    assert run(["verify", "--primes", "7", "--statements", "first-moment"]) == EXIT_FAILED
+    capsys.readouterr()
 
 
 def test_trace_tables_built_once_per_tables(monkeypatch):
@@ -506,19 +525,24 @@ def test_estimate_sweep_rejects_composite():
         estimate_sweep([5], "F66")
 
 
-def test_estimate_sweep_budget():
-    with pytest.raises(Infeasible):
-        estimate_sweep([101], "F43", budget=1000)
+def test_estimate_sweep_budget(monkeypatch, capsys):
+    monkeypatch.setattr("ffhyper.identities.make_field", _refuse_field)
+    assert run(["sweep", "--which", "F43", "--primes", "101", "--budget", "1000"]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "error: trace-table cost 3*q*log2(q) = 2121 exceeds budget 1000\n"
 
 
-def test_estimate_sweep_budget_charges_fft_cost():
+def test_estimate_sweep_budget_charges_fft_cost(tmp_path, capsys):
     # Per prime: two forward real FFTs and one inverse at the padded
     # length curves._smooth_len(2q-1), charged as 3*q*log2(q).
     cost = 3 * 101 * (101).bit_length()
-    rows, _ = estimate_sweep([101], "F65", budget=cost)
-    assert len(rows) == 1
-    with pytest.raises(Infeasible, match="3\\*q\\*log2\\(q\\) = 2121"):
-        estimate_sweep([101], "F65", budget=cost - 1)
+    out = tmp_path / "f65.csv"
+    assert run(["sweep", "--which", "F65", "--primes", "101", "--budget", str(cost), "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 2
+    out.unlink()
+    rc = run(["sweep", "--which", "F65", "--primes", "101", "--budget", str(cost - 1), "--out", str(out)])
+    assert rc == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "error: trace-table cost 3*q*log2(q) = 2121 exceeds budget 2120\n"
+    assert not out.exists()
 
 
 def test_f65_trace_route_matches_character_backend(tables_for):
@@ -592,11 +616,16 @@ def test_f65_limb_sum_refuses_outside_its_bound():
     assert _weighted_square_excess(w, ap, q) == q**2 + 2 * (q - 1) ** 2
 
 
-def test_moment_sweep_budget_charges_table_cost():
+def test_moment_sweep_budget_charges_table_cost(monkeypatch, capsys):
     # One line and three inverse transforms at q=101: 4*100*7 = 2800.
-    moment_sweep_rows([101], budget=2800)
-    with pytest.raises(Infeasible, match="2800"):
-        moment_sweep_rows([101], budget=2799)
+    command = ["sweep", "--which", "moments", "--primes", "101", "--budget"]
+    assert run([*command, "2800"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr("ffhyper.identities.make_field", _refuse_field)
+    assert run([*command, "2799"]) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.err == "error: moment-table cost 4*(q-1)*log2(q-1) = 2800 exceeds budget 2799\n"
+    assert captured.out == ""
 
 
 def test_moment_sweep_rows():

@@ -1,7 +1,9 @@
 import importlib
+import inspect
 import pkgutil
 
 import ffhyper
+import ffhyper.identities as ids
 from ffhyper.characters import Character
 from ffhyper.hypergeo import QPowerRational
 
@@ -32,3 +34,14 @@ def test_package_surface():
     assert [(m.__name__, name) for m in modules for name in GONE if hasattr(m, name)] == []
     assert not hasattr(Character, "at_minus_one")
     assert not hasattr(QPowerRational, "value")
+
+
+def test_identities_takes_no_budget():
+    """The work budget is a command-line policy: no identity check or sweep takes one."""
+    functions = [
+        f for _, c in inspect.getmembers(ids, inspect.isclass) if c.__module__ == ids.__name__
+        for _, f in inspect.getmembers(c, inspect.isfunction)
+    ] + [f for _, f in inspect.getmembers(ids, inspect.isfunction) if f.__module__ == ids.__name__]
+    assert len(functions) > 30
+    assert [f.__qualname__ for f in functions if "budget" in inspect.signature(f).parameters] == []
+    assert not hasattr(ids, "DEFAULT_BUDGET")
