@@ -2,13 +2,12 @@
 the machine verification of their moment, product and generating-function
 identities."""
 
-from .characters import Character, quadratic, trivial
+from .characters import Character
 from .charsums import SumTables
 from .curves import TraceRecord, clausen_trace, legendre_trace
 from .errors import (
     DivisionByZero,
     FFHyperError,
-    FieldMismatch,
     Infeasible,
     NotOdd,
     NotPrime,
@@ -33,7 +32,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DivisionByZero",
     "FFHyperError",
-    "FieldMismatch",
     "HyperParams",
     "Infeasible",
     "NotOdd",
@@ -53,7 +51,5 @@ __all__ = [
     "is_prime",
     "legendre_trace",
     "make_field",
-    "quadratic",
     "reconstruct",
-    "trivial",
 ]

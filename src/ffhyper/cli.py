@@ -26,7 +26,6 @@ from dataclasses import asdict
 from itertools import repeat
 
 from . import identities
-from .characters import Character
 from .charsums import SumTables
 from .curves import clausen_trace, legendre_trace
 from .errors import FFHyperError, Infeasible, NotRational, RejectedInput
@@ -311,8 +310,7 @@ def cmd_eval(args) -> int:
         idx = _parse_indices(args.chars, "chars")
         if len(idx) != 4 or args.x is None or args.y is None:
             raise UsageError("appell needs --chars a,b,c,cp plus --x and --y")
-        chars = [Character(f, j) for j in idx]
-        val = appell_f4(*chars, args.x, args.y, tables)
+        val = appell_f4(*idx, args.x, args.y, tables)
         lines.append(f"F4* = {val!r}")
     else:
         m = re.fullmatch(r"(\d+)F(\d+)", fn)
@@ -322,16 +320,16 @@ def cmd_eval(args) -> int:
         if args.x is None:
             raise UsageError("--x is required for hypergeometric evaluation")
         if args.uppers or args.lowers:
-            ups = [Character(f, j) for j in _parse_indices(args.uppers, "uppers")]
-            los = [Character(f, j) for j in _parse_indices(args.lowers or "", "lowers")] if n else []
-            params = HyperParams(tuple(ups), tuple(los))
+            ups = _parse_indices(args.uppers, "uppers")
+            los = _parse_indices(args.lowers or "", "lowers") if n else []
+            params = HyperParams(f.q, tuple(ups), tuple(los))
             if params.n != n:
                 raise UsageError(f"{fn} needs {n + 1} uppers and {n} lowers")
             val = hyper_char(params, args.x, tables)
             lines.append(f"{fn}({args.x}) = {val!r}")
         else:
             float_scale(n, f.q)  # refuse a scale reconstruct would refuse, before any work
-            params = HyperParams.phi_eps(f, n)
+            params = HyperParams.phi_eps(f.q, n)
             val = hyper_char(params, args.x, tables)
             exact = reconstruct(val, n, f.q)
             lines.append(f"{fn}({args.x}) = {exact.fmt(f.q)} = {val.real!r}")

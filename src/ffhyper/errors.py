@@ -17,10 +17,6 @@ class DivisionByZero(FFHyperError, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
-class FieldMismatch(FFHyperError, ValueError):
-    """Operands belong to different prime fields."""
-
-
 class SingularParameter(FFHyperError, ValueError):
     """Curve parameter at which the family degenerates."""
 

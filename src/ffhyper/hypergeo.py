@@ -5,8 +5,11 @@ The character backend evaluates the defining sum
     F(x) = q/(q-1) * sum_chi (A0 chi over chi)(A1 chi over B1 chi)...(An chi over Bn chi) chi(x)
 
 for n >= 1, with the n = 0 base case 1F0(A|x) = eps(x) * conj(A)(1-x).
-Coefficient vectors and all-x value tables (the 1F0 table included) are
-memoised per prime through SumTables.memo.  A weighted sum over psi of
+Characters are indices mod q-1 (see characters), so an instance is the
+HyperParams (q, uppers, lowers) of index tuples, which is also its memo
+key: coefficient vectors and all-x value tables (the 1F0 table included)
+are memoised per prime through SumTables.memo under it, and the
+character backend reads the field off its SumTables.  A weighted sum over psi of
 F with its last upper character twisted by psi is one weighted binomial
 line (hyper_twisted_sum), not q-1 separate evaluations.  The Appell
 series F4* is three length-(q-1) transforms per prime and character
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .characters import Character, character_row, quadratic, trivial
+from .characters import character_row
 from .charsums import SumTables, _line_kernel
-from .errors import FieldMismatch, Infeasible, NotRational
+from .errors import Infeasible, NotRational
 from .field import PrimeField
 
 DEFAULT_BUDGET = 10**9
@@ -41,43 +44,38 @@ _BLOCK = 2**15
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Ordered upper and lower characters of an (n+1)F_n instance."""
+    """An (n+1)F_n instance over F_q: its upper and lower character indices.
 
-    uppers: tuple[Character, ...]
-    lowers: tuple[Character, ...]
+    Each index is reduced mod q-1 on construction, so equal instances are
+    equal objects, and the object itself is the instance's memo key.
+    """
+
+    q: int
+    uppers: tuple[int, ...]
+    lowers: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.uppers) != len(self.lowers) + 1 or not self.uppers:
+        if len(self.uppers) != len(self.lowers) + 1:
             raise ValueError("need n+1 upper characters and n lower characters")
-        f = self.uppers[0].field
-        for c in (*self.uppers, *self.lowers):
-            if c.field != f:
-                raise FieldMismatch("hypergeometric characters over different fields")
-
-    @property
-    def field(self) -> PrimeField:
-        return self.uppers[0].field
+        n = self.q - 1
+        object.__setattr__(self, "uppers", tuple(j % n for j in self.uppers))
+        object.__setattr__(self, "lowers", tuple(j % n for j in self.lowers))
 
     @property
     def n(self) -> int:
         return len(self.lowers)
 
-    def index_key(self) -> tuple:
-        return (tuple(c.index for c in self.uppers), tuple(c.index for c in self.lowers))
-
     @classmethod
-    def phi_eps(cls, field: PrimeField, n: int) -> "HyperParams":
-        """The (n+1)F_n family with all uppers phi and all lowers eps."""
-        phi = quadratic(field)
-        eps = trivial(field)
-        return cls((phi,) * (n + 1), (eps,) * n)
+    def phi_eps(cls, q: int, n: int) -> "HyperParams":
+        """The (n+1)F_n family with all uppers phi = (q-1)/2 and all lowers eps = 0."""
+        return cls(q, ((q - 1) // 2,) * (n + 1), (0,) * n)
 
     def dropped_last(self) -> "HyperParams":
-        return HyperParams(self.uppers[:-1], self.lowers[:-1])
+        return HyperParams(self.q, self.uppers[:-1], self.lowers[:-1])
 
-    def extended(self, psi: Character) -> "HyperParams":
+    def extended(self, psi: int) -> "HyperParams":
         """Append psi to both rows (the contiguous (n+2)F_{n+1} instance)."""
-        return HyperParams((*self.uppers, psi), (*self.lowers, psi))
+        return HyperParams(self.q, (*self.uppers, psi), (*self.lowers, psi))
 
 
 # -- exact values of the form num / q**npow -----------------------------------
@@ -130,15 +128,19 @@ def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
     Both the imaginary part and the distance to the nearest integer of
     v * q**npow must stay below EXACT_GAP = 0.01 (reconstruct_ints's margin,
     which a NaN or infinite value fails), and q**npow must fit in a float.
+    The two parts are scaled apart: a complex product would turn a
+    non-finite real part times the scale's zero imaginary part into a
+    NaN imaginary part.
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
-    scaled = complex(v) * float_scale(npow, q)
-    m = round(scaled.real) if math.isfinite(scaled.real) else 0
-    if abs(scaled.imag) < EXACT_GAP:
-        margin, why = abs(scaled.real - m), "not within rounding distance of an integer"
+    v, scale = complex(v), float_scale(npow, q)
+    re, im = v.real * scale, v.imag * scale
+    m = round(re) if math.isfinite(re) else 0
+    if abs(im) < EXACT_GAP:
+        margin, why = abs(re - m), "not within rounding distance of an integer"
     else:
-        margin, why = abs(scaled.imag), "imaginary part too large for an exact value"
+        margin, why = abs(im), "imaginary part too large for an exact value"
     if not margin < EXACT_GAP:  # NaN fails
         raise NotRational(f"{why} at scale q^{npow}", margin)
     return QPowerRational.make(m, npow, q)
@@ -151,10 +153,12 @@ def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> tuple[np.ndarray,
     imaginary part if not below EXACT_GAP, else the distance to m[i].  An
     entry passes reconstruct's rule exactly when its margin is below
     EXACT_GAP, so NaN fails; m[i] is 0 where the scaled value is not finite.
+    The parts are scaled apart, as in reconstruct.
     """
-    scaled = values * q**npow
-    m = np.rint(np.nan_to_num(scaled.real, nan=0.0, posinf=0.0, neginf=0.0))
-    margin = np.where(np.abs(scaled.imag) < EXACT_GAP, np.abs(scaled.real - m), np.abs(scaled.imag))
+    scale = q**npow
+    re, im = values.real * scale, values.imag * scale
+    m = np.rint(np.where(np.isfinite(re) & np.isfinite(im), re, 0.0))
+    margin = np.where(np.abs(im) < EXACT_GAP, np.abs(re - m), np.abs(im))
     return m.astype(np.int64), margin
 
 
@@ -163,25 +167,24 @@ def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> tuple[np.ndarray,
 
 def _coeff_vector(params: HyperParams, tables: SumTables) -> np.ndarray:
     """c[j] with F(x) = sum_j c[j] chi_j(x); memoised per parameter tuple."""
-    return tables.memo(("coeff", params.index_key()), _coeff_product, params, tables)
+    return tables.memo(("coeff", params), _coeff_product, params, tables)
 
 
 def _coeff_product(params: HyperParams, tables: SumTables) -> np.ndarray:
     # Slot (A, B) contributes binomial_line(A - B)[j + A] to c[j].
-    f = params.field
-    n = f.q - 1
+    n = params.q - 1
     ks = np.arange(n)
-    a0 = params.uppers[0].index
+    a0 = params.uppers[0]
     c = tables.binomial_line(a0)[(ks + a0) % n]
     for up, lo in zip(params.uppers[1:], params.lowers):
-        c *= tables.binomial_line(up.index - lo.index)[(ks + up.index) % n]
-    c *= f.q / (f.q - 1)
+        c *= tables.binomial_line(up - lo)[(ks + up) % n]
+    c *= params.q / n
     return c
 
 
 def hyper_char(params: HyperParams, x: int, tables: SumTables) -> complex:
     """(n+1)F_n(x) by the defining character sum (the 1F0 table for n = 0)."""
-    f = params.field
+    f = tables.field
     x %= f.q
     if params.n == 0:
         return complex(hyper_all_x(params, tables)[x])
@@ -204,7 +207,7 @@ def hyper_twisted_sum(params: HyperParams, weights: np.ndarray, x: int, tables: 
     """
     if params.n < 1:
         raise ValueError("the twisted sum needs a last slot with a lower character")
-    f = params.field
+    f = tables.field
     q = f.q
     n = q - 1
     if len(weights) != n:
@@ -212,8 +215,8 @@ def hyper_twisted_sum(params: HyperParams, weights: np.ndarray, x: int, tables: 
     x %= q
     if x == 0:
         return 0j
-    a = params.uppers[-1].index
-    d = (a - params.lowers[-1].index) % n
+    a = params.uppers[-1]
+    d = (a - params.lowers[-1]) % n
     last = _line_kernel(tables, d, np.fft.ifft(weights) * n)[(np.arange(n) + a) % n]
     c = _coeff_vector(params.dropped_last(), tables) * last
     return complex((c * character_row(f, x)).sum())  # not @, as in hyper_char
@@ -226,17 +229,17 @@ def hyper_all_x(params: HyperParams, tables: SumTables) -> np.ndarray:
     nonzero arguments simultaneously is a length-(q-1) discrete Fourier
     transform over the exponent of x.  Memoised per parameter tuple.
     """
-    return tables.memo(("allx", params.index_key()), _all_x_values, params, tables)
+    return tables.memo(("allx", params), _all_x_values, params, tables)
 
 
 def _all_x_values(params: HyperParams, tables: SumTables) -> np.ndarray:
-    f = params.field
+    f = tables.field
     q = f.q
     out = np.zeros(q, dtype=complex)
     if params.n == 0:
         # conj(A)(1-x) for x outside {0, 1}; both of those give 0.
         xs = np.arange(2, q)
-        out[xs] = f.unit_roots[(-params.uppers[0].index * f.dlog[(1 - xs) % q]) % (q - 1)]
+        out[xs] = f.unit_roots[(-params.uppers[0] * f.dlog[(1 - xs) % q]) % (q - 1)]
     else:
         c = _coeff_vector(params, tables)
         vals_by_dlog = np.fft.ifft(c) * (q - 1)
@@ -287,10 +290,10 @@ def hyper_exact_phi(n: int, x: int, field: PrimeField, budget: int = DEFAULT_BUD
 
 
 def appell_f4(
-    a: Character,
-    b: Character,
-    c: Character,
-    cp: Character,
+    a: int,
+    b: int,
+    c: int,
+    cp: int,
     x: int,
     y: int,
     tables: SumTables,
@@ -300,17 +303,18 @@ def appell_f4(
 
 
 def appell_f4_batch(
-    a: Character,
-    b: Character,
-    c: Character,
-    cp: Character,
+    a: int,
+    b: int,
+    c: int,
+    cp: int,
     xs: np.ndarray,
     ys: np.ndarray,
     tables: SumTables,
 ) -> np.ndarray:
     """F4*(A; B; C, C'; x, y) at the points (xs[i], ys[i]); 0 where x or y is 0.
 
-    F4* is the double character sum of Gauss-sum ratios
+    The characters come as indices: A = chi_a, B = chi_b, C = chi_c and
+    C' = chi_cp.  F4* is the double character sum of Gauss-sum ratios
     sum_{u,v} pair[u+v] G_C[u] chi_u(x) G_C'[v] chi_v(y) / ((q-1)^2 denom),
     with pair[s] = g(A chi_s) g(B chi_s) and G_C[u] = g(conj(C) chi_-u) g(chi_-u).
     Writing pair through its spectrum P = fft(pair) splits the sum over u
@@ -332,7 +336,7 @@ def appell_f4_batch(
     ys = np.asarray(ys, dtype=np.int64) % q
     out = np.zeros(len(xs), dtype=complex)
     live = np.flatnonzero((xs != 0) & (ys != 0))
-    indices = (a.index, b.index, c.index, cp.index)
+    indices = (a % (q - 1), b % (q - 1), c % (q - 1), cp % (q - 1))
     weights, rows_x, rows_y = tables.memo(("f4", *indices), _f4_spectra, tables, *indices)
     dx, dy = f.dlog[xs[live]], f.dlog[ys[live]]
     step = max(1, _BLOCK // (q - 1))

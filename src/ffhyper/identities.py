@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import Character, character_row, quadratic, trivial
+from .characters import Character, character_row
 from .charsums import SumTables
 from .curves import clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
 from .errors import Infeasible, NotRational, RejectedInput
@@ -171,26 +171,26 @@ def _canonical(num: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarr
     return num, pows
 
 
-def _idx(chars) -> str:
-    return "(" + ",".join(str(c.index) for c in chars) + ")"
+def _idx(indices) -> str:
+    return "(" + ",".join(map(str, indices)) + ")"
 
 
 # -- contiguous relation (trailing slot repeated above and below) ---------------
 
 
-def verify_contiguous(params: HyperParams, psi: Character, x: int, tables: SumTables) -> IdentityReport:
-    """(n+2)F_{n+1} with psi appended to both rows against its two-term closed form."""
-    f = params.field
+def verify_contiguous(params: HyperParams, psi: int, x: int, tables: SumTables) -> IdentityReport:
+    """(n+2)F_{n+1} with chi_psi appended to both rows against its two-term closed form."""
+    f = tables.field
     q = f.q
     x %= q
     if x == 0:
         raise RejectedInput("x must be nonzero")
     lhs = hyper_char(params.extended(psi), x, tables)
-    p = psi.index
-    prod = tables.binomial_index(params.uppers[0].index - p, -p)
+    p = psi % (q - 1)
+    prod = tables.binomial_index(params.uppers[0] - p, -p)
     for up, lo in zip(params.uppers[1:], params.lowers):
-        prod *= tables.binomial_index(up.index - p, lo.index - p)
-    rhs = -hyper_char(params, x, tables) / q + prod * psi.inverse()(x)
+        prod *= tables.binomial_index(up - p, lo - p)
+    rhs = -hyper_char(params, x, tables) / q + prod * Character(f, -p)(x)
     inst = f"n={params.n} psi={p} x={x} up={_idx(params.uppers)} lo={_idx(params.lowers)}"
     return _float_report("contiguous", q, inst, lhs, rhs)
 
@@ -201,8 +201,8 @@ def verify_contiguous(params: HyperParams, psi: Character, x: int, tables: SumTa
 def verify_inductive_k(
     n: int,
     k: int,
-    free_uppers: tuple[Character, ...],
-    free_lowers: tuple[Character, ...],
+    free_uppers: tuple[int, ...],
+    free_lowers: tuple[int, ...],
     x: int,
     tables: SumTables,
 ) -> IdentityReport:
@@ -216,18 +216,17 @@ def verify_inductive_k(
     x %= q
     if x == 0:
         raise RejectedInput("x must be nonzero")
-    phi = quadratic(f)
-    eps = trivial(f)
-    full = HyperParams((*free_uppers, *(phi,) * k), (*free_lowers, *(eps,) * k))
+    free = HyperParams(q, free_uppers, free_lowers)
+    full = HyperParams(q, (*free.uppers, *((q - 1) // 2,) * k), (*free.lowers, *(0,) * k))
     lhs = hyper_char(full, x, tables)
-    vals_free = hyper_all_x(HyperParams(free_uppers, free_lowers), tables)
-    vals_phi = hyper_all_x(HyperParams.phi_eps(f, k - 1), tables)
+    vals_free = hyper_all_x(free, tables)
+    vals_phi = hyper_all_x(HyperParams.phi_eps(q, k - 1), tables)
     bs = np.arange(1, q)
     total = complex(
         (f.legendre_table[bs] * vals_free[(bs * x) % q] * vals_phi[bs]).sum()
     )
     rhs = f.phi_minus_one**k / q * total
-    inst = f"n={n} k={k} x={x} up={_idx(free_uppers)} lo={_idx(free_lowers)}"
+    inst = f"n={n} k={k} x={x} up={_idx(free.uppers)} lo={_idx(free.lowers)}"
     return _float_report("inductive-k", q, inst, lhs, rhs)
 
 
@@ -235,8 +234,8 @@ def verify_inductive_k(
 
 
 def verify_product(
-    free_uppers: tuple[Character, ...],
-    free_lowers: tuple[Character, ...],
+    free_uppers: tuple[int, ...],
+    free_lowers: tuple[int, ...],
     x: int,
     z: int,
     tables: SumTables,
@@ -256,11 +255,11 @@ def verify_product(
     z %= q
     if x in (0, 1) or z in (0, 1):
         raise RejectedInput("x and z must avoid {0, 1}")
-    phi = quadratic(f)
-    eps = trivial(f)
-    full = HyperParams((*free_uppers, phi, phi), (*free_lowers, eps, eps))
-    f21 = HyperParams.phi_eps(f, 1)
-    lower_vals = hyper_all_x(HyperParams(free_uppers, free_lowers), tables)
+    phi = (q - 1) // 2
+    free = HyperParams(q, free_uppers, free_lowers)
+    full = HyperParams(q, (*free.uppers, phi, phi), (*free.lowers, 0, 0))
+    f21 = HyperParams.phi_eps(q, 1)
+    lower_vals = hyper_all_x(free, tables)
     lhs = hyper_char(f21, z, tables) * hyper_char(full, x, tables)
     t1 = (
         f.phi_minus_one
@@ -270,10 +269,10 @@ def verify_product(
     )
     t2 = lower_vals[x] * hyper_char(f21, 1, tables) * hyper_char(f21, z, tables) / q
     ws = np.arange(2, q)
-    f4 = appell_f4_batch(phi, phi, eps, eps, z * (1 - ws) % q, ws * (1 - z) % q, tables)
+    f4 = appell_f4_batch(phi, phi, 0, 0, z * (1 - ws) % q, ws * (1 - z) % q, tables)
     t3 = complex((f.legendre_table[ws] * lower_vals[(ws * x) % q] * f4).sum())
     rhs = t1 + t2 + t3 / q**3
-    inst = f"n={n} x={x} z={z} up={_idx(free_uppers)} lo={_idx(free_lowers)}"
+    inst = f"n={n} x={x} z={z} up={_idx(free.uppers)} lo={_idx(free.lowers)}"
     return _float_report("product", q, inst, lhs, rhs)
 
 
@@ -286,7 +285,7 @@ def first_moment(n: int, weighted: bool, tables: SumTables) -> IdentityReport:
         raise RejectedInput("n must be at least 1")
     f = tables.field
     q = f.q
-    vals = hyper_all_x(HyperParams.phi_eps(f, n), tables)
+    vals = hyper_all_x(HyperParams.phi_eps(q, n), tables)
     if weighted:
         total = complex((f.legendre_table * vals).sum())
         expected = (-f.phi_minus_one) ** (n + 1)
@@ -314,8 +313,8 @@ def _family_tables(family: str, tables: SumTables) -> tuple[np.ndarray, np.ndarr
 def _family_pair(family: str, tables: SumTables) -> tuple[np.ndarray, np.ndarray]:
     f = tables.field
     if family == "legendre":
-        return legendre_trace_table(f), hyper_all_x(HyperParams.phi_eps(f, 1), tables)
-    return clausen_trace_table(f), hyper_all_x(HyperParams.phi_eps(f, 2), tables)
+        return legendre_trace_table(f), hyper_all_x(HyperParams.phi_eps(f.q, 1), tables)
+    return clausen_trace_table(f), hyper_all_x(HyperParams.phi_eps(f.q, 2), tables)
 
 
 def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
@@ -325,7 +324,7 @@ def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
     leg = f.legendre_table
     a, _ = _family_tables("legendre", tables)
     ap, _ = _family_tables("clausen", tables)
-    f32, margin = _reconstructed(hyper_char(HyperParams.phi_eps(f, 2), 1, tables), 2, q)
+    f32, margin = _reconstructed(hyper_char(HyperParams.phi_eps(q, 2), 1, tables), 2, q)
     phi_m1 = f.phi_minus_one
 
     sum_a = int(a[2:].sum())
@@ -359,10 +358,10 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
     leg = f.legendre_table
     lams = np.arange(1, q)
     if x == 1 and n + 1 == 2 * k:
-        vals = hyper_all_x(HyperParams.phi_eps(f, k - 1), tables)
+        vals = hyper_all_x(HyperParams.phi_eps(q, k - 1), tables)
         total = complex((leg[lams] * vals[lams] ** 2).sum())
         left, left_margin = _reconstructed(total, 2 * k - 2, q)
-        right, right_margin = _reconstructed(hyper_char(HyperParams.phi_eps(f, 2 * k - 1), 1, tables), 2 * k - 1, q)
+        right, right_margin = _reconstructed(hyper_char(HyperParams.phi_eps(q, 2 * k - 1), 1, tables), 2 * k - 1, q)
         # Compare q**(2k-1) * both sides as integers.
         lhs_int = left.scaled_int(2 * k - 1, q)
         rhs_int = f.phi_minus_one**k * right.scaled_int(2 * k, q)
@@ -375,9 +374,9 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
             QPowerRational.make(rhs_int, 2 * k - 1, q),
             max(left_margin, right_margin),
         )
-    lhs = hyper_char(HyperParams.phi_eps(f, n), x, tables)
-    vals_hi = hyper_all_x(HyperParams.phi_eps(f, n - k), tables)
-    vals_lo = hyper_all_x(HyperParams.phi_eps(f, k - 1), tables)
+    lhs = hyper_char(HyperParams.phi_eps(q, n), x, tables)
+    vals_hi = hyper_all_x(HyperParams.phi_eps(q, n - k), tables)
+    vals_lo = hyper_all_x(HyperParams.phi_eps(q, k - 1), tables)
     total = complex((leg[lams] * vals_hi[(lams * x) % q] * vals_lo[lams]).sum())
     rhs = f.phi_minus_one**k / q * total
     return _float_report("second-moment", q, f"n={n} k={k} x={x}", lhs, rhs)
@@ -446,9 +445,9 @@ def generating_boundary_term(params: HyperParams, x: int, t: int, tables: SumTab
     from F(x/(1-t)) * conj(A_n)(1-t).  It vanishes exactly when the
     lower-level value at x does.
     """
-    f = params.field
-    an = params.uppers[-1].index
-    bn = params.lowers[-1].index
+    f = tables.field
+    an = params.uppers[-1]
+    bn = params.lowers[-1]
     sign = -1.0 if (an + bn) % 2 else 1.0
     return sign / f.q * Character(f, bn - an)(t) * hyper_char(params.dropped_last(), x, tables)
 
@@ -462,7 +461,7 @@ def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) ->
     generating_boundary_term; the two-term form without it is off by
     exactly that term whenever F_low(x) is nonzero).
     """
-    f = params.field
+    f = tables.field
     q = f.q
     x %= q
     t %= q
@@ -471,8 +470,8 @@ def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) ->
     if t in (0, 1):
         raise RejectedInput("t must avoid {0, 1}")
     n = q - 1
-    an = params.uppers[-1].index
-    d = an - params.lowers[-1].index
+    an = params.uppers[-1]
+    d = an - params.lowers[-1]
     # weights[p] = (A_n conj(B_n) chi_p over chi_p) chi_p(t)
     weights = tables.binomial_line(d)[(np.arange(n) + d) % n] * character_row(f, t)
     lhs = q / n * hyper_twisted_sum(params, weights, x, tables)
@@ -484,8 +483,10 @@ def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) ->
     return _float_report("generating", q, inst, lhs, rhs)
 
 
-def verify_closed_form_sum(A: Character, n: int, x: int, t: int, tables: SumTables) -> IdentityReport:
+def verify_closed_form_sum(A: int, n: int, x: int, t: int, tables: SumTables) -> IdentityReport:
     """q * sum over nontrivial psi of (n+2)F_{n+1}(A..A, psi | x) psi(t), in closed form.
+
+    A is the index of a nontrivial character: nonzero mod q-1.
 
     The closed form carries the descent boundary term through the
     trailing-eps application of the generating identity, which turns
@@ -493,28 +494,27 @@ def verify_closed_form_sum(A: Character, n: int, x: int, t: int, tables: SumTabl
 
         q * sum = (q-1) F(x/(1-t)) + F(x) + (-1/q)**n.
     """
-    if A.is_trivial:
+    f = tables.field
+    q = f.q
+    if A % (q - 1) == 0:
         raise RejectedInput("A must be nontrivial")
     if n < 1:
         raise RejectedInput("n must be at least 1")
-    f = A.field
-    q = f.q
     x %= q
     t %= q
     if x == 0:
         raise RejectedInput("x must be nonzero")
     if t in (0, 1):
         raise RejectedInput("t must avoid {0, 1}")
-    eps = trivial(f)
-    base = HyperParams((A,) * (n + 1), (eps,) * n)
-    lhs = q * hyper_twisted_sum(base.extended(eps), _nontrivial_psi_at(f, t), x, tables)
+    base = HyperParams(q, (A,) * (n + 1), (0,) * n)
+    lhs = q * hyper_twisted_sum(base.extended(0), _nontrivial_psi_at(f, t), x, tables)
     arg = x * f.inv((1 - t) % q) % q
     rhs = (
         (q - 1) * hyper_char(base, arg, tables)
         + hyper_char(base, x, tables)
         + (-1 / q) ** n
     )
-    inst = f"A={A.index} n={n} x={x} t={t}"
+    inst = f"A={base.uppers[0]} n={n} x={x} t={t}"
     return _float_report("closed-form", q, inst, lhs, rhs)
 
 
@@ -531,19 +531,18 @@ def verify_remark_sums(lam: int, level: str, tables: SumTables) -> IdentityRepor
     if lam in (0, 1, q - 1):
         raise RejectedInput("lambda must avoid {0, 1, -1}")
     t = (1 - lam * lam) % q
-    eps = trivial(f)
     psi_t = _nontrivial_psi_at(f, t)
     if level == "3F2":
-        base = HyperParams.phi_eps(f, 1)
-        lhs = hyper_twisted_sum(base.extended(eps), psi_t, lam, tables)
+        base = HyperParams.phi_eps(q, 1)
+        lhs = hyper_twisted_sum(base.extended(0), psi_t, lam, tables)
         f2 = hyper_char(base, lam, tables)
         # ((q-1) phi(lam) + 1)/q, the +1 carrying the descent boundary term
         rhs = ((q - 1) / q * f.legendre(lam) + 1 / q) * f2 - 1 / q**2
         bridge = -f.phi_minus_one * legendre_trace(f, lam).trace / q
         bridge_resid = abs(f2 - bridge)
     elif level == "4F3":
-        base = HyperParams.phi_eps(f, 2)
-        lhs = hyper_twisted_sum(base.extended(eps), psi_t, lam, tables)
+        base = HyperParams.phi_eps(q, 2)
+        lhs = hyper_twisted_sum(base.extended(0), psi_t, lam, tables)
         f3 = hyper_char(base, lam, tables)
         rhs = ((q - 1) / q * f.legendre(-lam) + 1 / q) * f3 + 1 / q**3
         mu = lam * f.inv((1 - lam) % q) % q
@@ -701,10 +700,6 @@ def _rng_for(seed: int, label: str, q: int) -> random.Random:
     return random.Random(f"{seed}:{label}:{q}")
 
 
-def _rand_char(rng: random.Random, f: PrimeField) -> Character:
-    return Character(f, rng.randrange(f.q - 1))
-
-
 def _rand_x(rng: random.Random, q: int, exclude=(0,)) -> int:
     while True:
         x = rng.randrange(q)
@@ -719,11 +714,9 @@ def run_statement(label: str, tables: SumTables, seed: int):
     2(q-2) rows come from its array pass, every other statement's reports
     are packed in the order they were checked.
     """
-    f = tables.field
-    q = f.q
+    q = tables.field.q
     rng = _rng_for(seed, label, q)
-    phi = quadratic(f)
-    eps = trivial(f)
+    phi = (q - 1) // 2
     out: list[IdentityReport] = []
 
     if label == "first-moment":
@@ -740,21 +733,22 @@ def run_statement(label: str, tables: SumTables, seed: int):
     elif label == "trace-bridge":
         return trace_bridge_block(tables)
     elif label == "contiguous":
-        base = HyperParams.phi_eps(f, 1)
+        base = HyperParams.phi_eps(q, 1)
         for x in ((2, 3) if q > 3 else (1, 2)):
             out.append(verify_contiguous(base, phi, x, tables))
-        out.append(verify_contiguous(base, eps, 2, tables))
+        out.append(verify_contiguous(base, 0, 2, tables))
         for n in (1, 2):
             params = HyperParams(
-                tuple(_rand_char(rng, f) for _ in range(n + 1)),
-                tuple(_rand_char(rng, f) for _ in range(n)),
+                q,
+                tuple(rng.randrange(q - 1) for _ in range(n + 1)),
+                tuple(rng.randrange(q - 1) for _ in range(n)),
             )
-            out.append(verify_contiguous(params, _rand_char(rng, f), _rand_x(rng, q), tables))
+            out.append(verify_contiguous(params, rng.randrange(q - 1), _rand_x(rng, q), tables))
     elif label == "inductive-k":
         for n, k in ((2, 1), (3, 1), (3, 2), (4, 3)):
             for _ in range(2):
-                ups = tuple(_rand_char(rng, f) for _ in range(n - k + 1))
-                los = tuple(_rand_char(rng, f) for _ in range(n - k))
+                ups = tuple(rng.randrange(q - 1) for _ in range(n - k + 1))
+                los = tuple(rng.randrange(q - 1) for _ in range(n - k))
                 out.append(verify_inductive_k(n, k, ups, los, _rand_x(rng, q), tables))
     elif label == "product":
         if q == 7:
@@ -765,30 +759,30 @@ def run_statement(label: str, tables: SumTables, seed: int):
             for _ in range(3):
                 x = _rand_x(rng, q, exclude=(0, 1))
                 z = _rand_x(rng, q, exclude=(0, 1))
-                out.append(verify_product((_rand_char(rng, f),), (), x, z, tables))
+                out.append(verify_product((rng.randrange(q - 1),), (), x, z, tables))
             for _ in range(2):
                 x = _rand_x(rng, q, exclude=(0, 1))
                 z = _rand_x(rng, q, exclude=(0, 1))
-                ups = (_rand_char(rng, f), _rand_char(rng, f))
-                los = (_rand_char(rng, f),)
+                ups = (rng.randrange(q - 1), rng.randrange(q - 1))
+                los = (rng.randrange(q - 1),)
                 out.append(verify_product(ups, los, x, z, tables))
     elif label == "generating":
-        base = HyperParams.phi_eps(f, 1)
+        base = HyperParams.phi_eps(q, 1)
         for _ in range(2):
             x = _rand_x(rng, q)
             t = _rand_x(rng, q, exclude=(0, 1))
             out.append(verify_generating(base, x, t, tables))
         for n in (1, 2):
             params = HyperParams(
-                tuple(_rand_char(rng, f) for _ in range(n + 1)),
-                tuple(_rand_char(rng, f) for _ in range(n)),
+                q,
+                tuple(rng.randrange(q - 1) for _ in range(n + 1)),
+                tuple(rng.randrange(q - 1) for _ in range(n)),
             )
             x = _rand_x(rng, q)
             t = _rand_x(rng, q, exclude=(0, 1))
             out.append(verify_generating(params, x, t, tables))
     elif label == "closed-form":
-        omega = Character(f, 1)
-        for a in (phi, omega):
+        for a in (phi, 1):  # phi and the generator omega = chi_1
             for n in (1, 2):
                 x = _rand_x(rng, q)
                 t = _rand_x(rng, q, exclude=(0, 1))
@@ -812,11 +806,13 @@ def summarize(label: str, *blocks: ReportBlock) -> SweepSummary:
     Read off the blocks' columns; the result is that of their rows in order.
     """
     failed = [(b.q, instance) for b in blocks for instance, ok in zip(b.instances, b.passed) if not ok]
+    residuals = [r for b in blocks for r in b.residual]
     return SweepSummary(
         label,
         sorted({b.q for b in blocks if len(b)}),
-        sum(map(len, blocks)),
+        len(residuals),
         len(failed),
         "q={} {}".format(*failed[0]) if failed else "",
-        max((r for b in blocks for r in b.residual), default=0.0),
+        # Python's max skips a NaN that is not first; a NaN row must show.
+        math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0),
     )

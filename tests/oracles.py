@@ -29,13 +29,13 @@ def hyper_inductive_step(params: HyperParams, x: int, tables: SumTables) -> comp
     """
     if params.n < 1:
         raise ValueError("descent needs at least one lower character")
-    f = params.field
+    f = tables.field
     q = f.q
     x %= q
     if x == 0:
         return 0j
-    an = params.uppers[-1].index
-    bn = params.lowers[-1].index
+    an = params.uppers[-1]
+    bn = params.lowers[-1]
     n = q - 1
     lower_vals = hyper_all_x(params.dropped_last(), tables)
     ys = np.arange(1, q)
@@ -149,9 +149,9 @@ def move_3f2(monkeypatch, lam):
     def moved(fn):
         def wrapper(params, *args):
             value = fn(params, *args)
-            if params.index_key() != HyperParams.phi_eps(params.field, 2).index_key():
+            if params != HyperParams.phi_eps(params.q, 2):
                 return value
-            offset = 0.02 / params.field.q**2
+            offset = 0.02 / params.q**2
             if isinstance(value, np.ndarray):
                 value = value.copy()
                 value[lam] += offset

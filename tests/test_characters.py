@@ -3,14 +3,14 @@ import cmath
 import numpy as np
 import pytest
 
-from ffhyper import FieldMismatch, make_field
-from ffhyper.characters import Character, character_row, quadratic, trivial
+from ffhyper import make_field
+from ffhyper.characters import Character, character_row
 from ffhyper.field import primes_in_range
 
 
 def test_trivial_on_nonzero():
     f = make_field(7)
-    eps = trivial(f)
+    eps = Character(f, 0)
     assert eps(5) == 1
     assert all(eps(x) == 1 for x in range(1, 7))
 
@@ -22,10 +22,10 @@ def test_zero_absorbing_convention():
 
 
 def test_quadratic_matches_legendre():
-    assert quadratic(make_field(7))(3) == -1
+    assert Character(make_field(7), 3)(3) == -1
     for q in (3, 5, 7, 101, 1009):
         f = make_field(q)
-        phi, eps = quadratic(f), trivial(f)
+        phi, eps = Character(f, (q - 1) // 2), Character(f, 0)
         for x in range(q):
             assert phi(x) == f.legendre(x)
             assert phi(x).imag == 0.0  # pinned unit roots
@@ -34,28 +34,21 @@ def test_quadratic_matches_legendre():
 
 
 def test_group_ops():
+    """A product of characters is the sum of indices, an inverse the negated index, both mod q-1."""
     f = make_field(7)
-    phi, eps = quadratic(f), trivial(f)
-    assert (phi * phi).index == eps.index == 0
-    assert eps.inverse() == eps
-    omega = Character(f, 1)
-    assert omega.inverse().index == 5
+    phi, eps, omega = Character(f, 3), Character(f, 0), Character(f, 1)
     for x in range(1, 7):
-        assert abs(omega.inverse()(x) - omega(x).conjugate()) < 1e-12
-
-
-def test_field_mismatch():
-    f7, f11 = make_field(7), make_field(11)
-    with pytest.raises(FieldMismatch):
-        _ = trivial(f7) * trivial(f11)
+        assert Character(f, 3 + 3)(x) == phi(x) * phi(x) == eps(x)
+        assert Character(f, -1)(x) == Character(f, 5)(x)
+        assert abs(Character(f, -1)(x) - omega(x).conjugate()) < 1e-12
 
 
 def test_delta_functions():
-    """The deltas of the paper: eps(x) = 1 - delta(x), delta(chi) = chi.is_trivial."""
+    """The deltas of the paper: eps(x) = 1 - delta(x), delta(chi) = 1 exactly for chi = eps."""
     f = make_field(7)
-    eps = trivial(f)
+    eps = Character(f, 0)
     assert [1 - eps(x) for x in (0, 1, 6)] == [1, 0, 0]
-    assert [int(chi.is_trivial) for chi in (eps, quadratic(f), Character(f, 1))] == [1, 0, 0]
+    assert [int(all(Character(f, j)(x) == 1 for x in range(1, 7))) for j in (0, 3, 1)] == [1, 0, 0]
 
 
 @pytest.mark.parametrize("q", primes_in_range(3, 31))
@@ -71,9 +64,10 @@ def test_orthogonality_over_characters(q):
 @pytest.mark.parametrize("q", primes_in_range(3, 31))
 def test_full_sum_detects_trivial(q):
     f = make_field(q)
-    for chi in [Character(f, j) for j in range(f.q - 1)]:
+    for j in range(f.q - 1):
+        chi = Character(f, j)
         s = sum(chi(x) for x in range(q))
-        expected = (q - 1) * int(chi.is_trivial)
+        expected = (q - 1) * int(j == 0)
         assert abs(s - expected) < 1e-10
 
 

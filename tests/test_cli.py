@@ -685,6 +685,7 @@ def test_perfbench_tracer_hooks_a_verify_run(monkeypatch, capsys):
     calls = tracer.span_counts()
     assert [label for label in STATEMENTS if calls.get(f"identities.{label}") != 1] == []
     assert calls["cli.render"] == 1
+    assert calls["characters.call"] > 0  # the one scalar evaluator the tracer hooks
     assert tracer.counts["identities.trace-bridge.checks"] == 22  # 2 * (13 - 2)
     capsys.readouterr()
 
@@ -708,3 +709,11 @@ def test_readme_command_lines_exit_0(tmp_path, capsys):
             argv[i] = str(tmp_path / argv[i])
         assert run(argv) == EXIT_OK, argv
         capsys.readouterr()
+
+
+def test_readme_library_block_runs(capsys):
+    """README's python block runs as written and prints the value its comment gives."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "QPowerRational(num=23, npow=2)\n"

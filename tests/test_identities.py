@@ -8,7 +8,6 @@ import pytest
 
 import ffhyper.identities as ids
 from ffhyper import Infeasible, NotRational, RejectedInput, SingularParameter, make_field
-from ffhyper.characters import Character, quadratic, trivial
 from ffhyper.charsums import SumTables, _parity
 from ffhyper.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, run
 from ffhyper.curves import clausen_trace, clausen_trace_table, legendre_trace
@@ -41,7 +40,7 @@ from oracles import bridge_loop, move_3f2, patch_family, verify_clausen_bridge, 
 
 
 def rand_chars(rng, f, count):
-    return tuple(Character(f, rng.randrange(f.q - 1)) for _ in range(count))
+    return tuple(rng.randrange(f.q - 1) for _ in range(count))
 
 
 # -- contiguous ---------------------------------------------------------------
@@ -50,7 +49,7 @@ def rand_chars(rng, f, count):
 def test_contiguous_phi_eps(tables_for):
     t = tables_for(7)
     f = t.field
-    r = verify_contiguous(HyperParams.phi_eps(f, 1), quadratic(f), 3, t)
+    r = verify_contiguous(HyperParams.phi_eps(f.q, 1), (f.q - 1) // 2, 3, t)
     assert r.passed and r.residual < 1e-8
 
 
@@ -60,8 +59,8 @@ def test_contiguous_random_q11(tables_for):
     rng = random.Random(11)
     for _ in range(20):
         n = rng.choice([1, 2])
-        params = HyperParams(rand_chars(rng, f, n + 1), rand_chars(rng, f, n))
-        r = verify_contiguous(params, Character(f, rng.randrange(10)), rng.randrange(1, 11), t)
+        params = HyperParams(f.q, rand_chars(rng, f, n + 1), rand_chars(rng, f, n))
+        r = verify_contiguous(params, rng.randrange(10), rng.randrange(1, 11), t)
         assert r.passed, r
 
 
@@ -71,8 +70,8 @@ def test_contiguous_trivial_psi_reduces_product(tables_for):
     f = t.field
     q = 7
     for n in (1, 2):
-        params = HyperParams.phi_eps(f, n)
-        r = verify_contiguous(params, trivial(f), 3, t)
+        params = HyperParams.phi_eps(f.q, n)
+        r = verify_contiguous(params, 0, 3, t)
         assert r.passed
         expected_rhs = -hyper_char(params, 3, t) / q + (-1 / q) ** (n + 1)
         assert abs(r.rhs - expected_rhs) < 1e-12
@@ -81,7 +80,7 @@ def test_contiguous_trivial_psi_reduces_product(tables_for):
 def test_contiguous_rejects_zero(tables_for):
     t = tables_for(7)
     with pytest.raises(RejectedInput):
-        verify_contiguous(HyperParams.phi_eps(t.field, 1), quadratic(t.field), 0, t)
+        verify_contiguous(HyperParams.phi_eps(t.field.q, 1), (t.field.q - 1) // 2, 0, t)
 
 
 # -- inductive representation -----------------------------------------------------
@@ -90,7 +89,7 @@ def test_contiguous_rejects_zero(tables_for):
 def test_inductive_all_phi_case(tables_for):
     t = tables_for(7)
     f = t.field
-    phi, eps = quadratic(f), trivial(f)
+    phi, eps = (f.q - 1) // 2, 0
     r = verify_inductive_k(2, 1, (phi, phi), (eps,), 3, t)
     assert r.passed and r.residual < 1e-8
 
@@ -108,7 +107,7 @@ def test_inductive_random_q11(tables_for):
 def test_inductive_rejects_bad_nk(tables_for):
     t = tables_for(7)
     f = t.field
-    phi, eps = quadratic(f), trivial(f)
+    phi, eps = (f.q - 1) // 2, 0
     with pytest.raises(RejectedInput):
         verify_inductive_k(2, 2, (phi,), (), 3, t)
     with pytest.raises(RejectedInput):
@@ -120,7 +119,7 @@ def test_inductive_rejects_bad_nk(tables_for):
 
 def test_product_full_grid_q7(tables_for):
     t = tables_for(7)
-    phi = quadratic(t.field)
+    phi = (t.field.q - 1) // 2
     for x in range(2, 7):
         for z in range(2, 7):
             r = verify_product((phi,), (), x, z, t)
@@ -140,7 +139,7 @@ def test_product_random_q11_n3(tables_for):
 
 def test_product_rejects_bad_arguments(tables_for):
     t = tables_for(7)
-    phi = quadratic(t.field)
+    phi = (t.field.q - 1) // 2
     with pytest.raises(RejectedInput):
         verify_product((phi,), (), 3, 1, t)
     with pytest.raises(RejectedInput):
@@ -246,8 +245,8 @@ def test_bridges_match_direct_trace_oracle(q, tables_for):
     """Reports read off the trace tables equal those built from one direct sum per lambda."""
     t = tables_for(q)
     f = t.field
-    f21 = hyper_all_x(HyperParams.phi_eps(f, 1), t)
-    f32 = hyper_all_x(HyperParams.phi_eps(f, 2), t)
+    f21 = hyper_all_x(HyperParams.phi_eps(f.q, 1), t)
+    f32 = hyper_all_x(HyperParams.phi_eps(f.q, 2), t)
     for lam in range(2, q):
         lhs = reconstruct(f.phi_minus_one * f21[lam], 1, q)
         rhs = QPowerRational.make(-legendre_trace(f, lam).trace, 1, q)
@@ -371,7 +370,7 @@ def test_memo_returns_one_read_only_table():
     """Every memoised table comes back as the same object, and writing to it raises."""
     t = SumTables(make_field(13))
     f = t.field
-    params = HyperParams((Character(f, 2), Character(f, 5)), (Character(f, 7),))
+    params = HyperParams(f.q, (2, 5), (7,))
     getters = {
         "gauss": lambda: t.gauss_vector,
         "line": lambda: t.binomial_line(3),
@@ -396,7 +395,7 @@ def test_memo_returns_one_read_only_table():
 
 def test_generating_full_grid_q7(tables_for):
     t = tables_for(7)
-    params = HyperParams.phi_eps(t.field, 1)
+    params = HyperParams.phi_eps(t.field.q, 1)
     for x in range(1, 7):
         for tt in range(2, 7):
             r = verify_generating(params, x, tt, t)
@@ -409,14 +408,14 @@ def test_generating_random_q11(tables_for):
     rng = random.Random(17)
     for _ in range(10):
         n = rng.choice([1, 2])
-        params = HyperParams(rand_chars(rng, f, n + 1), rand_chars(rng, f, n))
+        params = HyperParams(f.q, rand_chars(rng, f, n + 1), rand_chars(rng, f, n))
         r = verify_generating(params, rng.randrange(1, 11), rng.randrange(2, 11), t)
         assert r.passed, r
 
 
 def test_generating_rejects(tables_for):
     t = tables_for(7)
-    params = HyperParams.phi_eps(t.field, 1)
+    params = HyperParams.phi_eps(t.field.q, 1)
     with pytest.raises(RejectedInput):
         verify_generating(params, 3, 1, t)
     with pytest.raises(RejectedInput):
@@ -433,7 +432,7 @@ def test_generating_two_term_form_needs_boundary(tables_for):
     t = tables_for(7)
     f = t.field
     q = 7
-    params = HyperParams.phi_eps(f, 1)
+    params = HyperParams.phi_eps(f.q, 1)
     nontrivial = 0
     for x in range(1, 7):
         for tt in range(2, 7):
@@ -455,7 +454,7 @@ def test_generating_two_term_form_needs_boundary(tables_for):
 
 def test_closed_form_q7_phi_all_pairs(tables_for):
     t = tables_for(7)
-    phi = quadratic(t.field)
+    phi = (t.field.q - 1) // 2
     for x in range(1, 7):
         for tt in range(2, 7):
             r = verify_closed_form_sum(phi, 1, x, tt, t)
@@ -464,7 +463,7 @@ def test_closed_form_q7_phi_all_pairs(tables_for):
 
 def test_closed_form_omega_n2_q11(tables_for):
     t = tables_for(11)
-    omega = Character(t.field, 1)
+    omega = 1
     rng = random.Random(23)
     for _ in range(5):
         r = verify_closed_form_sum(omega, 2, rng.randrange(1, 11), rng.randrange(2, 11), t)
@@ -474,7 +473,7 @@ def test_closed_form_omega_n2_q11(tables_for):
 def test_closed_form_rejects_trivial_A(tables_for):
     t = tables_for(7)
     with pytest.raises(RejectedInput):
-        verify_closed_form_sum(trivial(t.field), 1, 3, 2, t)
+        verify_closed_form_sum(0, 1, 3, 2, t)
 
 
 # -- remark sums ---------------------------------------------------------------------------
@@ -552,7 +551,7 @@ def test_f65_trace_route_matches_character_backend(tables_for):
     for q in (5, 7, 11, 13):
         rows, _ = estimate_sweep([q], "F65")
         t = tables_for(q)
-        direct = reconstruct(hyper_char(HyperParams.phi_eps(t.field, 5), 1, t), 5, q)
+        direct = reconstruct(hyper_char(HyperParams.phi_eps(t.field.q, 5), 1, t), 5, q)
         assert rows[0]["value"] == direct.fmt(q)
 
 
@@ -671,6 +670,24 @@ def test_summarize():
     assert s.failures == 1
     assert s.first_failure == "q=7 b"
     assert s.max_residual == 2e-5
+
+
+def test_summarize_shows_a_nan_residual(monkeypatch, capsys):
+    """A NaN residual anywhere makes max_residual NaN; Python's max would skip one that is not first."""
+    four_f_three = HyperParams.phi_eps(7, 3)
+
+    def nan_4f3(params, tables, values=ids.hyper_all_x):
+        return np.full(tables.field.q, complex(math.nan, 0)) if params == four_f_three else values(params, tables)
+
+    monkeypatch.setattr(ids, "hyper_all_x", nan_4f3)
+    block = run_statement("first-moment", SumTables(make_field(7)), 0)
+    assert block.passed == [True] * 4 + [False] * 2 and math.isnan(block.residual[-1])
+    s = summarize("first-moment", block)
+    assert (s.failures, s.first_failure) == (2, "q=7 n=3 unweighted")
+    assert math.isnan(s.max_residual)
+    assert run(["verify", "--primes", "7", "--statements", "first-moment", "--format", "csv"]) == EXIT_FAILED
+    summary_row = capsys.readouterr().out.splitlines()[-1]
+    assert summary_row == "first-moment,7,6,2,nan,q=7 n=3 unweighted"
 
 
 def test_run_statement_returns_one_block_per_statement(tables_for):
