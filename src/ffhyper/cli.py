@@ -8,7 +8,10 @@ first table is built, so a refusal writes nothing.  Verify writes its rows
 by statement, in the order first named, then by prime, so the bytes emitted
 depend only on the configuration; CSV and JSON are UTF-8 with LF line
 endings.  Each (statement, prime) comes as one ReportBlock, whose rows
-are written and summarised straight from its columns.
+are written and summarised straight from its columns.  Sweep writes the
+rows and summary identities.estimate_sweep returns; a sweep with failing
+rows also writes one warning line, naming the first and the largest
+residual, to stderr.
 """
 
 from __future__ import annotations
@@ -263,11 +266,16 @@ def cmd_verify(
 
 def cmd_sweep(primes: list[int], which: str, budget: int, fmt: str, out: str | None) -> int:
     """One trend table over the primes, every prime's table charged before the first is built."""
-    moments = which == "moments"
-    _charge(_per_prime(("moments" if moments else "trace",), primes), budget)
-    rows, summary = identities.moment_sweep_rows(primes) if moments else identities.estimate_sweep(primes, which)
-    _emit(render_sweep_rows(rows, summary, fmt), out)
-    return EXIT_OK if summary.failures == 0 else EXIT_FAILED
+    _charge(_per_prime(("moments" if which == "moments" else "trace",), primes), budget)
+    rows, s = identities.estimate_sweep(primes, which)
+    _emit(render_sweep_rows(rows, s, fmt), out)
+    if s.failures:
+        print(
+            f"warning: {s.statement}: {s.failures} failing rows, first at {s.first_failure}, "
+            f"max residual {s.max_residual:.3e}",
+            file=sys.stderr,
+        )
+    return EXIT_OK if s.failures == 0 else EXIT_FAILED
 
 
 # -- eval -----------------------------------------------------------------
@@ -321,7 +329,7 @@ def cmd_eval(args) -> int:
             raise UsageError("--x is required for hypergeometric evaluation")
         if args.uppers or args.lowers:
             ups = _parse_indices(args.uppers, "uppers")
-            los = _parse_indices(args.lowers or "", "lowers") if n else []
+            los = _parse_indices(args.lowers or "", "lowers")
             params = HyperParams(f.q, tuple(ups), tuple(los))
             if params.n != n:
                 raise UsageError(f"{fn} needs {n + 1} uppers and {n} lowers")

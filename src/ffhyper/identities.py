@@ -11,7 +11,9 @@ trace bridges, 2(q-2) exact checks per prime, are checked one family per
 array pass straight into those columns; their per-lambda oracle lives in
 the tests (tests/oracles.py).  Randomized instance generation happens in
 the statement runner, never inside the checks, and every instance is
-fully described in its report so failures reproduce.
+fully described in its report so failures reproduce.  estimate_sweep is
+the one prime loop of the three sweeps: the trace-route 4F3(1) and 6F5(1)
+estimates, and the first-moment block pivoted into one row per n.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .characters import Character, character_row
 from .charsums import SumTables
 from .curves import clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
 from .errors import Infeasible, NotRational, RejectedInput
-from .field import PrimeField, is_prime, make_field
+from .field import PrimeField, make_field
 from .hypergeo import (
     EXACT_GAP,
     HyperParams,
@@ -153,12 +155,16 @@ def _exact_report(
 
 
 def _reconstructed(v: complex, npow: int, q: int) -> tuple[QPowerRational, float]:
-    """reconstruct(v, npow, q) and margin 0.0, or the nearest value over q**npow (0 if not finite) and its residual."""
+    """reconstruct(v, npow, q) and margin 0.0, or the nearest value over q**npow and its residual.
+
+    The nearest value is 0 where either scaled part is not finite, as in reconstruct_ints.
+    """
     try:
         return reconstruct(v, npow, q), 0.0
     except NotRational as e:
-        scaled = complex(v).real * q**npow
-        return QPowerRational.make(round(scaled) if math.isfinite(scaled) else 0, npow, q), e.residual
+        v, scale = complex(v), q**npow
+        re, im = v.real * scale, v.imag * scale
+        return QPowerRational.make(round(re) if math.isfinite(re) and math.isfinite(im) else 0, npow, q), e.residual
 
 
 def _canonical(num: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -579,103 +585,70 @@ def _weighted_square_excess(w: np.ndarray, ap: np.ndarray, q: int) -> int:
     return (hi << 32) + lo
 
 
-def estimate_sweep(primes, which: str):
-    """Exact trace-route values of 4F3(1) or 6F5(1) per prime, with bound checks.
+# Each sweep's row function gives, per prime, (failure label, row, residual) per row.
 
-    Only the unconditional Hasse-derived bounds are asserted; the decay
-    columns are reported for trend inspection, never asserted against an
-    unknown big-O constant.
+
+def _f43_rows(tables: SumTables) -> list[tuple[str, dict, float]]:
+    f = tables.field
+    q = f.q
+    s = int((f.legendre_table[2:] * legendre_trace_table(f)[2:] ** 2).sum())  # lambda = 2..q-1
+    dev = abs(s) / q**3  # |value - 1/q^3|
+    value = QPowerRational.make(s + 1, 3, q).fmt(q)
+    row = {"q": q, "value": value, "abs_dev": dev, "scaled_dev": dev * q, "bound": 4 / q, "pass": dev <= 4 / q}
+    return [(f"q={q}", row, dev)]
+
+
+def _f65_rows(tables: SumTables) -> list[tuple[str, dict, float]]:
+    f = tables.field
+    q = f.q
+    # mu = 1..q-2: ap[1:q-1] is ap(mu), leg[2:] is phi(1 + mu), and
+    # phi(mu(1 + mu)) = phi(mu) phi(1 + mu) by multiplicativity.
+    ap = clausen_trace_table(f)[1 : q - 1]
+    leg = f.legendre_table
+    s = _weighted_square_excess(leg[1 : q - 1] * leg[2:], ap, q)
+    t = -1 - q - int((leg[2:] * ap**2).sum())  # q^2 * 3F2(1)
+    scaled = abs(s + t * t) / q**3  # q^2 * |value|
+    value = QPowerRational.make(f.phi_minus_one * (s + t * t), 5, q).fmt(q)
+    return [(f"q={q}", {"q": q, "value": value, "scaled_abs": scaled, "bound": 12.0, "pass": scaled <= 12.0}, scaled)]
+
+
+_MOMENT_COLUMNS = ("q", "n", "unweighted", "weighted", "expected_unweighted", "expected_weighted", "pass")
+
+
+def _moment_rows(tables: SumTables) -> list[tuple[str, dict, float]]:
+    """The first-moment block pivoted: its unweighted and weighted rows at each n side by side."""
+    b = run_statement("first-moment", tables, 0)
+    rows = []
+    for n, (u, w) in enumerate(((0, 1), (2, 3), (4, 5)), start=1):
+        ok = b.passed[u] and b.passed[w]
+        row = dict(zip(_MOMENT_COLUMNS, (b.q, n, b.lhs_a[u], b.lhs_a[w], b.rhs_a[u], b.rhs_a[w], ok)))
+        rows.append((f"q={b.q} n={n}", row, _max_residual((b.residual[u], b.residual[w]))))
+    return rows
+
+
+_SWEEPS = {"F43": ("estimate-F43", _f43_rows), "F65": ("estimate-F65", _f65_rows), "moments": ("moments", _moment_rows)}
+
+
+def estimate_sweep(primes, which: str) -> tuple[list[dict], SweepSummary]:
+    """One sweep's rows over the primes, one field's tables alive at a time, and their summary.
+
+    F43 and F65 give the exact trace-route values of 4F3(1) and 6F5(1), one
+    row per prime.  Only the unconditional Hasse-derived bounds are
+    asserted; the decay columns are reported for trend inspection, never
+    asserted against an unknown big-O constant.  moments is the
+    first-moment block pivoted, one row per n that passes when both its
+    checks pass.  The summary's max residual is NaN-sticky: the largest
+    monitored deviation, or for moments the largest first-moment residual
+    (0.0 when every row passes).  make_field refuses a composite q.
     """
-    if which not in ("F43", "F65"):
-        raise RejectedInput(f"unknown sweep {which!r}; expected F43 or F65")
-    rows = []
-    failures = 0
-    first_failure = ""
-    max_resid = 0.0
-    for q in primes:
-        if q == 2 or not is_prime(q):
-            raise RejectedInput(f"{q} is not an odd prime")
-        f = make_field(q)
-        if which == "F43":
-            a = legendre_trace_table(f)
-            s = int((f.legendre_table[2:] * a[2:] ** 2).sum())  # lambda = 2..q-1
-            value = QPowerRational.make(s + 1, 3, q)
-            dev = abs(s) / q**3  # |value - 1/q^3|
-            bound = 4 / q
-            ok = dev <= bound
-            rows.append(
-                {
-                    "q": q,
-                    "value": value.fmt(q),
-                    "abs_dev": dev,
-                    "scaled_dev": dev * q,
-                    "bound": bound,
-                    "pass": ok,
-                }
-            )
-            monitored = dev
-        else:
-            # mu = 1..q-2: ap[1:q-1] is ap(mu), leg[2:] is phi(1 + mu), and
-            # phi(mu(1 + mu)) = phi(mu) phi(1 + mu) by multiplicativity.
-            ap = clausen_trace_table(f)[1 : q - 1]
-            leg = f.legendre_table
-            s = _weighted_square_excess(leg[1 : q - 1] * leg[2:], ap, q)
-            t_sum = int((leg[2:] * ap**2).sum())
-            t = -1 - q - t_sum  # q^2 * 3F2(1)
-            num = f.phi_minus_one * (s + t * t)
-            value = QPowerRational.make(num, 5, q)
-            scaled = abs(s + t * t) / q**3  # q^2 * |value|
-            bound = 12.0
-            ok = scaled <= bound
-            rows.append(
-                {
-                    "q": q,
-                    "value": value.fmt(q),
-                    "scaled_abs": scaled,
-                    "bound": bound,
-                    "pass": ok,
-                }
-            )
-            monitored = scaled
-        max_resid = max(max_resid, monitored)
-        if not ok:
-            failures += 1
-            if not first_failure:
-                first_failure = f"q={q}"
-    summary = SweepSummary(f"estimate-{which}", list(primes), len(rows), failures, first_failure, max_resid)
-    return rows, summary
-
-
-def moment_sweep_rows(primes):
-    """Exact first-moment integers per prime and n; every entry must be +-1."""
-    rows = []
-    failures = 0
-    first_failure = ""
-    for q in primes:
-        if q == 2 or not is_prime(q):
-            raise RejectedInput(f"{q} is not an odd prime")
-        tables = SumTables(make_field(q))
-        for n in (1, 2, 3):
-            plain = first_moment(n, False, tables)
-            weighted = first_moment(n, True, tables)
-            ok = plain.passed and weighted.passed
-            rows.append(
-                {
-                    "q": q,
-                    "n": n,
-                    "unweighted": plain.lhs.num,
-                    "weighted": weighted.lhs.num,
-                    "expected_unweighted": plain.rhs.num,
-                    "expected_weighted": weighted.rhs.num,
-                    "pass": ok,
-                }
-            )
-            if not ok:
-                failures += 1
-                if not first_failure:
-                    first_failure = f"q={q} n={n}"
-    summary = SweepSummary("moments", list(primes), len(rows), failures, first_failure, 0.0)
-    return rows, summary
+    if which not in _SWEEPS:
+        raise RejectedInput(f"unknown sweep {which!r}; expected F43, F65 or moments")
+    statement, rows_at = _SWEEPS[which]
+    checked = [row for q in primes for row in rows_at(SumTables(make_field(q)))]
+    failed = [at for at, row, _ in checked if not row["pass"]]
+    residual = _max_residual([r for _, _, r in checked])
+    summary = SweepSummary(statement, list(primes), len(checked), len(failed), failed[0] if failed else "", residual)
+    return [row for _, row, _ in checked], summary
 
 
 # -- statement runner --------------------------------------------------------------
@@ -813,6 +786,11 @@ def summarize(label: str, *blocks: ReportBlock) -> SweepSummary:
         len(residuals),
         len(failed),
         "q={} {}".format(*failed[0]) if failed else "",
-        # Python's max skips a NaN that is not first; a NaN row must show.
-        math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0),
+        _max_residual(residuals),
     )
+
+
+def _max_residual(residuals) -> float:
+    """The largest residual, 0.0 for none, NaN if any is NaN."""
+    # Python's max skips a NaN that is not first; a NaN row must show.
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0)

@@ -139,6 +139,18 @@ def test_eval_general_characters(capsys):
     assert "3F2(4) =" in capsys.readouterr().out
 
 
+def test_eval_1f0_checks_its_lower_count(capsys):
+    """A 1F0 given a lower character exits 2 with the count message a 2F1 gets; without one it still evaluates."""
+    argv = ["eval", "--q", "11", "--fn", "1F0", "--x", "4", "--uppers", "3"]
+    assert run([*argv, "--lowers", "5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert run(["eval", "--q", "11", "--fn", "2F1", "--x", "4", "--uppers", "3,4", "--lowers", "5,6"]) == EXIT_USAGE
+    assert capsys.readouterr().err == captured.err
+    assert run(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("1F0(4) = (0.8090169943749475+0.5877852522924731j)\n")
+
+
 def test_eval_unknown_fn(capsys):
     assert run(["eval", "--q", "7", "--fn", "2F5", "--x", "1"]) == EXIT_USAGE
     capsys.readouterr()
@@ -539,6 +551,18 @@ def test_sweep_csv_matches_golden_bytes(which, capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("which, fmt", (("moments", "csv"), ("moments", "json"), ("F43", "json"), ("F65", "json")))
+def test_sweep_matches_golden_bytes(which, fmt, capsys):
+    """Byte for byte the committed sweep output over primes 101..199, moments and the JSON forms.
+
+    Every moments entry is an exact integer and every trace-sweep float a
+    quotient of exact integers, so no FFT rounding can move a byte.
+    """
+    golden = Path(__file__).resolve().parent / "data" / f"sweep_{which}_101_199.{fmt}"
+    assert run(["sweep", "--which", which, "--primes", "101..199", "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def assert_same_text(got: str, want: str) -> None:
     """got == want, failing with the first differing line: pytest's own diff
     of two texts this long takes minutes."""
@@ -606,6 +630,28 @@ def test_verify_q100003_second_moment_fails_only_its_k3_peak(monkeypatch, capsys
     (peak,) = (r for r in rows if not r.passed)
     assert len(raised) == 1 and peak.residual == raised[0].residual
     assert peak.tolerance == 0.0 and peak.lhs == peak.rhs
+
+
+def test_failing_sweep_warns_on_stderr(monkeypatch, capsys):
+    """A failing moments sweep writes the CSV rows it always did and one stderr line naming the margin.
+
+    The JSON summary's max_residual is that margin, not 0.0.
+    """
+    move_3f2(monkeypatch, 5)
+    warning = "warning: moments: 1 failing rows, first at q=101 n=2, max residual 2.000e-02\n"
+    assert run(["sweep", "--which", "moments", "--primes", "101"]) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "q,n,unweighted,weighted,expected_unweighted,expected_weighted,pass\n"
+        "101,1,1,1,1,1,True\n"
+        "101,2,-1,-1,-1,-1,False\n"
+        "101,3,1,1,1,1,True\n"
+    )
+    assert captured.err == warning
+    assert run(["sweep", "--which", "moments", "--primes", "101", "--format", "json"]) == EXIT_FAILED
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["summary"]["max_residual"] == pytest.approx(0.02, abs=1e-9)
+    assert captured.err == warning
 
 
 def test_sweep_moments_writes_failed_reconstruction_as_row(monkeypatch, capsys):

@@ -7,11 +7,19 @@ import numpy as np
 import pytest
 
 import ffhyper.identities as ids
-from ffhyper import Infeasible, NotRational, RejectedInput, SingularParameter, make_field
+from ffhyper import Infeasible, NotPrime, NotRational, RejectedInput, SingularParameter, make_field
 from ffhyper.charsums import SumTables, _parity
 from ffhyper.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, run
 from ffhyper.curves import clausen_trace, clausen_trace_table, legendre_trace
-from ffhyper.hypergeo import HyperParams, QPowerRational, _coeff_vector, hyper_all_x, hyper_char, reconstruct
+from ffhyper.hypergeo import (
+    HyperParams,
+    QPowerRational,
+    _coeff_vector,
+    hyper_all_x,
+    hyper_char,
+    reconstruct,
+    reconstruct_ints,
+)
 from ffhyper.identities import (
     STATEMENTS,
     IdentityReport,
@@ -23,7 +31,6 @@ from ffhyper.identities import (
     first_moment,
     float_tol,
     generating_boundary_term,
-    moment_sweep_rows,
     run_statement,
     second_weighted_moment,
     summarize,
@@ -345,6 +352,16 @@ def test_non_finite_value_is_a_failed_row(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", (complex(1, math.nan), complex(3, math.inf), complex(math.nan, 0)), ids=str)
+def test_reconstructed_non_finite_value_is_that_of_reconstruct_ints(value):
+    """A scalar exact side and an array entry give one non-finite value one nearest value: 0, margin NaN or inf."""
+    (num,), (margin,) = reconstruct_ints(np.array([value]), 0, 7)
+    side, residual = ids._reconstructed(value, 0, 7)
+    assert (side.num, side.npow) == (num, 0) == (0, 0)
+    assert residual == margin or math.isnan(residual) and math.isnan(margin)
+    assert not math.isfinite(residual)
+
+
 def test_trace_tables_built_once_per_tables(monkeypatch):
     """trace-moments and both bridges share one memoised table per family."""
     import ffhyper.identities as ids
@@ -518,7 +535,7 @@ def test_estimate_sweep_bounds():
 
 
 def test_estimate_sweep_rejects_composite():
-    with pytest.raises(RejectedInput):
+    with pytest.raises(NotPrime):
         estimate_sweep([9], "F43")
     with pytest.raises(RejectedInput):
         estimate_sweep([5], "F66")
@@ -628,7 +645,7 @@ def test_moment_sweep_budget_charges_table_cost(monkeypatch, capsys):
 
 
 def test_moment_sweep_rows():
-    rows, summary = moment_sweep_rows([5, 7])
+    rows, summary = estimate_sweep([5, 7], "moments")
     assert summary.failures == 0
     assert len(rows) == 6
     for row in rows:

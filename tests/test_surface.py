@@ -27,6 +27,7 @@ GONE = (
     "quadratic",
     "trivial",
     "FieldMismatch",
+    "moment_sweep_rows",
 )
 
 
