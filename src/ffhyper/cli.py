@@ -33,7 +33,7 @@ from .charsums import SumTables
 from .curves import clausen_trace, legendre_trace
 from .errors import FFHyperError, Infeasible, NotRational, RejectedInput
 from .field import is_prime, make_field, primes_in_range
-from .hypergeo import DEFAULT_BUDGET, HyperParams, appell_f4, float_scale, hyper_char, reconstruct
+from .hypergeo import DEFAULT_BUDGET, HyperParams, _q_power_text, appell_f4, float_scale, hyper_char, reconstruct
 from .identities import ReportBlock, SweepSummary
 
 EXIT_OK = 0
@@ -87,11 +87,13 @@ def parse_primes(text: str, strict: bool, budget: int = DEFAULT_BUDGET) -> list[
 
 # Per-prime charges, made for a whole run before its first table is built:
 # the formula a refusal names and the cost at q.  The field is its tables and
-# one length-(q-1) transform.  A product is q-2 F4* points of q-1 gathered
-# products plus the three transforms of the F4* spectra, memoised per prime,
-# so it is charged once per prime.  A sweep's trace table is two forward real
-# FFTs and one inverse; its moments table one binomial line and three inverse
-# transforms.  A verify statement with no entry costs nothing past its field.
+# one length-(q-1) transform.  A product charge is one F4* curve, q-2 points
+# of q-1 gathered products, plus the three transforms of the F4* spectra,
+# memoised per prime; it is made once per prime.  It covers one curve, not
+# the statement, which builds one curve per instance, five per prime (ROADMAP
+# items 12 and 13).  A sweep's trace table is two forward real FFTs and one
+# inverse; its moments table one binomial line and three inverse transforms.
+# A verify statement with no entry costs nothing past its field.
 CHARGES = {
     "field": ("field cost q*log2(q)", lambda q: q * q.bit_length()),
     "product": ("w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1)", lambda q: (q - 1) * (q - 2 + 3 * (q - 1).bit_length())),
@@ -131,16 +133,15 @@ def parse_statements(text: str) -> list[str]:
 def _sides(block: ReportBlock, as_json: bool = False) -> tuple[list, list]:
     """Every row's lhs and rhs, as printed or as JSON values, read off the block's columns.
 
-    An exact side prints as num/q^pow (num alone at power 0) and is
-    {"num", "npow"} in JSON; a float side prints as its complex repr and is
-    {"re", "im"}.
+    An exact side prints as QPowerRational.fmt does and is {"num", "npow"}
+    in JSON; a float side prints as its complex repr and is {"re", "im"}.
     """
     q = block.q
 
     def side(a: list, b: list) -> list:
         if as_json:
             return [{"num": x, "npow": y} if e else {"re": x, "im": y} for e, x, y in zip(block.exact, a, b)]
-        return [(f"{x}/{q}^{y}" if y else str(x)) if e else repr(complex(x, y)) for e, x, y in zip(block.exact, a, b)]
+        return [_q_power_text(x, y, q) if e else repr(complex(x, y)) for e, x, y in zip(block.exact, a, b)]
 
     return side(block.lhs_a, block.lhs_b), side(block.rhs_a, block.rhs_b)
 

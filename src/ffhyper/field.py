@@ -79,6 +79,11 @@ def smallest_primitive_root(q: int) -> int:
     raise ArithmeticError(f"no primitive root modulo {q}")
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
 class PrimeField:
     """F_q for an odd prime q.
 
@@ -93,9 +98,10 @@ class PrimeField:
     the (q-1)-th roots of unity.  Every other table derived from the
     prime lives in charsums.SumTables.
 
-    The tables are plain numpy arrays and all operations are pure, so
-    instances are safe to share across threads: a first read racing
-    another builds an equal table.
+    The tables are read-only numpy arrays, so a stray write raises rather
+    than corrupting every later character value, and all operations are
+    pure, so instances are safe to share across threads: a first read
+    racing another builds an equal table.
     """
 
     def __init__(self, q: int):
@@ -127,13 +133,13 @@ class PrimeField:
         for i in range(b):
             big[i] = acc
             acc = acc * step % q
-        return (big[:, None] * small[None, :] % q).ravel()[:n]
+        return _read_only((big[:, None] * small[None, :] % q).ravel()[:n])
 
     @cached_property
     def dlog(self) -> np.ndarray:
         dlog = np.full(self.q, -1, dtype=np.int64)
         dlog[self.exp] = np.arange(self.q - 1, dtype=np.int64)
-        return dlog
+        return _read_only(dlog)
 
     @cached_property
     def legendre_table(self) -> np.ndarray:
@@ -142,7 +148,7 @@ class PrimeField:
         leg[0] = 0
         xs = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)
         leg[xs * xs % q] = 1
-        return leg
+        return _read_only(leg)
 
     # -- element arithmetic -------------------------------------------------
 
@@ -178,7 +184,7 @@ class PrimeField:
         if n % 4 == 0:
             roots[n // 4] = 1j
             roots[3 * n // 4] = -1j
-        return roots
+        return _read_only(roots)
 
     # -- plumbing -------------------------------------------------------------
 

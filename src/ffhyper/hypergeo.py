@@ -104,9 +104,12 @@ class QPowerRational:
         return self.num * q ** (npow - self.npow)
 
     def fmt(self, q: int) -> str:
-        if self.npow == 0:
-            return str(self.num)
-        return f"{self.num}/{q}^{self.npow}"
+        return _q_power_text(self.num, self.npow, q)
+
+
+def _q_power_text(num: int, npow: int, q: int) -> str:
+    """The printed form of num / q**npow: num/q^npow, or num alone at power 0."""
+    return f"{num}/{q}^{npow}" if npow else str(num)
 
 
 # Reconstruction guard: two orders of magnitude above observed floating

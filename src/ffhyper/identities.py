@@ -7,9 +7,13 @@ reconstruction fails only the rows that read it, each holding its nearest
 value over q**m and its margin as the residual.  Each check returns one
 IdentityReport; the statement runner returns a statement's rows at one
 prime as one ReportBlock of columns, exact and float rows alike.  The
-trace bridges, 2(q-2) exact checks per prime, are checked one family per
-array pass straight into those columns; their per-lambda oracle lives in
-the tests (tests/oracles.py).  Randomized instance generation happens in
+inductive b-sum sum_b phi(b) F_free(bx) F_{k-1}(b) is stated once:
+verify_inductive_k reads it, an off-peak second-moment row is the
+inductive-k row with every free slot phi/eps, and the x=1, n+1=2k peak
+reconstructs the same sum exactly.  The trace bridges, 2(q-2) exact
+checks per prime, are checked one family per array pass straight into
+those columns; their per-lambda oracle lives in the tests
+(tests/oracles.py).  Randomized instance generation happens in
 the statement runner, never inside the checks, and every instance is
 fully described in its report so failures reproduce.  estimate_sweep is
 the one prime loop of the three sweeps: the trace-route 4F3(1) and 6F5(1)
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,9 +142,10 @@ def float_tol(q: int) -> float:
     return 1e-6 if q <= 31 else 1e-5
 
 
-def _float_report(name: str, q: int, instance: str, lhs: complex, rhs: complex) -> IdentityReport:
+def _float_report(name: str, q: int, instance: str, lhs: complex, rhs: complex, floor: float = 0.0) -> IdentityReport:
+    """|lhs - rhs| within float_tol(q); a floor (a cross-check's residual) above it is the residual instead."""
     lhs, rhs = complex(lhs), complex(rhs)
-    residual = float(abs(lhs - rhs))
+    residual = float(max(abs(lhs - rhs), floor))
     tol = float_tol(q)
     return IdentityReport(name, q, instance, lhs, rhs, residual, tol, residual <= tol)
 
@@ -152,6 +157,14 @@ def _exact_report(
     diff = abs(lhs.num * q**rhs.npow - rhs.num * q**lhs.npow)
     residual = margin or (float(diff) / q ** (lhs.npow + rhs.npow) if diff else 0.0)
     return IdentityReport(name, q, instance, lhs, rhs, residual, 0.0, diff == 0 and not margin)
+
+
+def _exact_ints(
+    name: str, q: int, instance: str, lhs: int, rhs: int, npow: int, margin: float = 0.0
+) -> IdentityReport:
+    """_exact_report of lhs / q**npow against rhs / q**npow."""
+    make = QPowerRational.make
+    return _exact_report(name, q, instance, make(lhs, npow, q), make(rhs, npow, q), margin)
 
 
 def _reconstructed(v: complex, npow: int, q: int) -> tuple[QPowerRational, float]:
@@ -204,6 +217,15 @@ def verify_contiguous(params: HyperParams, psi: int, x: int, tables: SumTables) 
 # -- inductive representation with k trailing phi/eps slots ---------------------
 
 
+def _inductive_sum(free: HyperParams, k: int, x: int, tables: SumTables) -> complex:
+    """sum over b != 0 of phi(b) F_free(b x) F_{k-1}(b), F_{k-1} the all-phi/eps kF_{k-1}."""
+    q = tables.field.q
+    vals_free = hyper_all_x(free, tables)
+    vals_phi = hyper_all_x(HyperParams.phi_eps(q, k - 1), tables)
+    bs = np.arange(1, q)
+    return complex((tables.field.legendre_table[bs] * vals_free[(bs * x) % q] * vals_phi[bs]).sum())
+
+
 def verify_inductive_k(
     n: int,
     k: int,
@@ -225,13 +247,7 @@ def verify_inductive_k(
     free = HyperParams(q, free_uppers, free_lowers)
     full = HyperParams(q, (*free.uppers, *((q - 1) // 2,) * k), (*free.lowers, *(0,) * k))
     lhs = hyper_char(full, x, tables)
-    vals_free = hyper_all_x(free, tables)
-    vals_phi = hyper_all_x(HyperParams.phi_eps(q, k - 1), tables)
-    bs = np.arange(1, q)
-    total = complex(
-        (f.legendre_table[bs] * vals_free[(bs * x) % q] * vals_phi[bs]).sum()
-    )
-    rhs = f.phi_minus_one**k / q * total
+    rhs = f.phi_minus_one**k / q * _inductive_sum(free, k, x, tables)
     inst = f"n={n} k={k} x={x} up={_idx(free.uppers)} lo={_idx(free.lowers)}"
     return _float_report("inductive-k", q, inst, lhs, rhs)
 
@@ -339,15 +355,10 @@ def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
     lhs2 = int((leg[(1 + lams) % q] * ap[lams] ** 2).sum()) + q + f32.scaled_int(2, q)
     lhs3 = int((leg[lams] * ap[lams] ** 2).sum()) + q * phi_m1 + f32.scaled_int(2, q)
 
-    def rep(lhs, rhs, inst, margin=0.0):
-        return _exact_report(
-            "trace-moments", q, inst, QPowerRational.make(lhs, 0, q), QPowerRational.make(rhs, 0, q), margin
-        )
-
     return [
-        rep(lhs1, -1, "sum a_lambda + phi(-1)"),
-        rep(lhs2, -1, "phi(1+lambda)-weighted clausen squares", margin),
-        rep(lhs3, -phi_m1, "phi(lambda)-weighted clausen squares", margin),
+        _exact_ints("trace-moments", q, "sum a_lambda + phi(-1)", lhs1, -1, 0),
+        _exact_ints("trace-moments", q, "phi(1+lambda)-weighted clausen squares", lhs2, -1, 0, margin),
+        _exact_ints("trace-moments", q, "phi(lambda)-weighted clausen squares", lhs3, -phi_m1, 0, margin),
     ]
 
 
@@ -355,37 +366,27 @@ def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
 
 
 def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> IdentityReport:
-    """(n+1)F_n(x) against its lambda-sum of products; exact at the x=1, n+1=2k peak."""
+    """(n+1)F_n(x) against its lambda-sum of products; exact at the x=1, n+1=2k peak.
+
+    Off the peak this is the inductive-k row with every free slot phi/eps; at
+    the peak both sides are reconstructed and compared as integers over q**(2k-1).
+    """
     if not n > k >= 1:
         raise RejectedInput(f"need n > k >= 1, got n={n}, k={k}")
     f = tables.field
     q = f.q
     x %= q
-    leg = f.legendre_table
-    lams = np.arange(1, q)
     if x == 1 and n + 1 == 2 * k:
-        vals = hyper_all_x(HyperParams.phi_eps(q, k - 1), tables)
-        total = complex((leg[lams] * vals[lams] ** 2).sum())
+        total = _inductive_sum(HyperParams.phi_eps(q, k - 1), k, 1, tables)
         left, left_margin = _reconstructed(total, 2 * k - 2, q)
         right, right_margin = _reconstructed(hyper_char(HyperParams.phi_eps(q, 2 * k - 1), 1, tables), 2 * k - 1, q)
-        # Compare q**(2k-1) * both sides as integers.
         lhs_int = left.scaled_int(2 * k - 1, q)
         rhs_int = f.phi_minus_one**k * right.scaled_int(2 * k, q)
         inst = f"k={k} x=1 second-moment peak"
-        return _exact_report(
-            "second-moment",
-            q,
-            inst,
-            QPowerRational.make(lhs_int, 2 * k - 1, q),
-            QPowerRational.make(rhs_int, 2 * k - 1, q),
-            max(left_margin, right_margin),
-        )
-    lhs = hyper_char(HyperParams.phi_eps(q, n), x, tables)
-    vals_hi = hyper_all_x(HyperParams.phi_eps(q, n - k), tables)
-    vals_lo = hyper_all_x(HyperParams.phi_eps(q, k - 1), tables)
-    total = complex((leg[lams] * vals_hi[(lams * x) % q] * vals_lo[lams]).sum())
-    rhs = f.phi_minus_one**k / q * total
-    return _float_report("second-moment", q, f"n={n} k={k} x={x}", lhs, rhs)
+        return _exact_ints("second-moment", q, inst, lhs_int, rhs_int, 2 * k - 1, max(left_margin, right_margin))
+    phi = (q - 1) // 2
+    row = verify_inductive_k(n, k, (phi,) * (n - k + 1), (0,) * (n - k), x, tables)
+    return replace(row, name="second-moment", instance=f"n={n} k={k} x={x}")
 
 
 # -- trace bridges -----------------------------------------------------------------
@@ -556,11 +557,8 @@ def verify_remark_sums(lam: int, level: str, tables: SumTables) -> IdentityRepor
         bridge_resid = abs(f3 - bridge)
     else:
         raise RejectedInput(f"unknown level {level!r}; expected 3F2 or 4F3")
-    lhs, rhs = complex(lhs), complex(rhs)
-    residual = float(max(abs(lhs - rhs), bridge_resid))
-    tol = float_tol(q)
     inst = f"level={level} lambda={lam} t={t} (with trace cross-check)"
-    return IdentityReport("remark-sums", q, inst, lhs, rhs, residual, tol, residual <= tol)
+    return _float_report("remark-sums", q, inst, lhs, rhs, bridge_resid)
 
 
 # -- estimate sweeps ------------------------------------------------------------------
@@ -680,6 +678,11 @@ def _rand_x(rng: random.Random, q: int, exclude=(0,)) -> int:
             return x
 
 
+def _rand_slots(rng: random.Random, q: int, lowers: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """lowers+1 random upper character indices, then lowers random lower ones."""
+    return tuple(rng.randrange(q - 1) for _ in range(lowers + 1)), tuple(rng.randrange(q - 1) for _ in range(lowers))
+
+
 def run_statement(label: str, tables: SumTables, seed: int):
     """Default instance set for one statement over one prime; deterministic in seed.
 
@@ -711,34 +714,22 @@ def run_statement(label: str, tables: SumTables, seed: int):
             out.append(verify_contiguous(base, phi, x, tables))
         out.append(verify_contiguous(base, 0, 2, tables))
         for n in (1, 2):
-            params = HyperParams(
-                q,
-                tuple(rng.randrange(q - 1) for _ in range(n + 1)),
-                tuple(rng.randrange(q - 1) for _ in range(n)),
-            )
+            params = HyperParams(q, *_rand_slots(rng, q, n))
             out.append(verify_contiguous(params, rng.randrange(q - 1), _rand_x(rng, q), tables))
     elif label == "inductive-k":
         for n, k in ((2, 1), (3, 1), (3, 2), (4, 3)):
             for _ in range(2):
-                ups = tuple(rng.randrange(q - 1) for _ in range(n - k + 1))
-                los = tuple(rng.randrange(q - 1) for _ in range(n - k))
-                out.append(verify_inductive_k(n, k, ups, los, _rand_x(rng, q), tables))
+                out.append(verify_inductive_k(n, k, *_rand_slots(rng, q, n - k), _rand_x(rng, q), tables))
     elif label == "product":
         if q == 7:
             for x in range(2, q):
                 for z in range(2, q):
                     out.append(verify_product((phi,), (), x, z, tables))
         else:
-            for _ in range(3):
+            for lowers in (0, 0, 0, 1, 1):
                 x = _rand_x(rng, q, exclude=(0, 1))
                 z = _rand_x(rng, q, exclude=(0, 1))
-                out.append(verify_product((rng.randrange(q - 1),), (), x, z, tables))
-            for _ in range(2):
-                x = _rand_x(rng, q, exclude=(0, 1))
-                z = _rand_x(rng, q, exclude=(0, 1))
-                ups = (rng.randrange(q - 1), rng.randrange(q - 1))
-                los = (rng.randrange(q - 1),)
-                out.append(verify_product(ups, los, x, z, tables))
+                out.append(verify_product(*_rand_slots(rng, q, lowers), x, z, tables))
     elif label == "generating":
         base = HyperParams.phi_eps(q, 1)
         for _ in range(2):
@@ -746,11 +737,7 @@ def run_statement(label: str, tables: SumTables, seed: int):
             t = _rand_x(rng, q, exclude=(0, 1))
             out.append(verify_generating(base, x, t, tables))
         for n in (1, 2):
-            params = HyperParams(
-                q,
-                tuple(rng.randrange(q - 1) for _ in range(n + 1)),
-                tuple(rng.randrange(q - 1) for _ in range(n)),
-            )
+            params = HyperParams(q, *_rand_slots(rng, q, n))
             x = _rand_x(rng, q)
             t = _rand_x(rng, q, exclude=(0, 1))
             out.append(verify_generating(params, x, t, tables))

@@ -341,14 +341,9 @@ def test_verify_product_memory_bounded_at_q3203(tmp_path):
     assert max_rss_kb < 200 * 1024, f"peak RSS {max_rss_kb // 1024} MB"
 
 
-def test_verify_bytes_do_not_depend_on_blas_threads():
-    """One verify run writes the same bytes with one BLAS thread and with two.
-
-    A 1-D complex BLAS dot product is split across threads at q=10007, so
-    its last bits would move with the thread count; the checks sum in numpy.
-    """
-    statements = ",".join(s for s in STATEMENTS if s != "product")
-    argv = ["verify", "--primes", "10007", "--statements", statements, "--seed", "0", "--format", "csv"]
+def _verify_bytes_by_blas_threads(primes: str, statements: str) -> list[bytes]:
+    """The csv bytes of one verify run with one BLAS thread and with two."""
+    argv = ["verify", "--primes", primes, "--statements", statements, "--seed", "0", "--format", "csv"]
     src = str(Path(ffhyper.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
@@ -360,7 +355,24 @@ def test_verify_bytes_do_not_depend_on_blas_threads():
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
+    return outs
+
+
+def test_verify_bytes_do_not_depend_on_blas_threads():
+    """One verify run writes the same bytes with one BLAS thread and with two.
+
+    A 1-D complex BLAS dot product is split across threads at q=10007, so
+    its last bits would move with the thread count; the checks sum in numpy.
+    """
+    outs = _verify_bytes_by_blas_threads("10007", ",".join(s for s in STATEMENTS if s != "product"))
     assert outs[0] == outs[1]
+
+
+def test_verify_product_bytes_do_not_depend_on_blas_threads():
+    """product's F4* points are one BLAS matrix product (appell_f4_batch's block @ weights),
+    the one BLAS call left on a report path; its bytes match with one thread and two."""
+    outs = _verify_bytes_by_blas_threads("3203", "product")
+    assert outs[0] == outs[1] and b"\nproduct,3203,5,0," in outs[0]  # summary: 5 instances, 0 failures
 
 
 def test_cli_import_loads_only_stdlib_and_numpy():
@@ -583,6 +595,22 @@ def test_verify_exact_statements_match_golden_bytes(fmt, ext, capsys):
     argv = ["verify", "--primes", "101..151", "--statements", "first-moment,trace-moments,trace-bridge"]
     assert run([*argv, "--seed", "42", "--format", fmt]) == EXIT_OK
     assert_same_text(capsys.readouterr().out, golden.read_text(encoding="utf-8"))
+
+
+def test_verify_instances_match_golden(capsys):
+    """The statement, q and instance of every row over primes 101..151 at seed 42, as committed.
+
+    The other goldens pin exact statements only; this one pins every
+    statement's random instance draws, so a reordered or extra rng draw
+    changes an instance and fails here.
+    """
+    golden = Path(__file__).resolve().parent / "data" / "verify_instances_101_151_seed42.csv"
+    argv = ["verify", "--primes", "101..151", "--statements", "all", "--seed", "42", "--format", "csv"]
+    assert run(argv) == EXIT_OK
+    report = capsys.readouterr().out.partition("\n\n")[0]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(row[:3] for row in csv.reader(io.StringIO(report)))
+    assert_same_text(buf.getvalue(), golden.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("family", ("legendre", "clausen"))

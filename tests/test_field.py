@@ -109,3 +109,12 @@ def test_primes_in_range_sieve_matches_trial_division():
     # pi(10^6) = 78498 counts the prime 2; 1000003 is the next prime.
     assert len(primes_in_range(3, 10**6)) == 78497
     assert len(primes_in_range(3, 1000003)) == 78498
+
+
+@pytest.mark.parametrize("table", ("exp", "dlog", "legendre_table", "unit_roots"))
+def test_field_tables_are_read_only(table):
+    """A stray write to a field table raises instead of corrupting every later character value."""
+    arr = getattr(make_field(13), table)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr[1] = arr[2]

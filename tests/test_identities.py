@@ -230,6 +230,19 @@ def test_second_moment_general_instance(tables_for):
 def test_second_moment_rejects(tables_for):
     with pytest.raises(RejectedInput):
         second_weighted_moment(2, 2, 1, tables_for(7))
+    # x = 0 is refused as verify_inductive_k refuses it, not passed with both sides 0.
+    for n, k in ((2, 1), (3, 2)):
+        with pytest.raises(RejectedInput, match="x must be nonzero"):
+            second_weighted_moment(n, k, 0, tables_for(101))
+
+
+@pytest.mark.parametrize("q, n, k, x", ((7, 3, 1, 2), (101, 2, 1, 29), (101, 3, 2, 5), (101, 4, 3, 77)))
+def test_second_moment_off_peak_is_the_all_phi_inductive_k_row(q, n, k, x, tables_for):
+    t = tables_for(q)
+    phi = (q - 1) // 2
+    row = verify_inductive_k(n, k, (phi,) * (n - k + 1), (0,) * (n - k), x, t)
+    want = replace(row, name="second-moment", instance=f"n={n} k={k} x={x}")
+    assert second_weighted_moment(n, k, x, t) == want and want.passed
 
 
 # -- trace bridges -----------------------------------------------------------------------
