@@ -2,7 +2,8 @@
 
 Exit codes are a function of results only: 0 all checks pass, 1 any
 failed row (a failed reconstruction is one) or verify statement with no
-instances, 2 usage or configuration error (an unwritable --out is one),
+instances, 2 usage or configuration error (an unwritable --out is one, and
+an eval flag its function does not read another, refused before any work),
 3 work budget exceeded: a run is charged in full (CHARGES) before its
 first table is built, so a refusal writes nothing.  Verify writes its rows
 by statement, in the order first named, then by prime, so the bytes emitted
@@ -291,12 +292,24 @@ def _parse_indices(text: str | None, what: str) -> list[int]:
         raise UsageError(f"bad --{what} value {text!r}") from e
 
 
+# The optional eval flags by argparse dest, and the dests each function reads.
+_EVAL_FLAGS = {"x": "--x", "y": "--y", "lam": "--lambda", "chars": "--chars", "uppers": "--uppers", "lowers": "--lowers"}
+_EVAL_READS = {"trace-legendre": "lam", "trace-clausen": "lam", "gauss": "chars", "jacobi": "chars", "appell": "chars x y"}
+
+
 def cmd_eval(args) -> int:
+    """Evaluate one function at one point; a flag the function does not read is refused before any work."""
     start = time.perf_counter()
+    fn = args.fn
+    m = re.fullmatch(r"(\d+)F(\d+)", fn)
+    n = int(m.group(2)) if m and int(m.group(1)) == int(m.group(2)) + 1 else None
+    reads = _EVAL_READS.get(fn, "x uppers lowers" if n is not None else " ".join(_EVAL_FLAGS)).split()
+    unread = [flag for dest, flag in _EVAL_FLAGS.items() if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        raise UsageError(f"{fn} does not read {', '.join(unread)}")
     _charge(_per_prime(("field",), (args.q,)), DEFAULT_BUDGET)
     f = make_field(args.q)
     tables = SumTables(f)
-    fn = args.fn
     lines = []
     if fn in ("trace-legendre", "trace-clausen"):
         if args.lam is None:
@@ -322,10 +335,8 @@ def cmd_eval(args) -> int:
         val = appell_f4(*idx, args.x, args.y, tables)
         lines.append(f"F4* = {val!r}")
     else:
-        m = re.fullmatch(r"(\d+)F(\d+)", fn)
-        if not m or int(m.group(1)) != int(m.group(2)) + 1:
+        if n is None:
             raise UsageError(f"unknown function {fn!r}; expected e.g. 2F1, 3F2, trace-legendre, gauss")
-        n = int(m.group(2))
         if args.x is None:
             raise UsageError("--x is required for hypergeometric evaluation")
         if args.uppers or args.lowers:

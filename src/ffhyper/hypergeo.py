@@ -19,7 +19,9 @@ For the all-phi/eps parameter family an exact backend unrolls the
 one-slot descent down to the base case and sums Legendre symbols in
 arbitrary-precision integer arithmetic; it keeps no memo.  No command
 runs it: the exact identity checks reconstruct their integers from the
-character backend, and only the tests compare the two.
+character backend, and only the tests compare the two.  Reconstruction
+has one nearest-integer rule (_nearest): reconstruct raises its failure,
+and reconstruct_ints is its array form.
 """
 
 from __future__ import annotations
@@ -97,12 +99,6 @@ class QPowerRational:
             npow -= 1
         return cls(num, npow)
 
-    def scaled_int(self, npow: int, q: int) -> int:
-        """num * q**(npow - self.npow); requires npow >= self.npow."""
-        if npow < self.npow:
-            raise ValueError("cannot scale down an exact value")
-        return self.num * q ** (npow - self.npow)
-
     def fmt(self, q: int) -> str:
         return _q_power_text(self.num, self.npow, q)
 
@@ -125,39 +121,38 @@ def float_scale(npow: int, q: int) -> float:
         raise NotRational(f"scale q^{npow} = {q}^{npow} is beyond float range", math.inf) from None
 
 
-def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
-    """Recover the integer m with v ~= m / q**npow, or fail loudly.
+def _nearest(v: complex, npow: int, q: int) -> tuple[int, float, NotRational | None]:
+    """The integer m nearest v * q**npow, its margin, and why v is not m / q**npow (None if it is).
 
-    Both the imaginary part and the distance to the nearest integer of
-    v * q**npow must stay below EXACT_GAP = 0.01 (reconstruct_ints's margin,
-    which a NaN or infinite value fails), and q**npow must fit in a float.
-    The two parts are scaled apart: a complex product would turn a
-    non-finite real part times the scale's zero imaginary part into a
-    NaN imaginary part.
+    m is 0 where either scaled part is not finite.  The margin is the scaled
+    imaginary part if not below EXACT_GAP, else the distance to m; v is
+    exact when its margin is below EXACT_GAP, so NaN fails.  A scale beyond
+    float range raises float_scale's NotRational.  The two parts are scaled
+    apart: a complex product would turn a non-finite real part times the
+    scale's zero imaginary part into a NaN imaginary part.
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
     v, scale = complex(v), float_scale(npow, q)
     re, im = v.real * scale, v.imag * scale
-    m = round(re) if math.isfinite(re) else 0
+    m = round(re) if math.isfinite(re) and math.isfinite(im) else 0
     if abs(im) < EXACT_GAP:
         margin, why = abs(re - m), "not within rounding distance of an integer"
     else:
         margin, why = abs(im), "imaginary part too large for an exact value"
-    if not margin < EXACT_GAP:  # NaN fails
-        raise NotRational(f"{why} at scale q^{npow}", margin)
+    return m, margin, None if margin < EXACT_GAP else NotRational(f"{why} at scale q^{npow}", margin)
+
+
+def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
+    """Recover the integer m with v ~= m / q**npow by _nearest's rule, or raise its NotRational."""
+    m, _, failure = _nearest(v, npow, q)
+    if failure is not None:
+        raise failure
     return QPowerRational.make(m, npow, q)
 
 
 def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The integers m[i] nearest values[i] * q**npow, as int64, and each entry's margin.
-
-    The margin is the residual reconstruct raises for the entry: the scaled
-    imaginary part if not below EXACT_GAP, else the distance to m[i].  An
-    entry passes reconstruct's rule exactly when its margin is below
-    EXACT_GAP, so NaN fails; m[i] is 0 where the scaled value is not finite.
-    The parts are scaled apart, as in reconstruct.
-    """
+    """_nearest over an array: each entry's integer, as int64, and margin."""
     scale = q**npow
     re, im = values.real * scale, values.imag * scale
     m = np.rint(np.where(np.isfinite(re) & np.isfinite(im), re, 0.0))

@@ -2,22 +2,25 @@
 
 Identities whose two sides live in q**-m * Z are checked in exact integer
 arithmetic after rational reconstruction; everything else is checked in
-floating point against a scale-aware tolerance.  A value that fails
-reconstruction fails only the rows that read it, each holding its nearest
-value over q**m and its margin as the residual.  Each check returns one
-IdentityReport; the statement runner returns a statement's rows at one
-prime as one ReportBlock of columns, exact and float rows alike.  The
-inductive b-sum sum_b phi(b) F_free(bx) F_{k-1}(b) is stated once:
+floating point against a scale-aware tolerance.  A scalar exact row is two
+integers over one power of q (_exact_ints), rounded by hypergeo's one
+nearest-integer rule; a value that is not exact fails only the rows that
+read it, each holding its nearest value over q**m and its margin as the
+residual.  Each check returns one IdentityReport; the statement runner
+returns a statement's rows at one prime as one ReportBlock of columns.
+The inductive b-sum sum_b phi(b) F_free(bx) F_{k-1}(b) is stated once:
 verify_inductive_k reads it, an off-peak second-moment row is the
 inductive-k row with every free slot phi/eps, and the x=1, n+1=2k peak
-reconstructs the same sum exactly.  The trace bridges, 2(q-2) exact
-checks per prime, are checked one family per array pass straight into
-those columns; their per-lambda oracle lives in the tests
-(tests/oracles.py).  Randomized instance generation happens in
-the statement runner, never inside the checks, and every instance is
-fully described in its report so failures reproduce.  estimate_sweep is
-the one prime loop of the three sweeps: the trace-route 4F3(1) and 6F5(1)
-estimates, and the first-moment block pivoted into one row per n.
+reconstructs the same sum exactly.  Each curve family's trace table is
+one memo entry per prime, read by trace-moments, trace-bridge and the
+F43/F65 sweeps.  The trace bridges, 2(q-2) exact checks per prime, are
+checked one family per array pass straight into those columns; their
+per-lambda oracle lives in the tests (tests/oracles.py).  Randomized
+instance generation happens in the statement runner, never inside the
+checks, and every instance is fully described in its report so failures
+reproduce.  estimate_sweep is the one prime loop of the three sweeps: the
+trace-route 4F3(1) and 6F5(1) estimates, and the first-moment block
+pivoted into one row per n.
 """
 
 from __future__ import annotations
@@ -32,17 +35,17 @@ import numpy as np
 from .characters import Character, character_row
 from .charsums import SumTables
 from .curves import clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
-from .errors import Infeasible, NotRational, RejectedInput
+from .errors import Infeasible, RejectedInput
 from .field import PrimeField, make_field
 from .hypergeo import (
     EXACT_GAP,
     HyperParams,
     QPowerRational,
+    _nearest,
     appell_f4_batch,
     hyper_all_x,
     hyper_char,
     hyper_twisted_sum,
-    reconstruct,
     reconstruct_ints,
 )
 
@@ -167,17 +170,10 @@ def _exact_ints(
     return _exact_report(name, q, instance, make(lhs, npow, q), make(rhs, npow, q), margin)
 
 
-def _reconstructed(v: complex, npow: int, q: int) -> tuple[QPowerRational, float]:
-    """reconstruct(v, npow, q) and margin 0.0, or the nearest value over q**npow and its residual.
-
-    The nearest value is 0 where either scaled part is not finite, as in reconstruct_ints.
-    """
-    try:
-        return reconstruct(v, npow, q), 0.0
-    except NotRational as e:
-        v, scale = complex(v), q**npow
-        re, im = v.real * scale, v.imag * scale
-        return QPowerRational.make(round(re) if math.isfinite(re) and math.isfinite(im) else 0, npow, q), e.residual
+def _reconstructed(v: complex, npow: int, q: int) -> tuple[int, float]:
+    """The integer nearest v * q**npow, and 0.0 or, where v is not exact, its margin (hypergeo._nearest)."""
+    m, margin, failure = _nearest(v, npow, q)
+    return m, 0.0 if failure is None else margin
 
 
 def _canonical(num: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -314,29 +310,18 @@ def first_moment(n: int, weighted: bool, tables: SumTables) -> IdentityReport:
     else:
         total = complex(vals.sum())
         expected = (-1) ** (n + 1)
-    lhs, margin = _reconstructed(total, n, q)
-    rhs = QPowerRational.make(expected, n, q)
+    num, margin = _reconstructed(total, n, q)
     inst = f"n={n} {'weighted' if weighted else 'unweighted'}"
-    return _exact_report("first-moment", q, inst, lhs, rhs, margin)
+    return _exact_ints("first-moment", q, inst, num, expected, n, margin)
 
 
 # -- trace moment identities -------------------------------------------------------
 
 
-def _family_tables(family: str, tables: SumTables) -> tuple[np.ndarray, np.ndarray]:
-    """A curve family's trace table and its phi/eps hypergeometric values, memoised.
-
-    The Legendre traces pair with 2F1 and the Clausen traces with 3F2;
-    both arrays are indexed by the curve or function parameter.
-    """
-    return tables.memo(("family", family), _family_pair, family, tables)
-
-
-def _family_pair(family: str, tables: SumTables) -> tuple[np.ndarray, np.ndarray]:
-    f = tables.field
-    if family == "legendre":
-        return legendre_trace_table(f), hyper_all_x(HyperParams.phi_eps(f.q, 1), tables)
-    return clausen_trace_table(f), hyper_all_x(HyperParams.phi_eps(f.q, 2), tables)
+def _trace_table(family: str, tables: SumTables) -> np.ndarray:
+    """The legendre or clausen family's traces, indexed by the curve parameter; memoised."""
+    build = legendre_trace_table if family == "legendre" else clausen_trace_table
+    return tables.memo(("trace", family), build, tables.field)
 
 
 def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
@@ -344,16 +329,14 @@ def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
     f = tables.field
     q = f.q
     leg = f.legendre_table
-    a, _ = _family_tables("legendre", tables)
-    ap, _ = _family_tables("clausen", tables)
+    ap = _trace_table("clausen", tables)
     f32, margin = _reconstructed(hyper_char(HyperParams.phi_eps(q, 2), 1, tables), 2, q)
     phi_m1 = f.phi_minus_one
 
-    sum_a = int(a[2:].sum())
-    lhs1 = sum_a + phi_m1
+    lhs1 = int(_trace_table("legendre", tables)[2:].sum()) + phi_m1
     lams = np.arange(1, q - 1)  # clausen-valid: lambda not in {0, -1}
-    lhs2 = int((leg[(1 + lams) % q] * ap[lams] ** 2).sum()) + q + f32.scaled_int(2, q)
-    lhs3 = int((leg[lams] * ap[lams] ** 2).sum()) + q * phi_m1 + f32.scaled_int(2, q)
+    lhs2 = int((leg[(1 + lams) % q] * ap[lams] ** 2).sum()) + q + f32
+    lhs3 = int((leg[lams] * ap[lams] ** 2).sum()) + q * phi_m1 + f32
 
     return [
         _exact_ints("trace-moments", q, "sum a_lambda + phi(-1)", lhs1, -1, 0),
@@ -369,7 +352,8 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
     """(n+1)F_n(x) against its lambda-sum of products; exact at the x=1, n+1=2k peak.
 
     Off the peak this is the inductive-k row with every free slot phi/eps; at
-    the peak both sides are reconstructed and compared as integers over q**(2k-1).
+    the peak the lambda-sum over q**(2k-2) and (2k)F_{2k-1}(1) over q**(2k-1)
+    are reconstructed, and compared as integers over q**(2k-2).
     """
     if not n > k >= 1:
         raise RejectedInput(f"need n > k >= 1, got n={n}, k={k}")
@@ -380,10 +364,9 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
         total = _inductive_sum(HyperParams.phi_eps(q, k - 1), k, 1, tables)
         left, left_margin = _reconstructed(total, 2 * k - 2, q)
         right, right_margin = _reconstructed(hyper_char(HyperParams.phi_eps(q, 2 * k - 1), 1, tables), 2 * k - 1, q)
-        lhs_int = left.scaled_int(2 * k - 1, q)
-        rhs_int = f.phi_minus_one**k * right.scaled_int(2 * k, q)
+        margin = _max_residual((left_margin, right_margin))
         inst = f"k={k} x=1 second-moment peak"
-        return _exact_ints("second-moment", q, inst, lhs_int, rhs_int, 2 * k - 1, max(left_margin, right_margin))
+        return _exact_ints("second-moment", q, inst, left, f.phi_minus_one**k * right, 2 * k - 2, margin)
     phi = (q - 1) // 2
     row = verify_inductive_k(n, k, (phi,) * (n - k + 1), (0,) * (n - k), x, tables)
     return replace(row, name="second-moment", instance=f"n={n} k={k} x={x}")
@@ -406,11 +389,13 @@ def trace_bridge_block(tables: SumTables) -> ReportBlock:
     f = tables.field
     q = f.q
     lams = np.arange(2, q)
-    a, f21 = _family_tables("legendre", tables)
+    a = _trace_table("legendre", tables)
+    f21 = hyper_all_x(HyperParams.phi_eps(q, 1), tables)
     legendre_ints, legendre_margin = reconstruct_ints(f.phi_minus_one * f21[2:], 1, q)
     legendre_lhs = _canonical(legendre_ints, 1, q)
     legendre_rhs = _canonical(-a[2:], 1, q)
-    ap, f32 = _family_tables("clausen", tables)
+    ap = _trace_table("clausen", tables)
+    f32 = hyper_all_x(HyperParams.phi_eps(q, 2), tables)
     t2, clausen_margin = reconstruct_ints(f32[2:], 2, q)
     one_minus = (1 - lams) % q
     mus = f.exp[(f.dlog[lams] - f.dlog[one_minus]) % (q - 1)]
@@ -589,7 +574,7 @@ def _weighted_square_excess(w: np.ndarray, ap: np.ndarray, q: int) -> int:
 def _f43_rows(tables: SumTables) -> list[tuple[str, dict, float]]:
     f = tables.field
     q = f.q
-    s = int((f.legendre_table[2:] * legendre_trace_table(f)[2:] ** 2).sum())  # lambda = 2..q-1
+    s = int((f.legendre_table[2:] * _trace_table("legendre", tables)[2:] ** 2).sum())  # lambda = 2..q-1
     dev = abs(s) / q**3  # |value - 1/q^3|
     value = QPowerRational.make(s + 1, 3, q).fmt(q)
     row = {"q": q, "value": value, "abs_dev": dev, "scaled_dev": dev * q, "bound": 4 / q, "pass": dev <= 4 / q}
@@ -601,7 +586,7 @@ def _f65_rows(tables: SumTables) -> list[tuple[str, dict, float]]:
     q = f.q
     # mu = 1..q-2: ap[1:q-1] is ap(mu), leg[2:] is phi(1 + mu), and
     # phi(mu(1 + mu)) = phi(mu) phi(1 + mu) by multiplicativity.
-    ap = clausen_trace_table(f)[1 : q - 1]
+    ap = _trace_table("clausen", tables)[1 : q - 1]
     leg = f.legendre_table
     s = _weighted_square_excess(leg[1 : q - 1] * leg[2:], ap, q)
     t = -1 - q - int((leg[2:] * ap**2).sum())  # q^2 * 3F2(1)

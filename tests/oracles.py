@@ -3,8 +3,8 @@
 None of these runs in a command: each is the slow, direct form of
 something `ffhyper` computes another way (the descent relation, the
 point count, the per-lambda trace bridges, reading a JSON report back),
-plus the helpers that drive the bridge oracles and perturb the family
-tables and 3F2 values the checks read.
+plus the helpers that drive the bridge oracles and perturb the trace
+tables and hypergeometric values the checks read.
 """
 
 import math
@@ -16,7 +16,7 @@ from ffhyper.charsums import SumTables
 from ffhyper.errors import RejectedInput, SingularParameter
 from ffhyper.field import PrimeField
 from ffhyper.hypergeo import HyperParams, QPowerRational, hyper_all_x, reconstruct
-from ffhyper.identities import IdentityReport, _exact_report, _family_tables
+from ffhyper.identities import IdentityReport, _exact_report, _trace_table
 
 # -- hypergeometric descent --------------------------------------------------------
 
@@ -84,15 +84,16 @@ def verify_legendre_bridge(lam: int, tables: SumTables) -> IdentityReport:
     """q*phi(-1)*2F1(lambda) reconstructs to minus the Legendre-family trace.
 
     Both sides are read off memoised whole-family tables: the trace table
-    and the 2F1 values at every x.  legendre_trace is their oracle.
+    and the 2F1 values at every x (through identities' hyper_all_x, so
+    patch_family moves them).  legendre_trace is their oracle.
     """
     f = tables.field
     q = f.q
     lam %= q
     if lam in (0, 1):
         raise SingularParameter(f"lambda = {lam} is singular for the Legendre family")
-    traces, f21 = _family_tables("legendre", tables)
-    trace = int(traces[lam])
+    trace = int(_trace_table("legendre", tables)[lam])
+    f21 = ids.hyper_all_x(HyperParams.phi_eps(q, 1), tables)
     lhs = reconstruct(f.phi_minus_one * f21[lam], 1, q)
     rhs = QPowerRational.make(-trace, 1, q)
     return _exact_report("trace-bridge", q, f"legendre lambda={lam}", lhs, rhs)
@@ -110,9 +111,10 @@ def verify_clausen_bridge(lam: int, tables: SumTables) -> IdentityReport:
     if lam in (0, 1):
         raise RejectedInput("lambda must avoid {0, 1}")
     mu = lam * f.inv((1 - lam) % q) % q
-    traces, f32 = _family_tables("clausen", tables)
-    trace = int(traces[mu])
-    t2 = reconstruct(f32[lam], 2, q).scaled_int(2, q)
+    trace = int(_trace_table("clausen", tables)[mu])
+    f32 = ids.hyper_all_x(HyperParams.phi_eps(q, 2), tables)
+    t2 = reconstruct(f32[lam], 2, q)
+    t2 = t2.num * q ** (2 - t2.npow)  # q^2 * 3F2(lambda)
     lhs = QPowerRational.make(trace**2, 0, q)
     rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
     return _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
@@ -129,18 +131,33 @@ def bridge_loop(tables: SumTables) -> list[IdentityReport]:
 def patch_family(monkeypatch, offsets, table=1):
     """Move entries of the family tables: table[lam] += offset for each (family, lam).
 
-    table 0 is a family's trace table, 1 its hypergeometric values.  Only
-    SumTables made after the patch read the moved entries.
+    table 0 is a family's trace table, moved through its builder in
+    identities, so only SumTables made after the patch read it; table 1
+    its hypergeometric values (legendre 2F1, clausen 3F2), moved through
+    identities' hyper_all_x as move_3f2 does.
     """
 
-    def pair(family, tables, build=ids._family_pair):
-        tabs = [a.copy() for a in build(family, tables)]
+    def moved(family, values):
+        values = values.copy()
         for (fam, lam), offset in offsets.items():
             if fam == family:
-                tabs[table][lam] += offset
-        return tuple(tabs)
+                values[lam] += offset
+        return values
 
-    monkeypatch.setattr(ids, "_family_pair", pair)
+    if table == 0:
+        for family in ("legendre", "clausen"):
+            build = getattr(ids, f"{family}_trace_table")
+            monkeypatch.setattr(ids, f"{family}_trace_table", lambda f, b=build, fam=family: moved(fam, b(f)))
+        return
+
+    def all_x(params, tables, build=ids.hyper_all_x):
+        values = build(params, tables)
+        for family, n in (("legendre", 1), ("clausen", 2)):
+            if params == HyperParams.phi_eps(params.q, n):
+                return moved(family, values)
+        return values
+
+    monkeypatch.setattr(ids, "hyper_all_x", all_x)
 
 
 def move_3f2(monkeypatch, lam):

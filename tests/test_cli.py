@@ -151,6 +151,23 @@ def test_eval_1f0_checks_its_lower_count(capsys):
     assert capsys.readouterr().out.startswith("1F0(4) = (0.8090169943749475+0.5877852522924731j)\n")
 
 
+@pytest.mark.parametrize(
+    "flags, unread",
+    (
+        (["--fn", "2F1", "--x", "2", "--lambda", "5", "--chars", "1"], "--lambda, --chars"),
+        (["--fn", "2F1", "--x", "3", "--y", "2"], "--y"),
+        (["--fn", "trace-legendre", "--lambda", "3", "--x", "5"], "--x"),
+        (["--fn", "jacobi", "--chars", "1,2", "--x", "5", "--uppers", "1"], "--x, --uppers"),
+    ),
+)
+def test_eval_refuses_a_flag_its_function_does_not_read(flags, unread, capsys):
+    """A flag the function ignores is a usage error naming it, with nothing on stdout."""
+    assert run(["eval", "--q", "7", *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flags[1]} does not read {unread}\n"
+
+
 def test_eval_unknown_fn(capsys):
     assert run(["eval", "--q", "7", "--fn", "2F5", "--x", "1"]) == EXIT_USAGE
     capsys.readouterr()
@@ -637,20 +654,20 @@ def test_verify_writes_reconstruction_failure_of_loop(family, monkeypatch, capsy
 def test_verify_q100003_second_moment_fails_only_its_k3_peak(monkeypatch, capsys):
     """At q=100003 the k=3 peak's lambda-sum misses its integer over q^4 by 0.0127.
 
-    That row fails with the residual reconstruct raises, both sides at the
-    same nearest value (the float route's precision, not a false identity);
-    the k=2 peak and both off-peak rows are still checked, and pass.
+    That row fails with the residual the nearest-integer rule gives, both
+    sides at the same nearest value (the float route's precision, not a
+    false identity); the k=2 peak and both off-peak rows are still checked,
+    and pass.
     """
     raised = []
 
-    def recording(*args, reconstruct=ids.reconstruct):
-        try:
-            return reconstruct(*args)
-        except NotRational as e:
-            raised.append(e)
-            raise
+    def recording(*args, nearest=ids._nearest):
+        m, margin, failure = nearest(*args)
+        if failure is not None:
+            raised.append(failure)
+        return m, margin, failure
 
-    monkeypatch.setattr(ids, "reconstruct", recording)
+    monkeypatch.setattr(ids, "_nearest", recording)
     assert run(["verify", "--primes", "100003", "--statements", "second-moment", "--format", "json"]) == EXIT_FAILED
     rows = [report_from_json(d) for d in json.loads(capsys.readouterr().out)[:-1]]
     assert len(rows) == 4
@@ -760,6 +777,7 @@ def test_perfbench_tracer_hooks_a_verify_run(monkeypatch, capsys):
     assert [label for label in STATEMENTS if calls.get(f"identities.{label}") != 1] == []
     assert calls["cli.render"] == 1
     assert calls["characters.call"] > 0  # the one scalar evaluator the tracer hooks
+    assert calls["curves.legendre_trace_table"] == calls["curves.clausen_trace_table"] == 1
     assert tracer.counts["identities.trace-bridge.checks"] == 22  # 2 * (13 - 2)
     capsys.readouterr()
 

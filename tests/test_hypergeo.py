@@ -405,10 +405,3 @@ def test_reconstruct_roundtrip_property(num, npow):
     q = 13
     got = reconstruct(num / q**npow, npow, q)
     assert got == QPowerRational.make(num, npow, q)
-
-
-def test_exact_scaled_int():
-    v = QPowerRational.make(3, 1, 7)
-    assert v.scaled_int(3, 7) == 3 * 49
-    with pytest.raises(ValueError):
-        v.scaled_int(0, 7)

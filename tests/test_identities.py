@@ -25,7 +25,7 @@ from ffhyper.identities import (
     IdentityReport,
     ReportBlock,
     _exact_report,
-    _family_tables,
+    _trace_table,
     _weighted_square_excess,
     estimate_sweep,
     first_moment,
@@ -274,7 +274,8 @@ def test_bridges_match_direct_trace_oracle(q, tables_for):
         assert verify_legendre_bridge(lam, t) == want
 
         mu = lam * f.inv(1 - lam) % q
-        t2 = reconstruct(f32[lam], 2, q).scaled_int(2, q)
+        t2 = reconstruct(f32[lam], 2, q)
+        t2 = t2.num * q ** (2 - t2.npow)
         lhs = QPowerRational.make(clausen_trace(f, mu).trace ** 2, 0, q)
         rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
         want = _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
@@ -370,7 +371,7 @@ def test_reconstructed_non_finite_value_is_that_of_reconstruct_ints(value):
     """A scalar exact side and an array entry give one non-finite value one nearest value: 0, margin NaN or inf."""
     (num,), (margin,) = reconstruct_ints(np.array([value]), 0, 7)
     side, residual = ids._reconstructed(value, 0, 7)
-    assert (side.num, side.npow) == (num, 0) == (0, 0)
+    assert side == num == 0
     assert residual == margin or math.isnan(residual) and math.isnan(margin)
     assert not math.isfinite(residual)
 
@@ -393,7 +394,15 @@ def test_trace_tables_built_once_per_tables(monkeypatch):
             assert all(r.passed for r in run_statement(label, t, 0))
     assert sorted(built) == ["clausen_trace_table", "legendre_trace_table"]
     for family in ("legendre", "clausen"):
-        assert all(not a.flags.writeable for a in _family_tables(family, t))
+        assert not _trace_table(family, t).flags.writeable
+
+
+def test_trace_moments_builds_only_the_trace_tables():
+    """trace-moments memoises both trace tables and no all-x table: it reads 3F2 at 1 only."""
+    t = SumTables(make_field(13))
+    run_statement("trace-moments", t, 0)
+    assert {("trace", "legendre"), ("trace", "clausen")} <= set(t._memo)
+    assert [key for key in t._memo if isinstance(key, tuple) and key[0] == "allx"] == []
 
 
 def test_memo_returns_one_read_only_table():
@@ -406,10 +415,10 @@ def test_memo_returns_one_read_only_table():
         "line": lambda: t.binomial_line(3),
         "coeff": lambda: _coeff_vector(params, t),
         "allx": lambda: hyper_all_x(params, t),
-        "legendre": lambda: _family_tables("legendre", t)[0],
-        "legendre-2F1": lambda: _family_tables("legendre", t)[1],
-        "clausen": lambda: _family_tables("clausen", t)[0],
-        "clausen-3F2": lambda: _family_tables("clausen", t)[1],
+        "legendre": lambda: _trace_table("legendre", t),
+        "legendre-2F1": lambda: hyper_all_x(HyperParams.phi_eps(f.q, 1), t),
+        "clausen": lambda: _trace_table("clausen", t),
+        "clausen-3F2": lambda: hyper_all_x(HyperParams.phi_eps(f.q, 2), t),
         "parity": lambda: t.memo("parity", _parity, 12),
     }
     for name, get in getters.items():
