@@ -2,20 +2,23 @@
 
 Identities whose two sides live in q**-m * Z are checked in exact integer
 arithmetic after rational reconstruction; everything else is checked in
-floating point against a scale-aware tolerance.  A scalar exact row is two
-integers over one power of q (_exact_ints), rounded by hypergeo's one
-nearest-integer rule; a value that is not exact fails only the rows that
-read it, each holding its nearest value over q**m and its margin as the
-residual.  Each check returns one IdentityReport; the statement runner
-returns a statement's rows at one prime as one ReportBlock of columns.
+floating point against a scale-aware tolerance.  Every exact row is two
+integers over one power of q, rounded by hypergeo's one nearest-integer
+rule, and that rounding's margin.  One judge (_judge) gives every exact
+row's residual and pass, for the scalar rows (_exact_ints) and the
+trace-bridge columns alike; canonical form only fills the printed sides.
+A value that is not exact fails only the rows that read it, each holding
+its nearest value over q**m and its margin as the residual.  Each check
+returns one IdentityReport; the statement runner returns a statement's
+rows at one prime as one ReportBlock of columns.
 The inductive b-sum sum_b phi(b) F_free(bx) F_{k-1}(b) is stated once:
 verify_inductive_k reads it, an off-peak second-moment row is the
 inductive-k row with every free slot phi/eps, and the x=1, n+1=2k peak
 reconstructs the same sum exactly.  Each curve family's trace table is
 one memo entry per prime, read by trace-moments, trace-bridge and the
 F43/F65 sweeps.  The trace bridges, 2(q-2) exact checks per prime, are
-checked one family per array pass straight into those columns; their
-per-lambda oracle lives in the tests (tests/oracles.py).  Randomized
+reconstructed one family per array pass and judged in one call straight
+into those columns; their per-lambda oracle lives in the tests.  Randomized
 instance generation happens in the statement runner, never inside the
 checks, and every instance is fully described in its report so failures
 reproduce.  estimate_sweep is the one prime loop of the three sweeps: the
@@ -153,37 +156,34 @@ def _float_report(name: str, q: int, instance: str, lhs: complex, rhs: complex, 
     return IdentityReport(name, q, instance, lhs, rhs, residual, tol, residual <= tol)
 
 
-def _exact_report(
-    name: str, q: int, instance: str, lhs: QPowerRational, rhs: QPowerRational, margin: float = 0.0
-) -> IdentityReport:
-    """lhs == rhs exactly; a nonzero margin is a side's failed reconstruction, and the row's residual."""
-    diff = abs(lhs.num * q**rhs.npow - rhs.num * q**lhs.npow)
-    residual = margin or (float(diff) / q ** (lhs.npow + rhs.npow) if diff else 0.0)
-    return IdentityReport(name, q, instance, lhs, rhs, residual, 0.0, diff == 0 and not margin)
+def _judge(lhs, rhs, npow, margin, q):
+    """Residual and pass of exact rows lhs / q**npow against rhs / q**npow, margin their reconstruction margin.
+
+    A row passes when its margin is below EXACT_GAP and lhs == rhs.  Its
+    residual is the margin where that is not below the gap (NaN included),
+    else |lhs - rhs| / q**npow.  One rule for Python ints (a row, unbounded)
+    and for numpy int64 columns with per-row powers.
+    """
+    ok = margin < EXACT_GAP
+    return np.where(ok, abs(lhs - rhs) / q**npow, margin), ok & (lhs == rhs)
 
 
 def _exact_ints(
     name: str, q: int, instance: str, lhs: int, rhs: int, npow: int, margin: float = 0.0
 ) -> IdentityReport:
-    """_exact_report of lhs / q**npow against rhs / q**npow."""
+    """The exact row lhs / q**npow against rhs / q**npow, judged by _judge; each side prints canonical."""
+    residual, passed = _judge(lhs, rhs, npow, margin, q)
     make = QPowerRational.make
-    return _exact_report(name, q, instance, make(lhs, npow, q), make(rhs, npow, q), margin)
+    return IdentityReport(name, q, instance, make(lhs, npow, q), make(rhs, npow, q), float(residual), 0.0, bool(passed))
 
 
-def _reconstructed(v: complex, npow: int, q: int) -> tuple[int, float]:
-    """The integer nearest v * q**npow, and 0.0 or, where v is not exact, its margin (hypergeo._nearest)."""
-    m, margin, failure = _nearest(v, npow, q)
-    return m, 0.0 if failure is None else margin
-
-
-def _canonical(num: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """QPowerRational.make(num[i], npow, q) for every i, as numerator and power columns."""
-    pows = np.full(len(num), npow, dtype=np.int64)
-    for _ in range(npow):
-        cut = (pows > 0) & (num % q == 0)
+def _canonical(num: np.ndarray, npow: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """QPowerRational.make(num[i], npow[i], q) for every i, as numerator and power columns."""
+    for _ in range(npow.max(initial=0)):
+        cut = (npow > 0) & (num % q == 0)
         num = np.where(cut, num // q, num)
-        pows -= cut
-    return num, pows
+        npow = npow - cut
+    return num, npow
 
 
 def _idx(indices) -> str:
@@ -297,6 +297,9 @@ def verify_product(
 # -- first moments of the all-phi/eps family -------------------------------------
 
 
+FIRST_MOMENT_NS = (1, 2, 3)  # the n of the first-moment statement and the moments sweep
+
+
 def first_moment(n: int, weighted: bool, tables: SumTables) -> IdentityReport:
     """q**n * sum_y [phi(y)] F(y) against its closed-form sign."""
     if n < 1:
@@ -310,7 +313,7 @@ def first_moment(n: int, weighted: bool, tables: SumTables) -> IdentityReport:
     else:
         total = complex(vals.sum())
         expected = (-1) ** (n + 1)
-    num, margin = _reconstructed(total, n, q)
+    num, margin, _ = _nearest(total, n, q)
     inst = f"n={n} {'weighted' if weighted else 'unweighted'}"
     return _exact_ints("first-moment", q, inst, num, expected, n, margin)
 
@@ -330,7 +333,7 @@ def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
     q = f.q
     leg = f.legendre_table
     ap = _trace_table("clausen", tables)
-    f32, margin = _reconstructed(hyper_char(HyperParams.phi_eps(q, 2), 1, tables), 2, q)
+    f32, margin, _ = _nearest(hyper_char(HyperParams.phi_eps(q, 2), 1, tables), 2, q)
     phi_m1 = f.phi_minus_one
 
     lhs1 = int(_trace_table("legendre", tables)[2:].sum()) + phi_m1
@@ -362,8 +365,8 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
     x %= q
     if x == 1 and n + 1 == 2 * k:
         total = _inductive_sum(HyperParams.phi_eps(q, k - 1), k, 1, tables)
-        left, left_margin = _reconstructed(total, 2 * k - 2, q)
-        right, right_margin = _reconstructed(hyper_char(HyperParams.phi_eps(q, 2 * k - 1), 1, tables), 2 * k - 1, q)
+        left, left_margin, _ = _nearest(total, 2 * k - 2, q)
+        right, right_margin, _ = _nearest(hyper_char(HyperParams.phi_eps(q, 2 * k - 1), 1, tables), 2 * k - 1, q)
         margin = _max_residual((left_margin, right_margin))
         inst = f"k={k} x=1 second-moment peak"
         return _exact_ints("second-moment", q, inst, left, f.phi_minus_one**k * right, 2 * k - 2, margin)
@@ -379,12 +382,12 @@ def trace_bridge_block(tables: SumTables) -> ReportBlock:
     """Both trace bridges at every lambda in 2..q-1, one array pass per family.
 
     A Legendre row checks that q*phi(-1)*2F1(lambda) reconstructs to minus
-    the Legendre trace at lambda; a Clausen row checks the square of the
-    Clausen trace at mu = lambda/(1-lambda) against
-    q + q^2 phi(1-lambda) 3F2(lambda).  Each family is reconstructed in one
-    reconstruct_ints call; a lambda whose value fails reconstruction fails
-    its own row, with the residual the per-lambda oracle in
-    tests/oracles.py raises.  mu is read off the discrete-log tables.
+    the Legendre trace at lambda, two integers over q; a Clausen row checks
+    the square of the Clausen trace at mu = lambda/(1-lambda) against
+    q + q^2 phi(1-lambda) 3F2(lambda), two integers.  Each family is
+    reconstructed in one reconstruct_ints call, and both families' rows are
+    judged in one _judge call, so a lambda whose value fails reconstruction
+    fails only its own row.  mu is read off the discrete-log tables.
     """
     f = tables.field
     q = f.q
@@ -392,29 +395,20 @@ def trace_bridge_block(tables: SumTables) -> ReportBlock:
     a = _trace_table("legendre", tables)
     f21 = hyper_all_x(HyperParams.phi_eps(q, 1), tables)
     legendre_ints, legendre_margin = reconstruct_ints(f.phi_minus_one * f21[2:], 1, q)
-    legendre_lhs = _canonical(legendre_ints, 1, q)
-    legendre_rhs = _canonical(-a[2:], 1, q)
     ap = _trace_table("clausen", tables)
     f32 = hyper_all_x(HyperParams.phi_eps(q, 2), tables)
     t2, clausen_margin = reconstruct_ints(f32[2:], 2, q)
     one_minus = (1 - lams) % q
     mus = f.exp[(f.dlog[lams] - f.dlog[one_minus]) % (q - 1)]
-    clausen_lhs = _canonical(ap[mus] ** 2, 0, q)
-    clausen_rhs = _canonical(q + f.legendre_table[one_minus] * t2, 0, q)
+    lhs = np.concatenate((legendre_ints, ap[mus] ** 2))
+    rhs = np.concatenate((-a[2:], q + f.legendre_table[one_minus] * t2))
+    npow = np.repeat(np.array([1, 0], dtype=np.int64), q - 2)
+    residual, passed = _judge(lhs, rhs, npow, np.concatenate((legendre_margin, clausen_margin)), q)
     instances = [f"legendre lambda={lam}" for lam in range(2, q)]
     instances += [f"clausen lambda={lam} mu={mu}" for lam, mu in zip(range(2, q), mus.tolist())]
-    # _exact_report over the int64 columns: every power is at most 1, so
-    # num * q**pow stays far inside int64.
-    lhs_num, lhs_pow = (np.concatenate(cols) for cols in zip(legendre_lhs, clausen_lhs))
-    rhs_num, rhs_pow = (np.concatenate(cols) for cols in zip(legendre_rhs, clausen_rhs))
-    diff = np.abs(lhs_num * q**rhs_pow - rhs_num * q**lhs_pow)
-    margin = np.concatenate((legendre_margin, clausen_margin))
-    ok = margin < EXACT_GAP
-    residual = np.where(ok, diff / q ** (lhs_pow + rhs_pow), margin)
-    n = len(instances)
-    columns = (lhs_num, lhs_pow, rhs_num, rhs_pow, residual)
-    passed = (ok & (diff == 0)).tolist()
-    return ReportBlock("trace-bridge", q, instances, [True] * n, *(c.tolist() for c in columns), [0.0] * n, passed)
+    columns = (*_canonical(lhs, npow, q), *_canonical(rhs, npow, q), residual)
+    exact, tolerance = [True] * len(instances), [0.0] * len(instances)
+    return ReportBlock("trace-bridge", q, instances, exact, *(c.tolist() for c in columns), tolerance, passed.tolist())
 
 
 # -- generating function and the closed-form psi-sum -----------------------------------
@@ -602,7 +596,8 @@ def _moment_rows(tables: SumTables) -> list[tuple[str, dict, float]]:
     """The first-moment block pivoted: its unweighted and weighted rows at each n side by side."""
     b = run_statement("first-moment", tables, 0)
     rows = []
-    for n, (u, w) in enumerate(((0, 1), (2, 3), (4, 5)), start=1):
+    for i, n in enumerate(FIRST_MOMENT_NS):
+        u, w = 2 * i, 2 * i + 1
         ok = b.passed[u] and b.passed[w]
         row = dict(zip(_MOMENT_COLUMNS, (b.q, n, b.lhs_a[u], b.lhs_a[w], b.rhs_a[u], b.rhs_a[w], ok)))
         rows.append((f"q={b.q} n={n}", row, _max_residual((b.residual[u], b.residual[w]))))
@@ -681,7 +676,7 @@ def run_statement(label: str, tables: SumTables, seed: int):
     out: list[IdentityReport] = []
 
     if label == "first-moment":
-        for n in (1, 2, 3):
+        for n in FIRST_MOMENT_NS:
             for weighted in (False, True):
                 out.append(first_moment(n, weighted, tables))
     elif label == "trace-moments":

@@ -2,9 +2,9 @@
 
 None of these runs in a command: each is the slow, direct form of
 something `ffhyper` computes another way (the descent relation, the
-point count, the per-lambda trace bridges, reading a JSON report back),
-plus the helpers that drive the bridge oracles and perturb the trace
-tables and hypergeometric values the checks read.
+point count, the exact-row judge, the per-lambda trace bridges, reading
+a JSON report back), plus the helpers that drive the bridge oracles and
+perturb the trace tables and hypergeometric values the checks read.
 """
 
 import math
@@ -15,8 +15,8 @@ import ffhyper.identities as ids
 from ffhyper.charsums import SumTables
 from ffhyper.errors import RejectedInput, SingularParameter
 from ffhyper.field import PrimeField
-from ffhyper.hypergeo import HyperParams, QPowerRational, hyper_all_x, reconstruct
-from ffhyper.identities import IdentityReport, _exact_report, _trace_table
+from ffhyper.hypergeo import EXACT_GAP, HyperParams, QPowerRational, hyper_all_x, reconstruct
+from ffhyper.identities import IdentityReport, _trace_table
 
 # -- hypergeometric descent --------------------------------------------------------
 
@@ -77,6 +77,23 @@ def hasse_bound(q: int) -> int:
     return math.isqrt(4 * q)
 
 
+# -- exact rows ------------------------------------------------------------------------
+
+
+def exact_report(
+    name: str, q: int, instance: str, lhs: QPowerRational, rhs: QPowerRational, margin: float = 0.0
+) -> IdentityReport:
+    """lhs == rhs by cross-multiplying the two canonical values.
+
+    A margin not below EXACT_GAP (NaN included) is a side's failed
+    reconstruction: the row fails with the margin as its residual.
+    """
+    if not margin < EXACT_GAP:
+        return IdentityReport(name, q, instance, lhs, rhs, margin, 0.0, False)
+    diff = abs(lhs.num * q**rhs.npow - rhs.num * q**lhs.npow)
+    return IdentityReport(name, q, instance, lhs, rhs, diff / q ** (lhs.npow + rhs.npow), 0.0, diff == 0)
+
+
 # -- trace bridges, one lambda at a time ---------------------------------------------
 
 
@@ -96,7 +113,7 @@ def verify_legendre_bridge(lam: int, tables: SumTables) -> IdentityReport:
     f21 = ids.hyper_all_x(HyperParams.phi_eps(q, 1), tables)
     lhs = reconstruct(f.phi_minus_one * f21[lam], 1, q)
     rhs = QPowerRational.make(-trace, 1, q)
-    return _exact_report("trace-bridge", q, f"legendre lambda={lam}", lhs, rhs)
+    return exact_report("trace-bridge", q, f"legendre lambda={lam}", lhs, rhs)
 
 
 def verify_clausen_bridge(lam: int, tables: SumTables) -> IdentityReport:
@@ -117,7 +134,7 @@ def verify_clausen_bridge(lam: int, tables: SumTables) -> IdentityReport:
     t2 = t2.num * q ** (2 - t2.npow)  # q^2 * 3F2(lambda)
     lhs = QPowerRational.make(trace**2, 0, q)
     rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
-    return _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
+    return exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
 
 
 def bridge_loop(tables: SumTables) -> list[IdentityReport]:

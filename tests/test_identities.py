@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ffhyper.identities as ids
 from ffhyper import Infeasible, NotPrime, NotRational, RejectedInput, SingularParameter, make_field
@@ -12,9 +13,11 @@ from ffhyper.charsums import SumTables, _parity
 from ffhyper.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, run
 from ffhyper.curves import clausen_trace, clausen_trace_table, legendre_trace
 from ffhyper.hypergeo import (
+    EXACT_GAP,
     HyperParams,
     QPowerRational,
     _coeff_vector,
+    _nearest,
     hyper_all_x,
     hyper_char,
     reconstruct,
@@ -24,7 +27,6 @@ from ffhyper.identities import (
     STATEMENTS,
     IdentityReport,
     ReportBlock,
-    _exact_report,
     _trace_table,
     _weighted_square_excess,
     estimate_sweep,
@@ -43,7 +45,7 @@ from ffhyper.identities import (
     verify_trace_moments,
 )
 from ffhyper.field import primes_in_range
-from oracles import bridge_loop, move_3f2, patch_family, verify_clausen_bridge, verify_legendre_bridge
+from oracles import bridge_loop, exact_report, move_3f2, patch_family, verify_clausen_bridge, verify_legendre_bridge
 
 
 def rand_chars(rng, f, count):
@@ -270,7 +272,7 @@ def test_bridges_match_direct_trace_oracle(q, tables_for):
     for lam in range(2, q):
         lhs = reconstruct(f.phi_minus_one * f21[lam], 1, q)
         rhs = QPowerRational.make(-legendre_trace(f, lam).trace, 1, q)
-        want = _exact_report("trace-bridge", q, f"legendre lambda={lam}", lhs, rhs)
+        want = exact_report("trace-bridge", q, f"legendre lambda={lam}", lhs, rhs)
         assert verify_legendre_bridge(lam, t) == want
 
         mu = lam * f.inv(1 - lam) % q
@@ -278,7 +280,7 @@ def test_bridges_match_direct_trace_oracle(q, tables_for):
         t2 = t2.num * q ** (2 - t2.npow)
         lhs = QPowerRational.make(clausen_trace(f, mu).trace ** 2, 0, q)
         rhs = QPowerRational.make(q + f.legendre(1 - lam) * t2, 0, q)
-        want = _exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
+        want = exact_report("trace-bridge", q, f"clausen lambda={lam} mu={mu}", lhs, rhs)
         assert verify_clausen_bridge(lam, t) == want
 
 
@@ -368,12 +370,77 @@ def test_non_finite_value_is_a_failed_row(monkeypatch, capsys):
 
 @pytest.mark.parametrize("value", (complex(1, math.nan), complex(3, math.inf), complex(math.nan, 0)), ids=str)
 def test_reconstructed_non_finite_value_is_that_of_reconstruct_ints(value):
-    """A scalar exact side and an array entry give one non-finite value one nearest value: 0, margin NaN or inf."""
+    """A scalar exact row and an array entry give one non-finite value one nearest value: 0, margin NaN or inf."""
     (num,), (margin,) = reconstruct_ints(np.array([value]), 0, 7)
-    side, residual = ids._reconstructed(value, 0, 7)
-    assert side == num == 0
-    assert residual == margin or math.isnan(residual) and math.isnan(margin)
-    assert not math.isfinite(residual)
+    m, scalar_margin, failure = _nearest(value, 0, 7)
+    assert m == num == 0 and failure is not None
+    row = ids._exact_ints("first-moment", 7, "n=0", m, 0, 0, scalar_margin)
+    assert not row.passed and not math.isfinite(row.residual)
+    for got in (scalar_margin, row.residual):
+        assert got == margin or math.isnan(got) and math.isnan(margin)
+
+
+def _same_residual(got, want, ints):
+    """Equal where every integer is below 2**53 (each division then rounds once), else within 1e-12."""
+    if math.isnan(want):
+        return math.isnan(got)
+    if all(abs(i) < 2**53 for i in ints):
+        return got == want
+    return math.isclose(got, want, rel_tol=1e-12)
+
+
+_BIG = 2**70
+
+
+@st.composite
+def _exact_rows(draw):
+    q = draw(st.sampled_from((2, 3, 7, 13, 101, 10007, 100003)))
+    npow = draw(st.integers(0, 8))
+    lhs = draw(st.integers(-_BIG, _BIG) | st.integers(-(10**6), 10**6))
+    rhs = draw(st.just(lhs) | st.integers(-_BIG, _BIG) | st.integers(lhs - 3, lhs + 3) | st.integers(-(10**6), 10**6))
+    margin = draw(
+        st.just(0.0)
+        | st.floats(0.0, EXACT_GAP, exclude_max=True)
+        | st.floats(EXACT_GAP, 1e6)
+        | st.just(math.nan)
+        | st.just(math.inf)
+    )
+    return q, npow, lhs, rhs, margin
+
+
+@given(rows=st.lists(_exact_rows(), min_size=1, max_size=8))
+def test_exact_judge_matches_cross_multiplying_oracle(rows):
+    """_exact_ints gives the oracle's pass and sides; the judge gives one answer on Python ints and int64 columns."""
+    for q, npow, lhs, rhs, margin in rows:
+        make = QPowerRational.make
+        want = exact_report("first-moment", q, "row", make(lhs, npow, q), make(rhs, npow, q), margin)
+        got = ids._exact_ints("first-moment", q, "row", lhs, rhs, npow, margin)
+        assert (got.lhs, got.rhs, got.passed, got.tolerance) == (want.lhs, want.rhs, want.passed, 0.0)
+        assert _same_residual(got.residual, want.residual, (lhs, rhs, q**npow))
+        assert isinstance(got.residual, float) and isinstance(got.passed, bool)
+
+    for q in {q for q, *_ in rows}:
+        # int64 columns: rows whose integers, difference and power of q all fit
+        fit = [r for r in rows if r[0] == q and q ** r[1] < 2**63 and max(abs(r[2]), abs(r[3])) < 2**62]
+        if not fit:
+            continue
+        _, npow, lhs, rhs, margin = (np.array(c) for c in zip(*fit))
+        residual, passed = ids._judge(lhs.astype(np.int64), rhs.astype(np.int64), npow.astype(np.int64), margin, q)
+        for (_, n, a, b, m), r, ok in zip(fit, residual.tolist(), passed.tolist()):
+            one = ids._exact_ints("first-moment", q, "row", a, b, n, m)
+            assert ok == one.passed
+            assert _same_residual(r, one.residual, (a, b, q**n))
+
+
+def test_first_moment_ns_are_stated_once(monkeypatch):
+    """The first-moment statement and the moments sweep both read FIRST_MOMENT_NS."""
+    ns = (1, 2)
+    monkeypatch.setattr(ids, "FIRST_MOMENT_NS", ns)
+    block = run_statement("first-moment", SumTables(make_field(101)), 0)
+    assert len(block) == 2 * len(ns) and all(block.passed)
+    assert block.instances == [f"n={n} {w}" for n in ns for w in ("unweighted", "weighted")]
+    rows, summary = estimate_sweep([101], "moments")
+    assert [row["n"] for row in rows] == list(ns) and summary.instances == len(ns) == 2
 
 
 def test_trace_tables_built_once_per_tables(monkeypatch):
@@ -759,7 +826,7 @@ def test_second_moment_block_keeps_exact_peaks_at_q10007(monkeypatch):
     peak = block[1]
     assert peak.rhs == QPowerRational(7600117151, 4) and q**8 > 2**63
     off = QPowerRational(peak.rhs.num + 1, peak.rhs.npow)
-    want = _exact_report("second-moment", q, peak.instance, peak.lhs, off)
+    want = exact_report("second-moment", q, peak.instance, peak.lhs, off)
     assert not want.passed and math.isclose(want.residual, q**-4, rel_tol=1e-12)
 
     def off_by_one(n, k, x, tables, check=ids.second_weighted_moment):

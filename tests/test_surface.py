@@ -8,8 +8,9 @@ from ffhyper.characters import Character
 from ffhyper.hypergeo import HyperParams, QPowerRational
 
 # Test-only references, now in tests/oracles.py, helpers no command used,
-# the per-row report formatters that ReportBlock's columns replaced, and the
-# character objects that bare indices replaced.
+# the per-row report formatters that ReportBlock's columns replaced, the
+# character objects that bare indices replaced, and the exact-row helpers
+# that the one exact-row judge replaced.
 GONE = (
     "hyper_inductive_step",
     "count_points_naive",
@@ -28,6 +29,8 @@ GONE = (
     "trivial",
     "FieldMismatch",
     "moment_sweep_rows",
+    "_exact_report",
+    "_reconstructed",
 )
 
 
