@@ -4,15 +4,15 @@ Exit codes are a function of results only: 0 all checks pass, 1 any
 failed row (a failed reconstruction is one) or verify statement with no
 instances, 2 usage or configuration error (an unwritable --out is one, and
 an eval flag its function does not read another, refused before any work),
-3 work budget exceeded: a run is charged in full (CHARGES) before its
-first table is built, so a refusal writes nothing.  Verify writes its rows
-by statement, in the order first named, then by prime, so the bytes emitted
-depend only on the configuration; CSV and JSON are UTF-8 with LF line
-endings.  Each (statement, prime) comes as one ReportBlock, whose rows
-are written and summarised straight from its columns.  Sweep writes the
-rows and summary identities.estimate_sweep returns; a sweep with failing
-rows also writes one warning line, naming the first and the largest
-residual, to stderr.
+3 work budget exceeded: a run is charged in full (its fields and the
+costs identities.STATEMENTS or SWEEPS give) before its first table is
+built, so a refusal writes nothing.  Verify writes its rows by statement,
+in the order first named, then by prime, so the bytes emitted depend only
+on the configuration; CSV and JSON are UTF-8 with LF line endings.  Each
+(statement, prime) comes as one ReportBlock, whose rows are written and
+summarised straight from its columns.  Sweep writes the rows and summary
+identities.estimate_sweep returns; a sweep with failing rows also writes
+one warning line, naming the first and the largest residual, to stderr.
 """
 
 from __future__ import annotations
@@ -86,26 +86,14 @@ def parse_primes(text: str, strict: bool, budget: int = DEFAULT_BUDGET) -> list[
 
 # -- work budget ----------------------------------------------------------------
 
-# Per-prime charges, made for a whole run before its first table is built:
-# the formula a refusal names and the cost at q.  The field is its tables and
-# one length-(q-1) transform.  A product charge is one F4* curve, q-2 points
-# of q-1 gathered products, plus the three transforms of the F4* spectra,
-# memoised per prime; it is made once per prime.  It covers one curve, not
-# the statement, which builds one curve per instance, five per prime (ROADMAP
-# items 12 and 13).  A sweep's trace table is two forward real FFTs and one
-# inverse; its moments table one binomial line and three inverse transforms.
-# A verify statement with no entry costs nothing past its field.
-CHARGES = {
-    "field": ("field cost q*log2(q)", lambda q: q * q.bit_length()),
-    "product": ("w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1)", lambda q: (q - 1) * (q - 2 + 3 * (q - 1).bit_length())),
-    "trace": ("trace-table cost 3*q*log2(q)", lambda q: 3 * q * q.bit_length()),
-    "moments": ("moment-table cost 4*(q-1)*log2(q-1)", lambda q: 4 * (q - 1) * (q - 1).bit_length()),
-}
+# The field's per-prime cost, its tables and one length-(q-1) transform; the
+# other costs are read from identities.STATEMENTS and identities.SWEEPS.
+_FIELD_COST = ("field cost q*log2(q)", lambda q: q * q.bit_length())
 
 
-def _per_prime(paths, primes):
-    """(formula, cost) of each charged path at each prime: prime by prime, paths in the order given."""
-    return ((CHARGES[p][0], CHARGES[p][1](q)) for q in primes for p in paths if p in CHARGES)
+def _per_prime(costs, primes):
+    """(formula, cost at q) of each cost at each prime: prime by prime, costs in the order given, None skipped."""
+    return ((formula, cost(q)) for q in primes for formula, cost in filter(None, costs))
 
 
 def _charge(work, budget: int) -> None:
@@ -248,7 +236,7 @@ def cmd_verify(
     The whole run is charged first, in the order it runs: per prime, the
     field, then each named statement.
     """
-    _charge(_per_prime(("field", *statements), primes), budget)
+    _charge(_per_prime([_FIELD_COST, *(identities.STATEMENTS[label][1] for label in statements)], primes), budget)
     blocks: dict[str, list[ReportBlock]] = {label: [] for label in statements}
     for q in primes:
         tables = SumTables(make_field(q))
@@ -268,7 +256,7 @@ def cmd_verify(
 
 def cmd_sweep(primes: list[int], which: str, budget: int, fmt: str, out: str | None) -> int:
     """One trend table over the primes, every prime's table charged before the first is built."""
-    _charge(_per_prime(("moments" if which == "moments" else "trace",), primes), budget)
+    _charge(_per_prime([identities.SWEEPS[which][2]], primes), budget)
     rows, s = identities.estimate_sweep(primes, which)
     _emit(render_sweep_rows(rows, s, fmt), out)
     if s.failures:
@@ -307,7 +295,7 @@ def cmd_eval(args) -> int:
     unread = [flag for dest, flag in _EVAL_FLAGS.items() if dest not in reads and getattr(args, dest) is not None]
     if unread:
         raise UsageError(f"{fn} does not read {', '.join(unread)}")
-    _charge(_per_prime(("field",), (args.q,)), DEFAULT_BUDGET)
+    _charge(_per_prime([_FIELD_COST], [args.q]), DEFAULT_BUDGET)
     f = make_field(args.q)
     tables = SumTables(f)
     lines = []
@@ -394,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
 
     ps = sub.add_parser("sweep", help="emit the estimate/moment trend tables")
-    ps.add_argument("--which", choices=("F43", "F65", "moments"), required=True)
+    ps.add_argument("--which", choices=tuple(identities.SWEEPS), required=True)
     _add_common(ps, ("csv", "json"), "csv")
 
     return parser

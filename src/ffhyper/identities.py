@@ -9,8 +9,8 @@ row's residual and pass, for the scalar rows (_exact_ints) and the
 trace-bridge columns alike; canonical form only fills the printed sides.
 A value that is not exact fails only the rows that read it, each holding
 its nearest value over q**m and its margin as the residual.  Each check
-returns one IdentityReport; the statement runner returns a statement's
-rows at one prime as one ReportBlock of columns.
+returns one IdentityReport; run_statement returns a statement's rows at
+one prime as one ReportBlock of columns.
 The inductive b-sum sum_b phi(b) F_free(bx) F_{k-1}(b) is stated once:
 verify_inductive_k reads it, an off-peak second-moment row is the
 inductive-k row with every free slot phi/eps, and the x=1, n+1=2k peak
@@ -18,11 +18,12 @@ reconstructs the same sum exactly.  Each curve family's trace table is
 one memo entry per prime, read by trace-moments, trace-bridge and the
 F43/F65 sweeps.  The trace bridges, 2(q-2) exact checks per prime, are
 reconstructed one family per array pass and judged in one call straight
-into those columns; their per-lambda oracle lives in the tests.  Randomized
-instance generation happens in the statement runner, never inside the
-checks, and every instance is fully described in its report so failures
-reproduce.  estimate_sweep is the one prime loop of the three sweeps: the
-trace-route 4F3(1) and 6F5(1) estimates, and the first-moment block
+into those columns; their per-lambda oracle lives in the tests.
+STATEMENTS maps each statement to the function that draws its instances at
+one prime, never inside the checks, and checks them, and to its per-prime
+cost; every instance is fully described in its report so failures
+reproduce.  SWEEPS does the same for the three sweeps estimate_sweep runs:
+the trace-route 4F3(1) and 6F5(1) estimates, and the first-moment block
 pivoted into one row per n.
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -260,9 +261,8 @@ def verify_product(
 ) -> IdentityReport:
     """2F1(z) * (n+1)F_n(x) against the three-term Appell decomposition.
 
-    The third term sums F4* over q-2 points, O(q^2) work per prime; this
-    check does not bound it: the command line charges it once per prime
-    before any table of the run is built.
+    The third term sums F4* over q-2 points, O(q^2) work that this check
+    does not bound: STATEMENTS gives the product's per-prime cost.
     """
     n = len(free_uppers) + 1
     if n < 2 or len(free_lowers) != n - 2:
@@ -604,7 +604,16 @@ def _moment_rows(tables: SumTables) -> list[tuple[str, dict, float]]:
     return rows
 
 
-_SWEEPS = {"F43": ("estimate-F43", _f43_rows), "F65": ("estimate-F65", _f65_rows), "moments": ("moments", _moment_rows)}
+# Each sweep's summary label, row function and per-prime cost: two forward
+# real FFTs and one inverse per trace table, one binomial line and three
+# inverse transforms per moments table.
+_TRACE_COST = ("trace-table cost 3*q*log2(q)", lambda q: 3 * q * q.bit_length())
+_MOMENT_COST = ("moment-table cost 4*(q-1)*log2(q-1)", lambda q: 4 * (q - 1) * (q - 1).bit_length())
+SWEEPS = {
+    "F43": ("estimate-F43", _f43_rows, _TRACE_COST),
+    "F65": ("estimate-F65", _f65_rows, _TRACE_COST),
+    "moments": ("moments", _moment_rows, _MOMENT_COST),
+}
 
 
 def estimate_sweep(primes, which: str) -> tuple[list[dict], SweepSummary]:
@@ -619,9 +628,9 @@ def estimate_sweep(primes, which: str) -> tuple[list[dict], SweepSummary]:
     monitored deviation, or for moments the largest first-moment residual
     (0.0 when every row passes).  make_field refuses a composite q.
     """
-    if which not in _SWEEPS:
+    if which not in SWEEPS:
         raise RejectedInput(f"unknown sweep {which!r}; expected F43, F65 or moments")
-    statement, rows_at = _SWEEPS[which]
+    statement, rows_at, _ = SWEEPS[which]
     checked = [row for q in primes for row in rows_at(SumTables(make_field(q)))]
     failed = [at for at, row, _ in checked if not row["pass"]]
     residual = _max_residual([r for _, _, r in checked])
@@ -629,26 +638,7 @@ def estimate_sweep(primes, which: str) -> tuple[list[dict], SweepSummary]:
     return [row for _, row, _ in checked], summary
 
 
-# -- statement runner --------------------------------------------------------------
-
-STATEMENTS = (
-    "first-moment",
-    "trace-moments",
-    "second-moment",
-    "trace-bridge",
-    "contiguous",
-    "inductive-k",
-    "product",
-    "generating",
-    "closed-form",
-    "remark-sums",
-)
-
-
-def _rng_for(seed: int, label: str, q: int) -> random.Random:
-    # Seeding with the string itself keeps derivation independent of
-    # PYTHONHASHSEED, so runs reproduce across processes.
-    return random.Random(f"{seed}:{label}:{q}")
+# -- statement table --------------------------------------------------------------
 
 
 def _rand_x(rng: random.Random, q: int, exclude=(0,)) -> int:
@@ -663,81 +653,100 @@ def _rand_slots(rng: random.Random, q: int, lowers: int) -> tuple[tuple[int, ...
     return tuple(rng.randrange(q - 1) for _ in range(lowers + 1)), tuple(rng.randrange(q - 1) for _ in range(lowers))
 
 
-def run_statement(label: str, tables: SumTables, seed: int):
-    """Default instance set for one statement over one prime; deterministic in seed.
+def _first_moment_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+    return [first_moment(n, weighted, tables) for n in FIRST_MOMENT_NS for weighted in (False, True)]
 
-    One ReportBlock of the statement's rows at this prime: trace-bridge's
-    2(q-2) rows come from its array pass, every other statement's reports
-    are packed in the order they were checked.
-    """
+
+def _second_moment_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+    for k in (2, 3):
+        yield second_weighted_moment(2 * k - 1, k, 1, tables)
+    for n, k in ((2, 1), (3, 2)):
+        yield second_weighted_moment(n, k, _rand_x(rng, tables.field.q), tables)
+
+
+def _contiguous_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
     q = tables.field.q
-    rng = _rng_for(seed, label, q)
-    phi = (q - 1) // 2
-    out: list[IdentityReport] = []
+    base = HyperParams.phi_eps(q, 1)
+    for x in ((2, 3) if q > 3 else (1, 2)):
+        yield verify_contiguous(base, (q - 1) // 2, x, tables)
+    yield verify_contiguous(base, 0, 2, tables)
+    for n in (1, 2):
+        params = HyperParams(q, *_rand_slots(rng, q, n))
+        yield verify_contiguous(params, rng.randrange(q - 1), _rand_x(rng, q), tables)
 
-    if label == "first-moment":
-        for n in FIRST_MOMENT_NS:
-            for weighted in (False, True):
-                out.append(first_moment(n, weighted, tables))
-    elif label == "trace-moments":
-        out.extend(verify_trace_moments(tables))
-    elif label == "second-moment":
-        for k in (2, 3):
-            out.append(second_weighted_moment(2 * k - 1, k, 1, tables))
-        for n, k in ((2, 1), (3, 2)):
-            out.append(second_weighted_moment(n, k, _rand_x(rng, q), tables))
-    elif label == "trace-bridge":
-        return trace_bridge_block(tables)
-    elif label == "contiguous":
-        base = HyperParams.phi_eps(q, 1)
-        for x in ((2, 3) if q > 3 else (1, 2)):
-            out.append(verify_contiguous(base, phi, x, tables))
-        out.append(verify_contiguous(base, 0, 2, tables))
-        for n in (1, 2):
-            params = HyperParams(q, *_rand_slots(rng, q, n))
-            out.append(verify_contiguous(params, rng.randrange(q - 1), _rand_x(rng, q), tables))
-    elif label == "inductive-k":
-        for n, k in ((2, 1), (3, 1), (3, 2), (4, 3)):
-            for _ in range(2):
-                out.append(verify_inductive_k(n, k, *_rand_slots(rng, q, n - k), _rand_x(rng, q), tables))
-    elif label == "product":
-        if q == 7:
-            for x in range(2, q):
-                for z in range(2, q):
-                    out.append(verify_product((phi,), (), x, z, tables))
-        else:
-            for lowers in (0, 0, 0, 1, 1):
-                x = _rand_x(rng, q, exclude=(0, 1))
-                z = _rand_x(rng, q, exclude=(0, 1))
-                out.append(verify_product(*_rand_slots(rng, q, lowers), x, z, tables))
-    elif label == "generating":
-        base = HyperParams.phi_eps(q, 1)
+
+def _inductive_k_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+    q = tables.field.q
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 3)):
         for _ in range(2):
-            x = _rand_x(rng, q)
-            t = _rand_x(rng, q, exclude=(0, 1))
-            out.append(verify_generating(base, x, t, tables))
+            yield verify_inductive_k(n, k, *_rand_slots(rng, q, n - k), _rand_x(rng, q), tables)
+
+
+def _product_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+    q = tables.field.q
+    if q == 7:
+        return [verify_product(((q - 1) // 2,), (), x, z, tables) for x in range(2, q) for z in range(2, q)]
+    out = []
+    for lowers in (0, 0, 0, 1, 1):
+        x = _rand_x(rng, q, exclude=(0, 1))
+        z = _rand_x(rng, q, exclude=(0, 1))
+        out.append(verify_product(*_rand_slots(rng, q, lowers), x, z, tables))
+    return out
+
+
+def _generating_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+    q = tables.field.q
+    base = HyperParams.phi_eps(q, 1)
+    for _ in range(2):
+        yield verify_generating(base, _rand_x(rng, q), _rand_x(rng, q, exclude=(0, 1)), tables)
+    for n in (1, 2):
+        params = HyperParams(q, *_rand_slots(rng, q, n))
+        yield verify_generating(params, _rand_x(rng, q), _rand_x(rng, q, exclude=(0, 1)), tables)
+
+
+def _closed_form_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+    q = tables.field.q
+    for a in ((q - 1) // 2, 1):  # phi and the generator omega = chi_1
         for n in (1, 2):
-            params = HyperParams(q, *_rand_slots(rng, q, n))
-            x = _rand_x(rng, q)
-            t = _rand_x(rng, q, exclude=(0, 1))
-            out.append(verify_generating(params, x, t, tables))
-    elif label == "closed-form":
-        for a in (phi, 1):  # phi and the generator omega = chi_1
-            for n in (1, 2):
-                x = _rand_x(rng, q)
-                t = _rand_x(rng, q, exclude=(0, 1))
-                out.append(verify_closed_form_sum(a, n, x, t, tables))
-    elif label == "remark-sums":
-        if q <= 13:
-            lams = [lam for lam in range(2, q - 1)]
-        else:
-            lams = sorted(rng.sample(range(2, q - 1), 4))
-        for level in ("3F2", "4F3"):
-            for lam in lams:
-                out.append(verify_remark_sums(lam, level, tables))
-    else:
+            yield verify_closed_form_sum(a, n, _rand_x(rng, q), _rand_x(rng, q, exclude=(0, 1)), tables)
+
+
+def _remark_sums_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+    q = tables.field.q
+    lams = range(2, q - 1) if q <= 13 else sorted(rng.sample(range(2, q - 1), 4))
+    return [verify_remark_sums(lam, level, tables) for level in ("3F2", "4F3") for lam in lams]
+
+
+# The statements in run order: each one's draw-and-check function, and its
+# per-prime cost as (formula, cost at q), or None for nothing past the field.
+# A product costs one F4* curve, q-2 points of q-1 gathered products, plus
+# three transforms for its spectra, memoised per prime; the statement builds
+# one curve per instance, five per prime (ROADMAP items 12 and 13).
+_PRODUCT_COST = ("w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1)", lambda q: (q - 1) * (q - 2 + 3 * (q - 1).bit_length()))
+STATEMENTS = {
+    "first-moment": (_first_moment_at, None),
+    "trace-moments": (lambda tables, rng: verify_trace_moments(tables), None),
+    "second-moment": (_second_moment_at, None),
+    "trace-bridge": (lambda tables, rng: trace_bridge_block(tables), None),
+    "contiguous": (_contiguous_at, None),
+    "inductive-k": (_inductive_k_at, None),
+    "product": (_product_at, _PRODUCT_COST),
+    "generating": (_generating_at, None),
+    "closed-form": (_closed_form_at, None),
+    "remark-sums": (_remark_sums_at, None),
+}
+
+
+def run_statement(label: str, tables: SumTables, seed: int) -> ReportBlock:
+    """One statement's rows at one prime, in the order checked, as one ReportBlock; deterministic in seed."""
+    if label not in STATEMENTS:
         raise RejectedInput(f"unknown statement {label!r}")
-    return ReportBlock.of(label, q, out)
+    q = tables.field.q
+    check, _ = STATEMENTS[label]
+    # Seeding with the string itself keeps derivation independent of
+    # PYTHONHASHSEED, so runs reproduce across processes.
+    rows = check(tables, random.Random(f"{seed}:{label}:{q}"))
+    return rows if isinstance(rows, ReportBlock) else ReportBlock.of(label, q, list(rows))
 
 
 def summarize(label: str, *blocks: ReportBlock) -> SweepSummary:

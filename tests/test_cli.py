@@ -72,6 +72,14 @@ def test_parse_statements():
         parse_statements("no-such-statement")
 
 
+def test_verify_unknown_statement_lists_the_table(capsys):
+    """An unknown label exits 2, naming it and every known label in table order."""
+    assert run(["verify", "--primes", "5", "--statements", "nope"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown statement 'nope'; known: {', '.join(STATEMENTS)}\n"
+    assert captured.out == ""
+
+
 # -- eval ------------------------------------------------------------------------
 
 
@@ -614,15 +622,18 @@ def test_verify_exact_statements_match_golden_bytes(fmt, ext, capsys):
     assert_same_text(capsys.readouterr().out, golden.read_text(encoding="utf-8"))
 
 
-def test_verify_instances_match_golden(capsys):
-    """The statement, q and instance of every row over primes 101..151 at seed 42, as committed.
+@pytest.mark.parametrize("lo, hi", ((101, 151), (3, 13)))
+def test_verify_instances_match_golden(lo, hi, capsys):
+    """The statement, q and instance of every row over primes lo..hi at seed 42, as committed.
 
     The other goldens pin exact statements only; this one pins every
     statement's random instance draws, so a reordered or extra rng draw
-    changes an instance and fails here.
+    changes an instance and fails here.  Primes 3..13 add the small-field
+    instance sets: contiguous's x=(1,2) at q=3, product's full grid at q=7
+    and remark-sums' full lambda range up to q=13.
     """
-    golden = Path(__file__).resolve().parent / "data" / "verify_instances_101_151_seed42.csv"
-    argv = ["verify", "--primes", "101..151", "--statements", "all", "--seed", "42", "--format", "csv"]
+    golden = Path(__file__).resolve().parent / "data" / f"verify_instances_{lo}_{hi}_seed42.csv"
+    argv = ["verify", "--primes", f"{lo}..{hi}", "--statements", "all", "--seed", "42", "--format", "csv"]
     assert run(argv) == EXIT_OK
     report = capsys.readouterr().out.partition("\n\n")[0]
     buf = io.StringIO()
@@ -801,6 +812,13 @@ def test_readme_command_lines_exit_0(tmp_path, capsys):
             argv[i] = str(tmp_path / argv[i])
         assert run(argv) == EXIT_OK, argv
         capsys.readouterr()
+
+
+def test_readme_statement_list_is_the_table():
+    """README lists the verify statements of identities.STATEMENTS, in its order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Statements for `verify`", 1)[1].split(", or `all`", 1)[0]
+    assert re.findall(r"`([a-z0-9-]+)`", listed) == list(STATEMENTS)
 
 
 def test_readme_library_block_runs(capsys):

@@ -744,7 +744,7 @@ def test_moment_sweep_rows():
 # -- statement runner ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("q", (5, 7, 11, 13))
+@pytest.mark.parametrize("q", (3, 5, 7, 11, 13))
 def test_all_statements_pass_small_fields(q, tables_for):
     t = tables_for(q)
     from ffhyper.identities import STATEMENTS
@@ -804,6 +804,11 @@ def test_run_statement_returns_one_block_per_statement(tables_for):
         columns = (block.exact, block.lhs_a, block.lhs_b, block.rhs_a, block.rhs_b)
         columns += (block.residual, block.tolerance, block.passed)
         assert all(len(c) == len(block) for c in columns), label
+
+
+def test_run_statement_rejects_an_unknown_label(tables_for):
+    with pytest.raises(RejectedInput, match="unknown statement 'nope'"):
+        run_statement("nope", tables_for(13), 0)
 
 
 def test_second_moment_block_keeps_exact_peaks_at_q10007(monkeypatch):

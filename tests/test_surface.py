@@ -9,8 +9,9 @@ from ffhyper.hypergeo import HyperParams, QPowerRational
 
 # Test-only references, now in tests/oracles.py, helpers no command used,
 # the per-row report formatters that ReportBlock's columns replaced, the
-# character objects that bare indices replaced, and the exact-row helpers
-# that the one exact-row judge replaced.
+# character objects that bare indices replaced, the exact-row helpers
+# that the one exact-row judge replaced, and the charge and sweep tables and
+# seed helper that identities.STATEMENTS and identities.SWEEPS replaced.
 GONE = (
     "hyper_inductive_step",
     "count_points_naive",
@@ -31,6 +32,9 @@ GONE = (
     "moment_sweep_rows",
     "_exact_report",
     "_reconstructed",
+    "CHARGES",
+    "_SWEEPS",
+    "_rng_for",
 )
 
 
