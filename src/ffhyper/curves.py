@@ -1,12 +1,11 @@
 """Frobenius traces of the Legendre and Clausen curve families.
 
 Traces come from the quadratic-character sum over the defining cubic.
-The whole-family tables are one exact length-q cyclic correlation each,
-O(q log q) by real FFT, and the identity checks read them (memoised per
-prime) for every parameter.  The transforms run zero-padded at the
-smallest 5-smooth length >= 2q - 1: pocketfft handles the prime length
-q by Bluestein's algorithm, about two smooth transforms of length 2q
-per call.  The rounded correlation must lie within 0.25 of integers or
+The whole-family tables are one exact length-q cyclic correlation each
+(_correlate, O(q log q) by real FFT, the package's one exact integer
+correlation: hypergeo's exact phi/eps descent runs on it at length q-1),
+and the identity checks read them (memoised per prime) for every
+parameter.  The rounded correlation must lie within 0.25 of integers or
 it raises.  The direct O(q) sum for one parameter (`legendre_trace`,
 `clausen_trace`) is the tables' independent oracle and serves single
 queries; the tests count points naively (tests/oracles.py) to check it.
@@ -77,24 +76,24 @@ def _smooth_len(n: int) -> int:
 def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer cyclic correlation c[l] = sum_y a[y] * b[y + l] (mod len).
 
-    The length q = len(a) is prime in every caller, and pocketfft
-    transforms a prime length by Bluestein's algorithm, about two smooth
-    transforms of length 2q each.  So a, zero-padded, is correlated with
-    b followed by b[:-1] at the smallest 5-smooth length N >= 2q - 1:
-    y + l <= 2q - 2 < N for y, l < q, so nothing wraps, and the first q
-    entries are the cyclic correlation.  One pair of real transforms and
-    one inverse; the result is rounded to int64 only if every entry is
-    within 0.25 of an integer, so a precision loss raises instead of
-    being rounded away.
+    The length m = len(a) is q for the trace tables and q-1 for the
+    exact descent.  a, zero-padded, is correlated with b followed by
+    b[:-1] at the smallest 5-smooth length N >= 2m - 1: y + l <= 2m - 2
+    < N for y, l < m, so nothing wraps, and the first m entries are the
+    cyclic correlation.  A smooth N also spares pocketfft its Bluestein
+    route for a prime m (about two smooth transforms of length 2m each).
+    One pair of real transforms and one inverse; the result is rounded
+    to int64 only if every entry is within 0.25 of an integer, so a
+    precision loss raises instead of being rounded away.
     """
-    q = len(a)
-    m = _smooth_len(2 * q - 1)
-    spec = np.conj(np.fft.rfft(a, m)) * np.fft.rfft(np.concatenate((b, b[:-1])), m)
-    c = np.fft.irfft(spec, m)[:q]
+    m = len(a)
+    size = _smooth_len(2 * m - 1)
+    spec = np.conj(np.fft.rfft(a, size)) * np.fft.rfft(np.concatenate((b, b[:-1])), size)
+    c = np.fft.irfft(spec, size)[:m]
     out = np.rint(c)
     resid = float(np.abs(c - out).max())
     if resid >= 0.25:
-        raise ArithmeticError(f"trace correlation at q={q} is {resid:.3g} from an integer")
+        raise ArithmeticError(f"cyclic correlation of length {m} is {resid:.3g} from an integer")
     return out.astype(np.int64)
 
 

@@ -188,12 +188,6 @@ class PrimeField:
 
     # -- plumbing -------------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
     def __repr__(self) -> str:
         return f"PrimeField(q={self.q}, g={self.g})"
 

@@ -16,10 +16,10 @@ series F4* is three length-(q-1) transforms per prime and character
 tuple, memoised through SumTables.memo: every point then reads one
 gathered dot product off the same two shifted spectra (appell_f4_batch).
 For the all-phi/eps parameter family an exact backend unrolls the
-one-slot descent down to the base case and sums Legendre symbols in
-arbitrary-precision integer arithmetic; it keeps no memo.  No command
-runs it: the exact identity checks reconstruct their integers from the
-character backend, and only the tests compare the two.  Reconstruction
+one-slot descent down to the base case, each level one exact integer
+correlation (curves._correlate on 20-bit limbs); it keeps no memo.  No
+command runs it: the exact identity checks reconstruct their integers
+from the character backend, and only the tests compare the two.  Reconstruction
 has one nearest-integer rule (_nearest): reconstruct raises its failure,
 and reconstruct_ints is its array form.
 """
@@ -34,6 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .characters import character_row
 from .charsums import SumTables, _line_kernel
+from .curves import _correlate
 from .errors import Infeasible, NotRational
 from .field import PrimeField
 
@@ -248,40 +249,43 @@ def _all_x_values(params: HyperParams, tables: SumTables) -> np.ndarray:
 # -- exact integer backend for the all-phi/eps family -------------------------
 
 
-def _exact_numerators(field: PrimeField, n: int) -> list[int]:
-    """M_n[x] with (n+1)F_n(x) = phi(-1)**n * M_n[x] / q**n, exact.
+def _correlate_ints(kernel: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """curves._correlate of a {-1, 0, 1} kernel with an object array of Python ints, exactly.
 
-    Built by iterating the one-slot descent on integer Legendre values,
-    M_0[x] = eps(x) * phi(1-x); every call rebuilds all n levels.
+    The level is split into balanced 20-bit limbs, each correlated alone
+    and recombined in Python ints.  This relies on every limb correlation
+    entry, at most sum|kernel| * 2**19, being below 2**45 (kernel length
+    under 4 * 10**7), which _correlate's float transform rounds exactly.
     """
-    q = field.q
-    leg = [int(v) for v in field.legendre_table]
-    table = [0] + [leg[(1 - x) % q] for x in range(1, q)]
-    weights = [(y, leg[y] * leg[(1 - y) % q]) for y in range(2, q)]
-    for _ in range(n):
-        nxt = [0] * q
-        for x in range(1, q):
-            acc = 0
-            for y, w in weights:
-                acc += w * table[(x * y) % q]
-            nxt[x] = acc
-        table = nxt
-    return table
+    out = np.zeros(len(level), dtype=object)
+    rest, shift = level, 0
+    while rest.any():
+        limb = (rest + 2**19) % 2**20 - 2**19
+        out += _correlate(kernel, limb.astype(np.int64)).astype(object) << shift
+        rest, shift = (rest - limb) >> 20, shift + 20
+    return out
 
 
 def hyper_exact_phi(n: int, x: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> QPowerRational:
     """Exact (n+1)F_n(x) for all-phi uppers / all-eps lowers, n >= 1.
 
-    Pure integer arithmetic throughout: Legendre symbols summed over the
-    unrolled descent, normalized by phi(-1)**n / q**n.
+    It is phi(-1)**n M_n[x] / q**n for the one-slot descent
+    M_n[x] = sum_y phi(y) phi(1-y) M_{n-1}[xy] from M_0[x] = eps(x) phi(1-x).
+    At x = g^l each level is one exact length-(q-1) correlation over the
+    exponents (_correlate_ints); every call rebuilds all n levels.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if field.q**n > budget:
-        raise Infeasible(f"q^n = {field.q}^{n} exceeds the work budget {budget}")
-    table = _exact_numerators(field, n)
-    sign = field.phi_minus_one**n
-    return QPowerRational.make(sign * table[x % field.q], n, field.q)
+    q = field.q
+    if q**n > budget:
+        raise Infeasible(f"q^n = {q}^{n} exceeds the work budget {budget}")
+    if x % q == 0:
+        return QPowerRational(0, 0)
+    one_minus = field.legendre_table[(1 - field.exp) % q]
+    kernel, level = field.legendre_table[field.exp] * one_minus, one_minus.astype(object)
+    for _ in range(n):
+        level = _correlate_ints(kernel, level)
+    return QPowerRational.make(field.phi_minus_one**n * level[field.dlog[x % q]], n, q)
 
 
 # -- finite-field Appell series ------------------------------------------------

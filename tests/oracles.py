@@ -2,8 +2,8 @@
 
 None of these runs in a command: each is the slow, direct form of
 something `ffhyper` computes another way (the descent relation, the
-point count, the exact-row judge, the per-lambda trace bridges, reading
-a JSON report back), plus the helpers that drive the bridge oracles and
+exact phi/eps descent, the point count, the exact-row judge, the
+per-lambda trace bridges, reading a JSON report back), plus the helpers that drive the bridge oracles and
 perturb the trace tables and hypergeometric values the checks read.
 """
 
@@ -47,6 +47,28 @@ def hyper_inductive_step(params: HyperParams, x: int, tables: SumTables) -> comp
     total = complex((lower_vals[(x * ys) % q] * factor).sum())
     sign = -1.0 if (an + bn) % 2 else 1.0
     return sign / q * total
+
+
+def exact_numerators_naive(field: PrimeField, n: int) -> list[int]:
+    """M_n[x] with (n+1)F_n(x) = phi(-1)**n * M_n[x] / q**n for the all-phi/eps family.
+
+    The one-slot descent iterated on integer Legendre values from
+    M_0[x] = eps(x) * phi(1-x), one Python sum per level and x: the
+    independent oracle for hyper_exact_phi, O(n q^2).
+    """
+    q = field.q
+    leg = [int(v) for v in field.legendre_table]
+    table = [0] + [leg[(1 - x) % q] for x in range(1, q)]
+    weights = [(y, leg[y] * leg[(1 - y) % q]) for y in range(2, q)]
+    for _ in range(n):
+        nxt = [0] * q
+        for x in range(1, q):
+            acc = 0
+            for y, w in weights:
+                acc += w * table[(x * y) % q]
+            nxt[x] = acc
+        table = nxt
+    return table
 
 
 # -- curve point counts ------------------------------------------------------------

@@ -22,7 +22,7 @@ from ffhyper.hypergeo import (
     reconstruct,
     reconstruct_ints,
 )
-from oracles import count_points_naive, hyper_inductive_step
+from oracles import count_points_naive, exact_numerators_naive, hyper_inductive_step
 
 
 def rand_params(rng, f, n):
@@ -84,7 +84,25 @@ def test_exact_phi_budget():
         hyper_exact_phi(5, 1, f, budget=1000)
 
 
-@pytest.mark.parametrize("q", primes_in_range(3, 13))
+@pytest.mark.parametrize(("q", "top"), ((3, 5), (5, 5), (7, 5), (13, 5), (101, 4), (401, 3)))
+def test_exact_phi_matches_naive_descent(q, top):
+    """The correlation descent equals the naive O(n q^2) descent at every x, up to n = top."""
+    f = make_field(q)
+    for n in range(1, top + 1):
+        naive = exact_numerators_naive(f, n)
+        got = [hyper_exact_phi(n, x, f) for x in range(q)]
+        assert got == [QPowerRational.make(f.phi_minus_one**n * m, n, q) for m in naive], n
+        assert {type(v.num) for v in got} == {int}
+
+
+def test_exact_phi_second_moment_peak_at_q_100003():
+    """|q^5 6F5(1)| at q = 100003, the k=3 second-moment peak the float route reads at margin 0.0098."""
+    got = hyper_exact_phi(5, 1, make_field(100003), budget=10**26)
+    assert got == QPowerRational(-5292301055871, 5)
+    assert type(got.num) is int
+
+
+@pytest.mark.parametrize("q", [*primes_in_range(3, 13), 101])
 def test_backend_agreement(q, tables_for):
     t = tables_for(q)
     f = t.field

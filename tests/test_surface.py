@@ -5,13 +5,15 @@ import pkgutil
 import ffhyper
 import ffhyper.identities as ids
 from ffhyper.characters import Character
+from ffhyper.field import PrimeField
 from ffhyper.hypergeo import HyperParams, QPowerRational
 
 # Test-only references, now in tests/oracles.py, helpers no command used,
 # the per-row report formatters that ReportBlock's columns replaced, the
 # character objects that bare indices replaced, the exact-row helpers
 # that the one exact-row judge replaced, and the charge and sweep tables and
-# seed helper that identities.STATEMENTS and identities.SWEEPS replaced.
+# seed helper that identities.STATEMENTS and identities.SWEEPS replaced, and
+# the exact descent's Python loop (now oracles.exact_numerators_naive).
 GONE = (
     "hyper_inductive_step",
     "count_points_naive",
@@ -35,6 +37,7 @@ GONE = (
     "CHARGES",
     "_SWEEPS",
     "_rng_for",
+    "_exact_numerators",
 )
 
 
@@ -47,6 +50,8 @@ def test_package_surface():
     assert [name for name in ("at_minus_one", "__mul__", "inverse", "is_trivial") if hasattr(Character, name)] == []
     assert [name for name in ("field", "index_key") if hasattr(HyperParams, name)] == []
     assert not hasattr(QPowerRational, "value")
+    # No code compares or hashes fields: each keeps identity equality.
+    assert [name for name in ("__eq__", "__hash__") if name in PrimeField.__dict__] == []
 
 
 def test_identities_takes_no_budget():
