@@ -327,7 +327,7 @@ def cmd_eval(args) -> int:
             raise UsageError(f"unknown function {fn!r}; expected e.g. 2F1, 3F2, trace-legendre, gauss")
         if args.x is None:
             raise UsageError("--x is required for hypergeometric evaluation")
-        if args.uppers or args.lowers:
+        if args.uppers is not None or args.lowers is not None:
             ups = _parse_indices(args.uppers, "uppers")
             los = _parse_indices(args.lowers or "", "lowers")
             params = HyperParams(f.q, tuple(ups), tuple(los))

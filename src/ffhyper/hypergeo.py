@@ -15,9 +15,10 @@ line (hyper_twisted_sum), not q-1 separate evaluations.  The Appell
 series F4* is three length-(q-1) transforms per prime and character
 tuple, memoised through SumTables.memo: every point then reads one
 gathered dot product off the same two shifted spectra (appell_f4_batch).
-For the all-phi/eps parameter family an exact backend unrolls the
-one-slot descent down to the base case, each level one exact integer
-correlation (curves._correlate on 20-bit limbs); it keeps no memo.  No
+For the all-phi/eps parameter family an exact backend gives q**n F at
+every x in Python ints: each level of the one-slot descent is one exact
+integer correlation (curves._correlate on 20-bit limbs) of the level
+below, from the 1F0 table, memoised through SumTables.memo.  No
 command runs it: the exact identity checks reconstruct their integers
 from the character backend, and only the tests compare the two.  Reconstruction
 has one nearest-integer rule (_nearest): reconstruct raises its failure,
@@ -36,7 +37,6 @@ from .characters import character_row
 from .charsums import SumTables, _line_kernel
 from .curves import _correlate
 from .errors import Infeasible, NotRational
-from .field import PrimeField
 
 DEFAULT_BUDGET = 10**9
 # Entries per gathered block in appell_f4_batch: 2**15 complex entries
@@ -266,26 +266,26 @@ def _correlate_ints(kernel: np.ndarray, level: np.ndarray) -> np.ndarray:
     return out
 
 
-def hyper_exact_phi(n: int, x: int, field: PrimeField, budget: int = DEFAULT_BUDGET) -> QPowerRational:
-    """Exact (n+1)F_n(x) for all-phi uppers / all-eps lowers, n >= 1.
+def hyper_exact_phi(n: int, tables: SumTables, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """q**n (n+1)F_n(x) at every x in Python ints, all uppers phi and lowers eps, n >= 1; 0 at x = 0.
 
-    It is phi(-1)**n M_n[x] / q**n for the one-slot descent
-    M_n[x] = sum_y phi(y) phi(1-y) M_{n-1}[xy] from M_0[x] = eps(x) phi(1-x).
-    At x = g^l each level is one exact length-(q-1) correlation over the
-    exponents (_correlate_ints); every call rebuilds all n levels.
+    Level k is T_k[g^l] = phi(-1) sum_j phi(g^j)phi(1-g^j) T_{k-1}[g^(j+l)] from T_0[x] = phi(1-x),
+    one exact correlation (_correlate_ints), memoised read-only: hyper_all_x(phi_eps(q, n)) * q**n, exactly.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    q = field.q
-    if q**n > budget:
-        raise Infeasible(f"q^n = {q}^{n} exceeds the work budget {budget}")
-    if x % q == 0:
-        return QPowerRational(0, 0)
-    one_minus = field.legendre_table[(1 - field.exp) % q]
-    kernel, level = field.legendre_table[field.exp] * one_minus, one_minus.astype(object)
-    for _ in range(n):
-        level = _correlate_ints(kernel, level)
-    return QPowerRational.make(field.phi_minus_one**n * level[field.dlog[x % q]], n, q)
+    if tables.field.q**n > budget:
+        raise Infeasible(f"q^n = {tables.field.q}^{n} exceeds the work budget {budget}")
+    level = None
+    for k in range(n + 1):
+        level = tables.memo(("exact", k), _exact_level, tables.field, level)
+    return level
+
+
+def _exact_level(f, below: np.ndarray | None) -> np.ndarray:
+    out, t0 = np.zeros(f.q, dtype=object), f.legendre_table[(1 - f.exp) % f.q]  # t0[j] = T_0[g^j]
+    out[f.exp] = t0 if below is None else f.phi_minus_one * _correlate_ints(f.legendre_table[f.exp] * t0, below[f.exp])
+    return out
 
 
 # -- finite-field Appell series ------------------------------------------------

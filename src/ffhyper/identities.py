@@ -278,14 +278,15 @@ def verify_product(
     full = HyperParams(q, (*free.uppers, phi, phi), (*free.lowers, 0, 0))
     f21 = HyperParams.phi_eps(q, 1)
     lower_vals = hyper_all_x(free, tables)
-    lhs = hyper_char(f21, z, tables) * hyper_char(full, x, tables)
+    f21_z = hyper_char(f21, z, tables)
+    lhs = f21_z * hyper_char(full, x, tables)
     t1 = (
         f.phi_minus_one
         / q**2
         * f.legendre(1 - z)
         * lower_vals[((1 - z) * x) % q]
     )
-    t2 = lower_vals[x] * hyper_char(f21, 1, tables) * hyper_char(f21, z, tables) / q
+    t2 = lower_vals[x] * hyper_char(f21, 1, tables) * f21_z / q
     ws = np.arange(2, q)
     f4 = appell_f4_batch(phi, phi, 0, 0, z * (1 - ws) % q, ws * (1 - z) % q, tables)
     t3 = complex((f.legendre_table[ws] * lower_vals[(ws * x) % q] * f4).sum())

@@ -159,6 +159,15 @@ def test_eval_1f0_checks_its_lower_count(capsys):
     assert capsys.readouterr().out.startswith("1F0(4) = (0.8090169943749475+0.5877852522924731j)\n")
 
 
+@pytest.mark.parametrize("flags", (["--uppers", ""], ["--lowers", ""], ["--uppers", "", "--lowers", ""]))
+def test_eval_empty_character_list_exits_2(flags, capsys):
+    """An empty --uppers or --lowers takes the character path and fails there, not the phi/eps one."""
+    assert run(["eval", "--q", "7", "--fn", "2F1", "--x", "3", *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "flags, unread",
     (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ffhyper import Infeasible, NotRational, make_field
+from ffhyper import Infeasible, NotRational, hypergeo, make_field
 from ffhyper.characters import Character
 from ffhyper.charsums import SumTables
 from ffhyper.field import primes_in_range
@@ -71,35 +71,53 @@ def test_2f1_against_point_count_q5(tables_for):
 
 
 def test_exact_phi_base_cases():
+    """q 2F1(1) = -phi(-1), and the table is 0 at x = 0."""
     f = make_field(7)
-    assert hyper_exact_phi(1, 1, f) == QPowerRational.make(-f.phi_minus_one, 1, 7)
-    assert hyper_exact_phi(1, 0, f) == QPowerRational(0, 0)
+    table = hyper_exact_phi(1, SumTables(f))
+    assert (table[1], table[0]) == (-f.phi_minus_one, 0)
     f13 = make_field(13)
-    assert hyper_exact_phi(1, 1, f13) == QPowerRational.make(-f13.phi_minus_one, 1, 13)
+    assert hyper_exact_phi(1, SumTables(f13))[1] == -f13.phi_minus_one
 
 
 def test_exact_phi_budget():
-    f = make_field(13)
     with pytest.raises(Infeasible):
-        hyper_exact_phi(5, 1, f, budget=1000)
+        hyper_exact_phi(5, SumTables(make_field(13)), budget=1000)
 
 
 @pytest.mark.parametrize(("q", "top"), ((3, 5), (5, 5), (7, 5), (13, 5), (101, 4), (401, 3)))
 def test_exact_phi_matches_naive_descent(q, top):
     """The correlation descent equals the naive O(n q^2) descent at every x, up to n = top."""
     f = make_field(q)
+    tables = SumTables(f)
     for n in range(1, top + 1):
         naive = exact_numerators_naive(f, n)
-        got = [hyper_exact_phi(n, x, f) for x in range(q)]
-        assert got == [QPowerRational.make(f.phi_minus_one**n * m, n, q) for m in naive], n
-        assert {type(v.num) for v in got} == {int}
+        got = hyper_exact_phi(n, tables)
+        assert list(got) == [f.phi_minus_one**n * m for m in naive], n
+        assert {type(v) for v in got} == {int}
 
 
 def test_exact_phi_second_moment_peak_at_q_100003():
     """|q^5 6F5(1)| at q = 100003, the k=3 second-moment peak the float route reads at margin 0.0098."""
-    got = hyper_exact_phi(5, 1, make_field(100003), budget=10**26)
-    assert got == QPowerRational(-5292301055871, 5)
-    assert type(got.num) is int
+    got = hyper_exact_phi(5, SumTables(make_field(100003)), budget=10**26)[1]
+    assert got == -5292301055871
+    assert type(got) is int
+
+
+def test_exact_phi_levels_are_memoised(monkeypatch):
+    """Reading levels 5, 3 and 5 again builds each level once, by one correlation, and hands it out read-only."""
+    calls = []
+
+    def counted(kernel, level, correlate=hypergeo._correlate_ints):
+        calls.append(len(level))
+        return correlate(kernel, level)
+
+    monkeypatch.setattr(hypergeo, "_correlate_ints", counted)
+    tables = SumTables(make_field(13))
+    top = hyper_exact_phi(5, tables)
+    hyper_exact_phi(3, tables)
+    assert hyper_exact_phi(5, tables) is top
+    assert len(calls) == 5
+    assert not top.flags.writeable
 
 
 @pytest.mark.parametrize("q", [*primes_in_range(3, 13), 101])
@@ -108,9 +126,9 @@ def test_backend_agreement(q, tables_for):
     f = t.field
     for n in (1, 2, 3):
         vals = hyper_all_x(HyperParams.phi_eps(f.q, n), t)
+        exact = hyper_exact_phi(n, t)
         for x in range(q):
-            exact = hyper_exact_phi(n, x, f)
-            assert abs(vals[x] - exact.num / q**exact.npow) < 1e-8
+            assert abs(vals[x] - exact[x] / q**n) < 1e-8
 
 
 def test_inductive_step_random_characters(tables_for):
@@ -129,10 +147,10 @@ def test_inductive_step_random_characters(tables_for):
 def test_inductive_step_phi_eps_matches_exact(tables_for):
     t = tables_for(7)
     f = t.field
+    exact = hyper_exact_phi(1, t)
     for x in range(1, 7):
         stepped = hyper_inductive_step(HyperParams.phi_eps(f.q, 1), x, t)
-        exact = hyper_exact_phi(1, x, f)
-        assert abs(stepped - exact.num / 7**exact.npow) < 1e-8
+        assert abs(stepped - exact[x] / 7) < 1e-8
     assert hyper_inductive_step(HyperParams.phi_eps(f.q, 1), 0, t) == 0
 
 
@@ -360,9 +378,10 @@ def test_phi_eps_values_are_real_and_rational(tables_for):
         for n in (1, 2, 3):
             vals = hyper_all_x(HyperParams.phi_eps(f.q, n), t)
             assert np.max(np.abs(vals.imag)) < 1e-9 * q
+            exact = hyper_exact_phi(n, t)
             for x in range(q):
                 got = reconstruct(vals[x], n, q)
-                assert got == hyper_exact_phi(n, x, f)
+                assert got == QPowerRational.make(exact[x], n, q)
 
 
 def test_reconstruct_examples():

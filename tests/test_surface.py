@@ -3,6 +3,7 @@ import inspect
 import pkgutil
 
 import ffhyper
+import ffhyper.hypergeo as hypergeo
 import ffhyper.identities as ids
 from ffhyper.characters import Character
 from ffhyper.field import PrimeField
@@ -63,3 +64,17 @@ def test_identities_takes_no_budget():
     assert len(functions) > 30
     assert [f.__qualname__ for f in functions if "budget" in inspect.signature(f).parameters] == []
     assert not hasattr(ids, "DEFAULT_BUDGET")
+
+
+def test_hypergeo_evaluators_take_tables_not_a_field():
+    """Every public hypergeo evaluator reads its prime off the SumTables it is given."""
+    evaluators = (
+        hypergeo.hyper_char,
+        hypergeo.hyper_all_x,
+        hypergeo.hyper_twisted_sum,
+        hypergeo.appell_f4,
+        hypergeo.appell_f4_batch,
+        hypergeo.hyper_exact_phi,
+    )
+    params = [inspect.signature(f).parameters for f in evaluators]
+    assert [f.__name__ for f, p in zip(evaluators, params) if "field" in p or "tables" not in p] == []
