@@ -252,17 +252,20 @@ def _all_x_values(params: HyperParams, tables: SumTables) -> np.ndarray:
 def _correlate_ints(kernel: np.ndarray, level: np.ndarray) -> np.ndarray:
     """curves._correlate of a {-1, 0, 1} kernel with an object array of Python ints, exactly.
 
-    The level is split into balanced 20-bit limbs, each correlated alone
-    and recombined in Python ints.  This relies on every limb correlation
-    entry, at most sum|kernel| * 2**19, being below 2**45 (kernel length
-    under 4 * 10**7), which _correlate's float transform rounds exactly.
+    The level is split into balanced 20-bit limbs, all correlated against
+    the kernel in one stacked call and recombined in Python ints.  This
+    relies on every limb correlation entry, at most sum|kernel| * 2**19,
+    being below 2**45 (kernel length under 4 * 10**7), which _correlate's
+    float transform rounds exactly.
     """
-    out = np.zeros(len(level), dtype=object)
-    rest, shift = level, 0
-    while rest.any():
+    limbs, rest = [], level
+    while not limbs or rest.any():
         limb = (rest + 2**19) % 2**20 - 2**19
-        out += _correlate(kernel, limb.astype(np.int64)).astype(object) << shift
-        rest, shift = (rest - limb) >> 20, shift + 20
+        limbs.append((kernel, limb.astype(np.int64)))
+        rest = (rest - limb) >> 20
+    out = np.zeros(len(level), dtype=object)
+    for i, c in enumerate(_correlate(limbs)):
+        out += c.astype(object) << 20 * i
     return out
 
 
@@ -350,7 +353,7 @@ def appell_f4_batch(
 
 
 def _f4_spectra(tables: SumTables, ai: int, bi: int, ci: int, cpi: int):
-    """The F4* weights and the shifted spectra of C and C' (see appell_f4_batch)."""
+    """The F4* weights and the shifted spectra of C and C' (see appell_f4_batch); one spectrum if C = C'."""
     n = tables.field.q - 1
     g = tables.gauss_vector
     denom = g[ai] * g[bi] * g[(-ci) % n] * g[(-cpi) % n]
@@ -362,4 +365,5 @@ def _f4_spectra(tables: SumTables, ai: int, bi: int, ci: int, cpi: int):
         spec = np.fft.ifft(g[(-lower - ks) % n] * g[(-ks) % n]) * n
         return sliding_window_view(np.concatenate((spec, spec[:-1])), n)
 
-    return weights, shifted(ci), shifted(cpi)
+    rows_c = shifted(ci)
+    return weights, rows_c, rows_c if cpi == ci else shifted(cpi)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .characters import Character, character_row
 from .charsums import SumTables
-from .curves import clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
+from .curves import _stack_runs, clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
 from .errors import Infeasible, RejectedInput
 from .field import PrimeField, make_field
 from .hypergeo import (
@@ -322,10 +322,14 @@ def first_moment(n: int, weighted: bool, tables: SumTables) -> IdentityReport:
 # -- trace moment identities -------------------------------------------------------
 
 
+def _trace_builder(family: str):
+    """The legendre or clausen family's stacked table builder, read at call time so patches apply."""
+    return legendre_trace_table if family == "legendre" else clausen_trace_table
+
+
 def _trace_table(family: str, tables: SumTables) -> np.ndarray:
     """The legendre or clausen family's traces, indexed by the curve parameter; memoised."""
-    build = legendre_trace_table if family == "legendre" else clausen_trace_table
-    return tables.memo(("trace", family), build, tables.field)
+    return tables.memo(("trace", family), lambda f: _trace_builder(family)([f])[0], tables.field)
 
 
 def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
@@ -605,20 +609,21 @@ def _moment_rows(tables: SumTables) -> list[tuple[str, dict, float]]:
     return rows
 
 
-# Each sweep's summary label, row function and per-prime cost: two forward
-# real FFTs and one inverse per trace table, one binomial line and three
-# inverse transforms per moments table.
+# Each sweep's summary label, row function, per-prime cost and the curve
+# family whose trace table its rows read (None for moments): two forward
+# real FFTs and one inverse per trace table, stacked or not, one binomial
+# line and three inverse transforms per moments table.
 _TRACE_COST = ("trace-table cost 3*q*log2(q)", lambda q: 3 * q * q.bit_length())
 _MOMENT_COST = ("moment-table cost 4*(q-1)*log2(q-1)", lambda q: 4 * (q - 1) * (q - 1).bit_length())
 SWEEPS = {
-    "F43": ("estimate-F43", _f43_rows, _TRACE_COST),
-    "F65": ("estimate-F65", _f65_rows, _TRACE_COST),
-    "moments": ("moments", _moment_rows, _MOMENT_COST),
+    "F43": ("estimate-F43", _f43_rows, _TRACE_COST, "legendre"),
+    "F65": ("estimate-F65", _f65_rows, _TRACE_COST, "clausen"),
+    "moments": ("moments", _moment_rows, _MOMENT_COST, None),
 }
 
 
 def estimate_sweep(primes, which: str) -> tuple[list[dict], SweepSummary]:
-    """One sweep's rows over the primes, one field's tables alive at a time, and their summary.
+    """One sweep's rows over the primes, one run's tables alive at a time, and their summary.
 
     F43 and F65 give the exact trace-route values of 4F3(1) and 6F5(1), one
     row per prime.  Only the unconditional Hasse-derived bounds are
@@ -628,11 +633,22 @@ def estimate_sweep(primes, which: str) -> tuple[list[dict], SweepSummary]:
     checks pass.  The summary's max residual is NaN-sticky: the largest
     monitored deviation, or for moments the largest first-moment residual
     (0.0 when every row passes).  make_field refuses a composite q.
+
+    The primes go in runs of consecutive primes (curves._stack_runs for
+    F43 and F65, one prime each for moments): one SumTables per prime,
+    and a trace sweep builds its family's tables for the whole run in one
+    stacked builder call, memoised in each prime's SumTables.
     """
     if which not in SWEEPS:
         raise RejectedInput(f"unknown sweep {which!r}; expected F43, F65 or moments")
-    statement, rows_at, _ = SWEEPS[which]
-    checked = [row for q in primes for row in rows_at(SumTables(make_field(q)))]
+    statement, rows_at, _, family = SWEEPS[which]
+    checked = []
+    for run in _stack_runs(primes) if family else [[q] for q in primes]:
+        run_tables = [SumTables(make_field(q)) for q in run]
+        if family:
+            for t, table in zip(run_tables, _trace_builder(family)([t.field for t in run_tables])):
+                t.memo(("trace", family), lambda table=table: table)
+        checked += [row for t in run_tables for row in rows_at(t)]
     failed = [at for at, row, _ in checked if not row["pass"]]
     residual = _max_residual([r for _, _, r in checked])
     summary = SweepSummary(statement, list(primes), len(checked), len(failed), failed[0] if failed else "", residual)

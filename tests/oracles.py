@@ -2,9 +2,10 @@
 
 None of these runs in a command: each is the slow, direct form of
 something `ffhyper` computes another way (the descent relation, the
-exact phi/eps descent, the point count, the exact-row judge, the
-per-lambda trace bridges, reading a JSON report back), plus the helpers that drive the bridge oracles and
-perturb the trace tables and hypergeometric values the checks read.
+exact phi/eps descent, the point count, the cyclic correlation, the
+exact-row judge, the per-lambda trace bridges, reading a JSON report
+back), plus the helpers that drive the bridge oracles and perturb the
+trace tables and hypergeometric values the checks read.
 """
 
 import math
@@ -99,6 +100,15 @@ def hasse_bound(q: int) -> int:
     return math.isqrt(4 * q)
 
 
+# -- cyclic correlation ----------------------------------------------------------------
+
+
+def cyclic_correlation_naive(a: list[int], b: list[int]) -> list[int]:
+    """c[l] = sum_y a[y] * b[(y + l) mod m] for l < m = len(a), one Python sum per l: O(m^2)."""
+    m = len(a)
+    return [sum(a[y] * b[(y + l) % m] for y in range(m)) for l in range(m)]
+
+
 # -- exact rows ------------------------------------------------------------------------
 
 
@@ -186,7 +196,9 @@ def patch_family(monkeypatch, offsets, table=1):
     if table == 0:
         for family in ("legendre", "clausen"):
             build = getattr(ids, f"{family}_trace_table")
-            monkeypatch.setattr(ids, f"{family}_trace_table", lambda f, b=build, fam=family: moved(fam, b(f)))
+            monkeypatch.setattr(
+                ids, f"{family}_trace_table", lambda fields, b=build, fam=family: [moved(fam, t) for t in b(fields)]
+            )
         return
 
     def all_x(params, tables, build=ids.hyper_all_x):

@@ -13,7 +13,7 @@ from ffhyper.curves import (
     legendre_trace_table,
 )
 from ffhyper.field import primes_in_range
-from oracles import count_points_naive, hasse_bound
+from oracles import count_points_naive, cyclic_correlation_naive, hasse_bound
 
 
 def test_legendre_q5_lambda2():
@@ -72,10 +72,10 @@ def test_trace_sum_identity(q):
 def test_trace_tables_match_single_calls():
     for q in (7, 13, 29, 101, 1009):
         f = make_field(q)
-        a = legendre_trace_table(f)
+        (a,) = legendre_trace_table([f])
         for lam in range(2, q):
             assert int(a[lam]) == legendre_trace(f, lam).trace
-        ap = clausen_trace_table(f)
+        (ap,) = clausen_trace_table([f])
         for lam in range(1, q - 1):
             assert int(ap[lam]) == clausen_trace(f, lam).trace
 
@@ -83,8 +83,8 @@ def test_trace_tables_match_single_calls():
 def test_trace_tables_match_single_calls_sampled():
     q = 10007
     f = make_field(q)
-    a = legendre_trace_table(f)
-    ap = clausen_trace_table(f)
+    (a,) = legendre_trace_table([f])
+    (ap,) = clausen_trace_table([f])
     rng = np.random.default_rng(2021)
     for lam in rng.integers(2, q - 1, size=200):
         lam = int(lam)
@@ -96,8 +96,8 @@ def test_trace_tables_match_single_calls_sampled():
 def test_trace_tables_hasse_bound(q):
     f = make_field(q)
     bound = hasse_bound(q)
-    a = legendre_trace_table(f)
-    ap = clausen_trace_table(f)
+    (a,) = legendre_trace_table([f])
+    (ap,) = clausen_trace_table([f])
     assert a.dtype == ap.dtype == np.int64
     assert np.abs(a[2:]).max() <= bound
     assert np.abs(ap[1 : q - 1]).max() <= bound
@@ -105,12 +105,29 @@ def test_trace_tables_hasse_bound(q):
 
 def test_trace_correlation_refuses_to_round_non_integers():
     with pytest.raises(ArithmeticError):
-        _correlate(np.array([0.5, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        _correlate([(np.array([0.5, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))])
+    # Stacked: only the second, shorter row is off the integers.
+    with pytest.raises(ArithmeticError, match="length <= 5"):
+        _correlate([(np.arange(5.0), np.ones(5)), (np.array([0.0, 0.5]), np.array([1.0, 3.0]))])
+
+
+def test_stacked_correlation_matches_naive_per_row():
+    rng = np.random.default_rng(30)
+    lengths = [1, 2, 3, 300, *rng.integers(1, 301, size=12)]
+    pairs = [(rng.integers(-9, 10, size=m), rng.integers(-9, 10, size=m)) for m in lengths]
+    got = _correlate(pairs)
+    assert len(got) == len(pairs)
+    for c, (a, b) in zip(got, pairs):
+        assert c.dtype == np.int64
+        assert c.tolist() == cyclic_correlation_naive(a.tolist(), b.tolist())
 
 
 def test_smooth_len_is_smallest_5_smooth_at_least_n():
     smooth = sorted(2**i * 3**j * 5**k for i in range(14) for j in range(9) for k in range(7))
     for n in range(1, 5001):
+        assert _smooth_len(n) == next(m for m in smooth if m >= n), n
+    smooth = sorted(2**i * 3**j * 5**k for i in range(41) for j in range(26) for k in range(18))
+    for n in (10**6 + 1, 2 * 10**7 + 37, 3**20 + 1, 5**16 - 1, 2**39 - 1, 2**39):
         assert _smooth_len(n) == next(m for m in smooth if m >= n), n
 
 
@@ -120,14 +137,19 @@ def test_trace_tables_equal_prime_length_correlation():
         q = len(a)
         return np.rint(np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(b), q)).astype(np.int64)
 
-    for q in (*primes_in_range(3, 1499), 10007):
-        f = make_field(q)
-        leg = f.legendre_table
-        xs = np.arange(q, dtype=np.int64)
-        u = leg[xs * (xs - 1) % q]
-        w = np.bincount(xs * xs % q, weights=leg[(xs - 1) % q], minlength=q)
-        assert np.array_equal(legendre_trace_table(f), -prime_length(leg, u)), q
-        assert np.array_equal(clausen_trace_table(f), -prime_length(w, leg)), q
+    # One stacked call per family for 3..1499; 10007 alone, since stacking
+    # it with them would pad all 239 rows to its length of 20250.
+    for primes in (primes_in_range(3, 1499), [10007]):
+        fields = [make_field(q) for q in primes]
+        tables = zip(fields, legendre_trace_table(fields), clausen_trace_table(fields), strict=True)
+        for f, a, ap in tables:
+            q = f.q
+            leg = f.legendre_table
+            xs = np.arange(q, dtype=np.int64)
+            u = leg[xs * (xs - 1) % q]
+            w = np.bincount(xs * xs % q, weights=leg[(xs - 1) % q], minlength=q)
+            assert np.array_equal(a, -prime_length(leg, u)), q
+            assert np.array_equal(ap, -prime_length(w, leg)), q
 
 
 def test_naive_count_unknown_family():

@@ -240,6 +240,7 @@ def test_f4_spectra_built_once_per_tables_and_key(monkeypatch):
         assert len(reports) == 5 and all(r.passed for r in reports)
         assert built[-1] == (id(t), key)
         spectra = t.memo(("f4", *key), pytest.fail)
+        assert spectra[1] is spectra[2]  # C = C': one shifted spectrum serves both
         for arr in spectra:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

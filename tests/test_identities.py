@@ -11,7 +11,7 @@ import ffhyper.identities as ids
 from ffhyper import Infeasible, NotPrime, NotRational, RejectedInput, SingularParameter, make_field
 from ffhyper.charsums import SumTables, _parity
 from ffhyper.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, run
-from ffhyper.curves import clausen_trace, clausen_trace_table, legendre_trace
+from ffhyper.curves import _STACK_ENTRIES, _smooth_len, clausen_trace, clausen_trace_table, legendre_trace
 from ffhyper.hypergeo import (
     EXACT_GAP,
     HyperParams,
@@ -27,6 +27,8 @@ from ffhyper.identities import (
     STATEMENTS,
     IdentityReport,
     ReportBlock,
+    SweepSummary,
+    _max_residual,
     _trace_table,
     _weighted_square_excess,
     estimate_sweep,
@@ -210,7 +212,7 @@ def test_trace_moment_first_identity_restated(tables_for):
         f = make_field(q)
         from ffhyper.curves import legendre_trace_table
 
-        total = int(legendre_trace_table(f)[2:].sum())
+        total = int(legendre_trace_table([f])[0][2:].sum())
         assert total == -1 - f.phi_minus_one
 
 
@@ -450,9 +452,9 @@ def test_trace_tables_built_once_per_tables(monkeypatch):
     built = []
     for name in ("legendre_trace_table", "clausen_trace_table"):
 
-        def counted(f, build=getattr(ids, name), name=name):
+        def counted(fields, build=getattr(ids, name), name=name):
             built.append(name)
-            return build(f)
+            return build(fields)
 
         monkeypatch.setattr(ids, name, counted)
     t = SumTables(make_field(13))
@@ -682,10 +684,54 @@ def test_estimate_sweep_matches_direct_trace_sums(q):
     assert row["value"] == QPowerRational.make(f.phi_minus_one * (s65 + t * t), 5, q).fmt(q)
 
 
+def _one_prime_at_a_time(primes, which):
+    """estimate_sweep over each prime alone, its rows concatenated and its summaries folded."""
+    parts = [estimate_sweep([q], which) for q in primes]
+    each = [s for _, s in parts]
+    first = [s.first_failure for s in each if s.failures]
+    summary = SweepSummary(
+        each[0].statement,
+        list(primes),
+        sum(s.instances for s in each),
+        sum(s.failures for s in each),
+        first[0] if first else "",
+        _max_residual([s.max_residual for s in each]),
+    )
+    return [row for rows, _ in parts for row in rows], summary
+
+
+@pytest.mark.parametrize("which", ("F43", "F65"))
+@pytest.mark.parametrize("lo, hi", ((3, 1499), (1999, 2203)))  # the second straddles q = 2048
+def test_stacked_sweep_equals_one_prime_at_a_time(which, lo, hi):
+    primes = primes_in_range(lo, hi)
+    assert estimate_sweep(primes, which) == _one_prime_at_a_time(primes, which)
+
+
+@pytest.mark.parametrize("which, family", (("F43", "legendre"), ("F65", "clausen")))
+def test_sweep_stacks_runs_within_the_bound(monkeypatch, which, family):
+    """One builder call per run: fewer calls than primes below q = 2048, one per prime above."""
+    calls = []
+
+    def counted(fields, build=getattr(ids, f"{family}_trace_table")):
+        calls.append([f.q for f in fields])
+        return build(fields)
+
+    monkeypatch.setattr(ids, f"{family}_trace_table", counted)
+    small = primes_in_range(101, 1499)
+    estimate_sweep(small, which)
+    assert [q for run in calls for q in run] == small
+    assert len(calls) < len(small)
+    assert max(len(run) * _smooth_len(2 * max(run) - 1) for run in calls) <= _STACK_ENTRIES
+    calls.clear()
+    large = primes_in_range(2053, 2203)
+    estimate_sweep(large, which)
+    assert calls == [[q] for q in large]
+
+
 @pytest.mark.parametrize("q", (1009, 10007))
 def test_f65_limb_sum_matches_python_integers(q):
     f = make_field(q)
-    ap = clausen_trace_table(f)
+    (ap,) = clausen_trace_table([f])
     mus = np.arange(1, q - 1)
     w = f.legendre_table[mus * (1 + mus) % q]
     expected = int((w * (ap[mus].astype(object) ** 2 - q) ** 2).sum())
