@@ -1,30 +1,30 @@
-"""One verification operation per identity, each returning a structured report.
+"""One verification operation per identity, each returning the sides of its check.
 
 Identities whose two sides live in q**-m * Z are checked in exact integer
 arithmetic after rational reconstruction; everything else is checked in
-floating point against a scale-aware tolerance.  Every exact row is two
-integers over one power of q, rounded by hypergeo's one nearest-integer
-rule, and that rounding's margin.  One judge (_judge) gives every exact
-row's residual and pass, for the scalar rows (_exact_ints) and the
-trace-bridge columns alike; canonical form only fills the printed sides.
-A value that is not exact fails only the rows that read it, each holding
-its nearest value over q**m and its margin as the residual.  Each check
-returns one IdentityReport; run_statement returns a statement's rows at
-one prime as one ReportBlock of columns.
+floating point against a scale-aware tolerance.  Float sides are
+(instance, lhs, rhs, floor), the floor a cross-check's residual; exact
+sides are (instance, lhs, rhs, npow, margin), two integers over one power
+of q rounded by hypergeo's one nearest-integer rule, and that rounding's
+margin.  Two builders turn a statement's sides, as columns, into one
+ReportBlock: _float_block judges against float_tol, and _exact_block
+judges every exact row, trace-bridge's included, by one rule (_judge),
+canonical form only filling the printed sides.  A value that is not
+exact fails only the rows that read it, each holding its nearest value
+over q**m and its margin as the residual.
 The inductive b-sum sum_b phi(b) F_free(bx) F_{k-1}(b) is stated once:
-verify_inductive_k reads it, an off-peak second-moment row is the
-inductive-k row with every free slot phi/eps, and the x=1, n+1=2k peak
-reconstructs the same sum exactly.  Each curve family's trace table is
-one memo entry per prime, read by trace-moments, trace-bridge and the
-F43/F65 sweeps.  The trace bridges, 2(q-2) exact checks per prime, are
-reconstructed one family per array pass and judged in one call straight
-into those columns; their per-lambda oracle lives in the tests.
-STATEMENTS maps each statement to the function that draws its instances at
-one prime, never inside the checks, and checks them, and to its per-prime
-cost; every instance is fully described in its report so failures
-reproduce.  SWEEPS does the same for the three sweeps estimate_sweep runs:
-the trace-route 4F3(1) and 6F5(1) estimates, and the first-moment block
-pivoted into one row per n.
+verify_inductive_k and an off-peak second-moment row (every free slot
+phi/eps) share its sides, and the x=1, n+1=2k peak reconstructs the same
+sum exactly.  Each curve family's trace table is one memo entry per
+prime, read by trace-moments, trace-bridge and the F43/F65 sweeps.  The
+trace bridges, 2(q-2) exact checks per prime, are reconstructed one
+family per array pass; their per-lambda oracle lives in the tests.
+STATEMENTS maps each statement to the function that draws its instances
+at one prime, never inside the checks, and checks them into one block,
+and to its per-prime cost; every instance is fully described in its row
+so failures reproduce.  SWEEPS does the same for the three sweeps
+estimate_sweep runs: the trace-route 4F3(1) and 6F5(1) estimates, and
+the first-moment block pivoted into one row per n.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from itertools import groupby
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class ReportBlock(Sequence):
     QPowerRational's canonical form; a float row holds the real and
     imaginary parts.  Columns are Python lists, so exact numerators stay
     unbounded.  len() is the row count; indexing and iteration build each
-    row's IdentityReport on demand, while summarize and the cli renderers
-    read the columns.
+    row's IdentityReport on demand, the only place one is built, while
+    summarize and the cli renderers read the columns.
     """
 
     name: str
@@ -90,25 +91,6 @@ class ReportBlock(Sequence):
     residual: list[float]
     tolerance: list[float]
     passed: list[bool]
-
-    @classmethod
-    def of(cls, name: str, q: int, reports: list[IdentityReport]) -> ReportBlock:
-        """The block of one statement's reports at q, in order."""
-        lhs = [_parts(r.lhs) for r in reports]
-        rhs = [_parts(r.rhs) for r in reports]
-        return cls(
-            name,
-            q,
-            [r.instance for r in reports],
-            [isinstance(r.lhs, QPowerRational) for r in reports],
-            [a for a, _ in lhs],
-            [b for _, b in lhs],
-            [a for a, _ in rhs],
-            [b for _, b in rhs],
-            [r.residual for r in reports],
-            [r.tolerance for r in reports],
-            [r.passed for r in reports],
-        )
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -129,11 +111,6 @@ class ReportBlock(Sequence):
         )
 
 
-def _parts(v) -> tuple:
-    """A side's two column entries: numerator and power, or real and imaginary part."""
-    return (v.num, v.npow) if isinstance(v, QPowerRational) else (v.real, v.imag)
-
-
 @dataclass
 class SweepSummary:
     statement: str
@@ -149,42 +126,66 @@ def float_tol(q: int) -> float:
     return 1e-6 if q <= 31 else 1e-5
 
 
-def _float_report(name: str, q: int, instance: str, lhs: complex, rhs: complex, floor: float = 0.0) -> IdentityReport:
-    """|lhs - rhs| within float_tol(q); a floor (a cross-check's residual) above it is the residual instead."""
-    lhs, rhs = complex(lhs), complex(rhs)
-    residual = float(max(abs(lhs - rhs), floor))
-    tol = float_tol(q)
-    return IdentityReport(name, q, instance, lhs, rhs, residual, tol, residual <= tol)
+def _float_block(name: str, q: int, instances, lhs, rhs, floor) -> ReportBlock:
+    """Float rows: |lhs - rhs|, raised to its floor (a cross-check's residual), within float_tol(q).
+
+    hypot of the difference's parts is abs of a Python complex to the last
+    bit, which np.abs is not; np.maximum keeps a NaN floor, which max drops.
+    """
+    lhs, rhs = np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex)
+    d = lhs - rhs
+    residual = np.maximum(np.hypot(d.real, d.imag), floor)
+    tol, n = float_tol(q), len(instances)
+    columns = (lhs.real, lhs.imag, rhs.real, rhs.imag, residual, np.full(n, tol), residual <= tol)
+    return ReportBlock(name, q, list(instances), [False] * n, *(c.tolist() for c in columns))
 
 
-def _judge(lhs, rhs, npow, margin, q):
+def _judge(lhs: np.ndarray, rhs: np.ndarray, npow: np.ndarray, margin: np.ndarray, q: int):
     """Residual and pass of exact rows lhs / q**npow against rhs / q**npow, margin their reconstruction margin.
 
     A row passes when its margin is below EXACT_GAP and lhs == rhs.  Its
     residual is the margin where that is not below the gap (NaN included),
-    else |lhs - rhs| / q**npow.  One rule for Python ints (a row, unbounded)
-    and for numpy int64 columns with per-row powers.
+    else |lhs - rhs| / q**npow, taken in Python ints: on int64 columns
+    q**npow wraps silently past 2**63.
     """
     ok = margin < EXACT_GAP
-    return np.where(ok, abs(lhs - rhs) / q**npow, margin), ok & (lhs == rhs)
+    residual = np.where(ok, 0.0, margin)
+    for i in np.flatnonzero(ok & (lhs != rhs)):
+        residual[i] = abs(int(lhs[i]) - int(rhs[i])) / q ** int(npow[i])
+    return residual, ok & (lhs == rhs)
 
 
-def _exact_ints(
-    name: str, q: int, instance: str, lhs: int, rhs: int, npow: int, margin: float = 0.0
-) -> IdentityReport:
-    """The exact row lhs / q**npow against rhs / q**npow, judged by _judge; each side prints canonical."""
-    residual, passed = _judge(lhs, rhs, npow, margin, q)
-    make = QPowerRational.make
-    return IdentityReport(name, q, instance, make(lhs, npow, q), make(rhs, npow, q), float(residual), 0.0, bool(passed))
+def _exact_block(name: str, q: int, instances, lhs, rhs, npow, margin) -> ReportBlock:
+    """Exact rows lhs / q**npow against rhs / q**npow, judged by _judge; each side's columns canonical."""
+    # Arrays (trace-bridge's int64) stay as they are; Python ints stay unbounded in object columns.
+    lhs, rhs = (c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in (lhs, rhs))
+    npow = np.asarray(npow, dtype=np.int64)
+    residual, passed = _judge(lhs, rhs, npow, np.asarray(margin, dtype=float), q)
+    n = len(instances)
+    columns = (*_canonical(lhs, npow, q), *_canonical(rhs, npow, q), residual, np.zeros(n), passed)
+    return ReportBlock(name, q, list(instances), [True] * n, *(c.tolist() for c in columns))
 
 
 def _canonical(num: np.ndarray, npow: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """QPowerRational.make(num[i], npow[i], q) for every i, as numerator and power columns."""
-    for _ in range(npow.max(initial=0)):
-        cut = (npow > 0) & (num % q == 0)
+    while (cut := (npow > 0) & (num % q == 0)).any():
         num = np.where(cut, num // q, num)
         npow = npow - cut
     return num, npow
+
+
+def _block(name: str, q: int, rows: Iterable[tuple]) -> ReportBlock:
+    """One statement's rows of sides at q as one block, in order: one builder call per run of one kind.
+
+    Float sides are (instance, lhs, rhs, floor), exact sides (instance, lhs, rhs, npow, margin).
+    """
+    blocks = [
+        (_exact_block if len(run[0]) == 5 else _float_block)(name, q, *zip(*run))
+        for run in (list(run) for _, run in groupby(rows, len))
+    ]
+    if len(blocks) == 1:
+        return blocks[0]
+    return ReportBlock(name, q, *([v for b in blocks for v in getattr(b, c.name)] for c in fields(ReportBlock)[2:]))
 
 
 def _idx(indices) -> str:
@@ -194,7 +195,7 @@ def _idx(indices) -> str:
 # -- contiguous relation (trailing slot repeated above and below) ---------------
 
 
-def verify_contiguous(params: HyperParams, psi: int, x: int, tables: SumTables) -> IdentityReport:
+def verify_contiguous(params: HyperParams, psi: int, x: int, tables: SumTables) -> tuple:
     """(n+2)F_{n+1} with chi_psi appended to both rows against its two-term closed form."""
     f = tables.field
     q = f.q
@@ -207,8 +208,7 @@ def verify_contiguous(params: HyperParams, psi: int, x: int, tables: SumTables) 
     for up, lo in zip(params.uppers[1:], params.lowers):
         prod *= tables.binomial_index(up - p, lo - p)
     rhs = -hyper_char(params, x, tables) / q + prod * Character(f, -p)(x)
-    inst = f"n={params.n} psi={p} x={x} up={_idx(params.uppers)} lo={_idx(params.lowers)}"
-    return _float_report("contiguous", q, inst, lhs, rhs)
+    return f"n={params.n} psi={p} x={x} up={_idx(params.uppers)} lo={_idx(params.lowers)}", lhs, rhs, 0.0
 
 
 # -- inductive representation with k trailing phi/eps slots ---------------------
@@ -223,6 +223,16 @@ def _inductive_sum(free: HyperParams, k: int, x: int, tables: SumTables) -> comp
     return complex((tables.field.legendre_table[bs] * vals_free[(bs * x) % q] * vals_phi[bs]).sum())
 
 
+def _inductive_sides(free: HyperParams, k: int, x: int, tables: SumTables) -> tuple[complex, complex]:
+    """(n+1)F_n(x), the free slots then k trailing phi/eps slots, and its b-sum of lower levels; x reduced mod q."""
+    if x == 0:
+        raise RejectedInput("x must be nonzero")
+    f = tables.field
+    q = f.q
+    full = HyperParams(q, (*free.uppers, *((q - 1) // 2,) * k), (*free.lowers, *(0,) * k))
+    return hyper_char(full, x, tables), f.phi_minus_one**k / q * _inductive_sum(free, k, x, tables)
+
+
 def verify_inductive_k(
     n: int,
     k: int,
@@ -230,23 +240,17 @@ def verify_inductive_k(
     free_lowers: tuple[int, ...],
     x: int,
     tables: SumTables,
-) -> IdentityReport:
+) -> tuple:
     """(n+1)F_n with k trailing phi/eps slots against its b-sum of lower levels."""
     if not n > k >= 1:
         raise RejectedInput(f"need n > k >= 1, got n={n}, k={k}")
     if len(free_uppers) != n - k + 1 or len(free_lowers) != n - k:
         raise RejectedInput("free slots must number n-k+1 uppers and n-k lowers")
-    f = tables.field
-    q = f.q
+    q = tables.field.q
     x %= q
-    if x == 0:
-        raise RejectedInput("x must be nonzero")
     free = HyperParams(q, free_uppers, free_lowers)
-    full = HyperParams(q, (*free.uppers, *((q - 1) // 2,) * k), (*free.lowers, *(0,) * k))
-    lhs = hyper_char(full, x, tables)
-    rhs = f.phi_minus_one**k / q * _inductive_sum(free, k, x, tables)
     inst = f"n={n} k={k} x={x} up={_idx(free.uppers)} lo={_idx(free.lowers)}"
-    return _float_report("inductive-k", q, inst, lhs, rhs)
+    return inst, *_inductive_sides(free, k, x, tables), 0.0
 
 
 # -- product of 2F1 and (n+1)F_n via the Appell series --------------------------
@@ -258,7 +262,7 @@ def verify_product(
     x: int,
     z: int,
     tables: SumTables,
-) -> IdentityReport:
+) -> tuple:
     """2F1(z) * (n+1)F_n(x) against the three-term Appell decomposition.
 
     The third term sums F4* over q-2 points, O(q^2) work that this check
@@ -291,8 +295,7 @@ def verify_product(
     f4 = appell_f4_batch(phi, phi, 0, 0, z * (1 - ws) % q, ws * (1 - z) % q, tables)
     t3 = complex((f.legendre_table[ws] * lower_vals[(ws * x) % q] * f4).sum())
     rhs = t1 + t2 + t3 / q**3
-    inst = f"n={n} x={x} z={z} up={_idx(free.uppers)} lo={_idx(free.lowers)}"
-    return _float_report("product", q, inst, lhs, rhs)
+    return f"n={n} x={x} z={z} up={_idx(free.uppers)} lo={_idx(free.lowers)}", lhs, rhs, 0.0
 
 
 # -- first moments of the all-phi/eps family -------------------------------------
@@ -301,7 +304,7 @@ def verify_product(
 FIRST_MOMENT_NS = (1, 2, 3)  # the n of the first-moment statement and the moments sweep
 
 
-def first_moment(n: int, weighted: bool, tables: SumTables) -> IdentityReport:
+def first_moment(n: int, weighted: bool, tables: SumTables) -> tuple:
     """q**n * sum_y [phi(y)] F(y) against its closed-form sign."""
     if n < 1:
         raise RejectedInput("n must be at least 1")
@@ -315,8 +318,7 @@ def first_moment(n: int, weighted: bool, tables: SumTables) -> IdentityReport:
         total = complex(vals.sum())
         expected = (-1) ** (n + 1)
     num, margin, _ = _nearest(total, n, q)
-    inst = f"n={n} {'weighted' if weighted else 'unweighted'}"
-    return _exact_ints("first-moment", q, inst, num, expected, n, margin)
+    return f"n={n} {'weighted' if weighted else 'unweighted'}", num, expected, n, margin
 
 
 # -- trace moment identities -------------------------------------------------------
@@ -332,7 +334,7 @@ def _trace_table(family: str, tables: SumTables) -> np.ndarray:
     return tables.memo(("trace", family), lambda f: _trace_builder(family)([f])[0], tables.field)
 
 
-def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
+def verify_trace_moments(tables: SumTables) -> list[tuple]:
     """The three exact trace identities tying both curve families to 3F2(1)."""
     f = tables.field
     q = f.q
@@ -347,16 +349,16 @@ def verify_trace_moments(tables: SumTables) -> list[IdentityReport]:
     lhs3 = int((leg[lams] * ap[lams] ** 2).sum()) + q * phi_m1 + f32
 
     return [
-        _exact_ints("trace-moments", q, "sum a_lambda + phi(-1)", lhs1, -1, 0),
-        _exact_ints("trace-moments", q, "phi(1+lambda)-weighted clausen squares", lhs2, -1, 0, margin),
-        _exact_ints("trace-moments", q, "phi(lambda)-weighted clausen squares", lhs3, -phi_m1, 0, margin),
+        ("sum a_lambda + phi(-1)", lhs1, -1, 0, 0.0),
+        ("phi(1+lambda)-weighted clausen squares", lhs2, -1, 0, margin),
+        ("phi(lambda)-weighted clausen squares", lhs3, -phi_m1, 0, margin),
     ]
 
 
 # -- second weighted moments ----------------------------------------------------------
 
 
-def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> IdentityReport:
+def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> tuple:
     """(n+1)F_n(x) against its lambda-sum of products; exact at the x=1, n+1=2k peak.
 
     Off the peak this is the inductive-k row with every free slot phi/eps; at
@@ -373,11 +375,8 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> Identit
         left, left_margin, _ = _nearest(total, 2 * k - 2, q)
         right, right_margin, _ = _nearest(hyper_char(HyperParams.phi_eps(q, 2 * k - 1), 1, tables), 2 * k - 1, q)
         margin = _max_residual((left_margin, right_margin))
-        inst = f"k={k} x=1 second-moment peak"
-        return _exact_ints("second-moment", q, inst, left, f.phi_minus_one**k * right, 2 * k - 2, margin)
-    phi = (q - 1) // 2
-    row = verify_inductive_k(n, k, (phi,) * (n - k + 1), (0,) * (n - k), x, tables)
-    return replace(row, name="second-moment", instance=f"n={n} k={k} x={x}")
+        return f"k={k} x=1 second-moment peak", left, f.phi_minus_one**k * right, 2 * k - 2, margin
+    return f"n={n} k={k} x={x}", *_inductive_sides(HyperParams.phi_eps(q, n - k), k, x, tables), 0.0
 
 
 # -- trace bridges -----------------------------------------------------------------
@@ -391,8 +390,8 @@ def trace_bridge_block(tables: SumTables) -> ReportBlock:
     the square of the Clausen trace at mu = lambda/(1-lambda) against
     q + q^2 phi(1-lambda) 3F2(lambda), two integers.  Each family is
     reconstructed in one reconstruct_ints call, and both families' rows are
-    judged in one _judge call, so a lambda whose value fails reconstruction
-    fails only its own row.  mu is read off the discrete-log tables.
+    judged in one _exact_block call, so a lambda whose value fails
+    reconstruction fails only its own row.  mu is read off the discrete-log tables.
     """
     f = tables.field
     q = f.q
@@ -408,12 +407,9 @@ def trace_bridge_block(tables: SumTables) -> ReportBlock:
     lhs = np.concatenate((legendre_ints, ap[mus] ** 2))
     rhs = np.concatenate((-a[2:], q + f.legendre_table[one_minus] * t2))
     npow = np.repeat(np.array([1, 0], dtype=np.int64), q - 2)
-    residual, passed = _judge(lhs, rhs, npow, np.concatenate((legendre_margin, clausen_margin)), q)
     instances = [f"legendre lambda={lam}" for lam in range(2, q)]
     instances += [f"clausen lambda={lam} mu={mu}" for lam, mu in zip(range(2, q), mus.tolist())]
-    columns = (*_canonical(lhs, npow, q), *_canonical(rhs, npow, q), residual)
-    exact, tolerance = [True] * len(instances), [0.0] * len(instances)
-    return ReportBlock("trace-bridge", q, instances, exact, *(c.tolist() for c in columns), tolerance, passed.tolist())
+    return _exact_block("trace-bridge", q, instances, lhs, rhs, npow, np.concatenate((legendre_margin, clausen_margin)))
 
 
 # -- generating function and the closed-form psi-sum -----------------------------------
@@ -443,7 +439,7 @@ def generating_boundary_term(params: HyperParams, x: int, t: int, tables: SumTab
     return sign / f.q * Character(f, bn - an)(t) * hyper_char(params.dropped_last(), x, tables)
 
 
-def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) -> IdentityReport:
+def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) -> tuple:
     """The psi-sum of last-slot-twisted values against its closed form.
 
     Checks  q/(q-1) sum_psi (A_n conj(B_n) psi over psi) F(.., A_n psi; .. | x) psi(t)
@@ -470,11 +466,10 @@ def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) ->
     rhs = hyper_char(params, arg, tables) * Character(f, -an)((1 - t) % q) - generating_boundary_term(
         params, x, t, tables
     )
-    inst = f"n={params.n} x={x} t={t} up={_idx(params.uppers)} lo={_idx(params.lowers)}"
-    return _float_report("generating", q, inst, lhs, rhs)
+    return f"n={params.n} x={x} t={t} up={_idx(params.uppers)} lo={_idx(params.lowers)}", lhs, rhs, 0.0
 
 
-def verify_closed_form_sum(A: int, n: int, x: int, t: int, tables: SumTables) -> IdentityReport:
+def verify_closed_form_sum(A: int, n: int, x: int, t: int, tables: SumTables) -> tuple:
     """q * sum over nontrivial psi of (n+2)F_{n+1}(A..A, psi | x) psi(t), in closed form.
 
     A is the index of a nontrivial character: nonzero mod q-1.
@@ -505,11 +500,10 @@ def verify_closed_form_sum(A: int, n: int, x: int, t: int, tables: SumTables) ->
         + hyper_char(base, x, tables)
         + (-1 / q) ** n
     )
-    inst = f"A={base.uppers[0]} n={n} x={x} t={t}"
-    return _float_report("closed-form", q, inst, lhs, rhs)
+    return f"A={base.uppers[0]} n={n} x={x} t={t}", lhs, rhs, 0.0
 
 
-def verify_remark_sums(lam: int, level: str, tables: SumTables) -> IdentityReport:
+def verify_remark_sums(lam: int, level: str, tables: SumTables) -> tuple:
     """The two worked psi-sums at t = 1 - lambda^2, with trace cross-checks.
 
     The right-hand sides use the hypergeometric value at lambda itself;
@@ -541,8 +535,7 @@ def verify_remark_sums(lam: int, level: str, tables: SumTables) -> IdentityRepor
         bridge_resid = abs(f3 - bridge)
     else:
         raise RejectedInput(f"unknown level {level!r}; expected 3F2 or 4F3")
-    inst = f"level={level} lambda={lam} t={t} (with trace cross-check)"
-    return _float_report("remark-sums", q, inst, lhs, rhs, bridge_resid)
+    return f"level={level} lambda={lam} t={t} (with trace cross-check)", lhs, rhs, bridge_resid
 
 
 # -- estimate sweeps ------------------------------------------------------------------
@@ -670,68 +663,74 @@ def _rand_slots(rng: random.Random, q: int, lowers: int) -> tuple[tuple[int, ...
     return tuple(rng.randrange(q - 1) for _ in range(lowers + 1)), tuple(rng.randrange(q - 1) for _ in range(lowers))
 
 
-def _first_moment_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
-    return [first_moment(n, weighted, tables) for n in FIRST_MOMENT_NS for weighted in (False, True)]
+def _first_moment_at(tables: SumTables, rng: random.Random) -> ReportBlock:
+    rows = [first_moment(n, weighted, tables) for n in FIRST_MOMENT_NS for weighted in (False, True)]
+    return _block("first-moment", tables.field.q, rows)
 
 
-def _second_moment_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
-    for k in (2, 3):
-        yield second_weighted_moment(2 * k - 1, k, 1, tables)
-    for n, k in ((2, 1), (3, 2)):
-        yield second_weighted_moment(n, k, _rand_x(rng, tables.field.q), tables)
+def _second_moment_at(tables: SumTables, rng: random.Random) -> ReportBlock:
+    q = tables.field.q
+    rows = [second_weighted_moment(2 * k - 1, k, 1, tables) for k in (2, 3)]
+    rows += [second_weighted_moment(n, k, _rand_x(rng, q), tables) for n, k in ((2, 1), (3, 2))]
+    return _block("second-moment", q, rows)
 
 
-def _contiguous_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+def _contiguous_at(tables: SumTables, rng: random.Random) -> ReportBlock:
     q = tables.field.q
     base = HyperParams.phi_eps(q, 1)
-    for x in ((2, 3) if q > 3 else (1, 2)):
-        yield verify_contiguous(base, (q - 1) // 2, x, tables)
-    yield verify_contiguous(base, 0, 2, tables)
+    rows = [verify_contiguous(base, (q - 1) // 2, x, tables) for x in ((2, 3) if q > 3 else (1, 2))]
+    rows.append(verify_contiguous(base, 0, 2, tables))
     for n in (1, 2):
         params = HyperParams(q, *_rand_slots(rng, q, n))
-        yield verify_contiguous(params, rng.randrange(q - 1), _rand_x(rng, q), tables)
+        rows.append(verify_contiguous(params, rng.randrange(q - 1), _rand_x(rng, q), tables))
+    return _block("contiguous", q, rows)
 
 
-def _inductive_k_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+def _inductive_k_at(tables: SumTables, rng: random.Random) -> ReportBlock:
     q = tables.field.q
+    rows = []
     for n, k in ((2, 1), (3, 1), (3, 2), (4, 3)):
         for _ in range(2):
-            yield verify_inductive_k(n, k, *_rand_slots(rng, q, n - k), _rand_x(rng, q), tables)
+            rows.append(verify_inductive_k(n, k, *_rand_slots(rng, q, n - k), _rand_x(rng, q), tables))
+    return _block("inductive-k", q, rows)
 
 
-def _product_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+def _product_at(tables: SumTables, rng: random.Random) -> ReportBlock:
     q = tables.field.q
-    if q == 7:
-        return [verify_product(((q - 1) // 2,), (), x, z, tables) for x in range(2, q) for z in range(2, q)]
-    out = []
+    if q == 7:  # the full grid, phi = 3
+        return _block("product", q, [verify_product((3,), (), x, z, tables) for x in range(2, q) for z in range(2, q)])
+    rows = []
     for lowers in (0, 0, 0, 1, 1):
         x = _rand_x(rng, q, exclude=(0, 1))
         z = _rand_x(rng, q, exclude=(0, 1))
-        out.append(verify_product(*_rand_slots(rng, q, lowers), x, z, tables))
-    return out
+        rows.append(verify_product(*_rand_slots(rng, q, lowers), x, z, tables))
+    return _block("product", q, rows)
 
 
-def _generating_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+def _generating_at(tables: SumTables, rng: random.Random) -> ReportBlock:
     q = tables.field.q
     base = HyperParams.phi_eps(q, 1)
-    for _ in range(2):
-        yield verify_generating(base, _rand_x(rng, q), _rand_x(rng, q, exclude=(0, 1)), tables)
+    rows = [verify_generating(base, _rand_x(rng, q), _rand_x(rng, q, exclude=(0, 1)), tables) for _ in range(2)]
     for n in (1, 2):
         params = HyperParams(q, *_rand_slots(rng, q, n))
-        yield verify_generating(params, _rand_x(rng, q), _rand_x(rng, q, exclude=(0, 1)), tables)
+        rows.append(verify_generating(params, _rand_x(rng, q), _rand_x(rng, q, exclude=(0, 1)), tables))
+    return _block("generating", q, rows)
 
 
-def _closed_form_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+def _closed_form_at(tables: SumTables, rng: random.Random) -> ReportBlock:
     q = tables.field.q
+    rows = []
     for a in ((q - 1) // 2, 1):  # phi and the generator omega = chi_1
         for n in (1, 2):
-            yield verify_closed_form_sum(a, n, _rand_x(rng, q), _rand_x(rng, q, exclude=(0, 1)), tables)
+            rows.append(verify_closed_form_sum(a, n, _rand_x(rng, q), _rand_x(rng, q, exclude=(0, 1)), tables))
+    return _block("closed-form", q, rows)
 
 
-def _remark_sums_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityReport]:
+def _remark_sums_at(tables: SumTables, rng: random.Random) -> ReportBlock:
     q = tables.field.q
     lams = range(2, q - 1) if q <= 13 else sorted(rng.sample(range(2, q - 1), 4))
-    return [verify_remark_sums(lam, level, tables) for level in ("3F2", "4F3") for lam in lams]
+    rows = [verify_remark_sums(lam, level, tables) for level in ("3F2", "4F3") for lam in lams]
+    return _block("remark-sums", q, rows)
 
 
 # The statements in run order: each one's draw-and-check function, and its
@@ -742,7 +741,7 @@ def _remark_sums_at(tables: SumTables, rng: random.Random) -> Iterable[IdentityR
 _PRODUCT_COST = ("w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1)", lambda q: (q - 1) * (q - 2 + 3 * (q - 1).bit_length()))
 STATEMENTS = {
     "first-moment": (_first_moment_at, None),
-    "trace-moments": (lambda tables, rng: verify_trace_moments(tables), None),
+    "trace-moments": (lambda t, rng: _block("trace-moments", t.field.q, verify_trace_moments(t)), None),
     "second-moment": (_second_moment_at, None),
     "trace-bridge": (lambda tables, rng: trace_bridge_block(tables), None),
     "contiguous": (_contiguous_at, None),
@@ -762,8 +761,7 @@ def run_statement(label: str, tables: SumTables, seed: int) -> ReportBlock:
     check, _ = STATEMENTS[label]
     # Seeding with the string itself keeps derivation independent of
     # PYTHONHASHSEED, so runs reproduce across processes.
-    rows = check(tables, random.Random(f"{seed}:{label}:{q}"))
-    return rows if isinstance(rows, ReportBlock) else ReportBlock.of(label, q, list(rows))
+    return check(tables, random.Random(f"{seed}:{label}:{q}"))
 
 
 def summarize(label: str, *blocks: ReportBlock) -> SweepSummary:

@@ -3,9 +3,10 @@
 None of these runs in a command: each is the slow, direct form of
 something `ffhyper` computes another way (the descent relation, the
 exact phi/eps descent, the point count, the cyclic correlation, the
-exact-row judge, the per-lambda trace bridges, reading a JSON report
-back), plus the helpers that drive the bridge oracles and perturb the
-trace tables and hypergeometric values the checks read.
+exact-row judge, the per-lambda trace bridges, a summary read off rows,
+reading a JSON report back), plus the helpers that drive the bridge
+oracles, judge one check's sides by the production builders, and perturb
+the trace tables and hypergeometric values the checks read.
 """
 
 import math
@@ -17,7 +18,7 @@ from ffhyper.charsums import SumTables
 from ffhyper.errors import RejectedInput, SingularParameter
 from ffhyper.field import PrimeField
 from ffhyper.hypergeo import EXACT_GAP, HyperParams, QPowerRational, hyper_all_x, reconstruct
-from ffhyper.identities import IdentityReport, _trace_table
+from ffhyper.identities import IdentityReport, SweepSummary, _max_residual, _trace_table
 
 # -- hypergeometric descent --------------------------------------------------------
 
@@ -109,7 +110,20 @@ def cyclic_correlation_naive(a: list[int], b: list[int]) -> list[int]:
     return [sum(a[y] * b[(y + l) % m] for y in range(m)) for l in range(m)]
 
 
-# -- exact rows ------------------------------------------------------------------------
+# -- rows ------------------------------------------------------------------------------
+
+
+def judged(name: str, q: int, sides: tuple) -> IdentityReport:
+    """One check's sides as the judged row its statement's block holds, by the production builders."""
+    return ids._block(name, q, [sides])[0]
+
+
+def summary_of(name: str, reports: list[IdentityReport]) -> SweepSummary:
+    """summarize's result read off rows: counts, first failure and the NaN-sticky largest residual."""
+    failed = [r for r in reports if not r.passed]
+    first = f"q={failed[0].q} {failed[0].instance}" if failed else ""
+    residual = _max_residual([r.residual for r in reports])
+    return SweepSummary(name, sorted({r.q for r in reports}), len(reports), len(failed), first, residual)
 
 
 def exact_report(

@@ -29,7 +29,7 @@ from ffhyper.identities import (
     verify_remark_sums,
     verify_trace_moments,
 )
-from oracles import count_points_naive, verify_clausen_bridge, verify_legendre_bridge
+from oracles import count_points_naive, judged, verify_clausen_bridge, verify_legendre_bridge
 
 
 @contextmanager
@@ -54,7 +54,7 @@ def test_criterion_1_first_moments():
             t = SumTables(make_field(q))
             for n in (1, 2, 3):
                 for weighted in (False, True):
-                    r = first_moment(n, weighted, t)
+                    r = judged("first-moment", q, first_moment(n, weighted, t))
                     assert r.passed and r.residual == 0.0, (q, n, weighted)
         assert time.perf_counter() - start < 120
 
@@ -63,7 +63,8 @@ def test_criterion_2_trace_moment_identities():
     with criterion(2, "trace moment identities"):
         start = time.perf_counter()
         for q in primes_in_range(3, 97):
-            for r in verify_trace_moments(SumTables(make_field(q))):
+            for sides in verify_trace_moments(SumTables(make_field(q))):
+                r = judged("trace-moments", q, sides)
                 assert r.passed and r.residual == 0.0, (q, r.instance)
         assert time.perf_counter() - start < 60
 
@@ -73,7 +74,7 @@ def test_criterion_3_second_weighted_moments():
         for q in primes_in_range(3, 61):
             t = SumTables(make_field(q))
             for k in (2, 3):
-                r = second_weighted_moment(2 * k - 1, k, 1, t)
+                r = judged("second-moment", q, second_weighted_moment(2 * k - 1, k, 1, t))
                 assert r.passed and r.residual == 0.0, (q, k)
 
 
@@ -103,7 +104,7 @@ def test_criterion_5_inductive_representation():
                     ups = rand_chars(rng, f, n - k + 1)
                     los = rand_chars(rng, f, n - k)
                     x = rng.randrange(1, q)
-                    r = verify_inductive_k(n, k, ups, los, x, t)
+                    r = judged("inductive-k", q, verify_inductive_k(n, k, ups, los, x, t))
                     assert r.residual < 1e-6, (q, n, k, r.instance, r.residual)
                     instances += 1
         assert instances >= 100
@@ -115,7 +116,7 @@ def test_criterion_6_product_formula():
         phi7 = 3
         for x in range(2, 7):
             for z in range(2, 7):
-                r = verify_product((phi7,), (), x, z, t7)
+                r = judged("product", 7, verify_product((phi7,), (), x, z, t7))
                 assert r.residual < 1e-6, (x, z, r.residual)
         count = 0
         for q in (11, 13):
@@ -126,7 +127,7 @@ def test_criterion_6_product_formula():
                 ups = rand_chars(rng, f, 2)
                 los = rand_chars(rng, f, 1)
                 x, z = rng.randrange(2, q), rng.randrange(2, q)
-                r = verify_product(ups, los, x, z, t)
+                r = judged("product", q, verify_product(ups, los, x, z, t))
                 assert r.residual < 1e-6, (q, r.instance, r.residual)
                 count += 1
         assert count >= 20
@@ -142,19 +143,19 @@ def test_criterion_7_generating_and_closed_form():
                 params = HyperParams(q, rand_chars(rng, f, n + 1), rand_chars(rng, f, n))
                 for x in range(1, q):
                     for tt in range(2, q):
-                        r = verify_generating(params, x, tt, t)
+                        r = judged("generating", q, verify_generating(params, x, tt, t))
                         assert r.residual < 1e-6, (q, n, x, tt, r.residual)
             for a in ((q - 1) // 2, 1):
                 for n in (1, 2):
                     for x in range(1, q):
                         for tt in range(2, q):
-                            r = verify_closed_form_sum(a, n, x, tt, t)
+                            r = judged("closed-form", q, verify_closed_form_sum(a, n, x, tt, t))
                             assert r.residual < 1e-6, (q, a, n, x, tt, r.residual)
         for q in (7, 11, 13):
             t = SumTables(make_field(q))
             for level in ("3F2", "4F3"):
                 for lam in range(2, q - 1):
-                    r = verify_remark_sums(lam, level, t)
+                    r = judged("remark-sums", q, verify_remark_sums(lam, level, t))
                     assert r.residual < 1e-6, (q, level, lam, r.residual)
 
 

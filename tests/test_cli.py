@@ -31,8 +31,8 @@ from ffhyper.errors import Infeasible, NotRational
 from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import reconstruct
 import ffhyper.identities as ids
-from ffhyper.identities import STATEMENTS, ReportBlock, run_statement, summarize
-from oracles import bridge_loop, hasse_bound, move_3f2, patch_family, report_from_json
+from ffhyper.identities import STATEMENTS, run_statement, summarize
+from oracles import bridge_loop, hasse_bound, move_3f2, patch_family, report_from_json, summary_of
 
 
 # -- primes / statements parsing -------------------------------------------------
@@ -665,10 +665,11 @@ def test_verify_writes_reconstruction_failure_of_loop(family, monkeypatch, capsy
     i = 15 + (q - 2) * (family == "clausen")
     assert rows[i].instance.startswith(f"{family} lambda=17") and rows[i].passed
     rows[i] = replace(rows[i], residual=loop.value.residual, passed=False)
-    block = ReportBlock.of("trace-bridge", q, rows)
+    block = run_statement("trace-bridge", SumTables(make_field(q)), 0)
+    assert list(block) == rows
     for fmt in ("csv", "json", "text"):
         assert run(["verify", "--primes", str(q), "--statements", "trace-bridge", "--format", fmt]) == EXIT_FAILED
-        assert_same_text(capsys.readouterr().out, render_reports([block], [summarize("trace-bridge", block)], fmt))
+        assert_same_text(capsys.readouterr().out, render_reports([block], [summary_of("trace-bridge", rows)], fmt))
 
 
 def test_verify_q100003_second_moment_fails_only_its_k3_peak(monkeypatch, capsys):
@@ -732,17 +733,17 @@ def test_failing_bridge_rows_render_like_loop(family, lams, monkeypatch, capsys)
     """Traces off by one fail their rows; the block renders the loop's bytes."""
     q = 101
     patch_family(monkeypatch, {(family, lam): 1 for lam in lams}, table=0)
-    loop = ReportBlock.of("trace-bridge", q, bridge_loop(SumTables(make_field(q))))
+    loop = bridge_loop(SumTables(make_field(q)))
     block = run_statement("trace-bridge", SumTables(make_field(q)), 0)
     assert [r.passed for r in block].count(False) == 2
-    want, got = summarize("trace-bridge", loop), summarize("trace-bridge", block)
+    assert list(block) == loop
+    want, got = summary_of("trace-bridge", loop), summarize("trace-bridge", block)
     assert want.failures == 2 and want.max_residual > 0
     assert (got.first_failure, got.max_residual) == (want.first_failure, want.max_residual)
     assert got == want
     for fmt in ("csv", "json", "text"):
-        assert_same_text(render_reports([block], [got], fmt), render_reports([loop], [want], fmt))
         assert run(["verify", "--primes", str(q), "--statements", "trace-bridge", "--format", fmt]) == EXIT_FAILED
-        assert_same_text(capsys.readouterr().out, render_reports([loop], [want], fmt))
+        assert_same_text(capsys.readouterr().out, render_reports([block], [want], fmt))
 
 
 def test_trace_paths_compute_no_discrete_log(monkeypatch, capsys):

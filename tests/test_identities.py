@@ -1,5 +1,8 @@
+import csv
+import io
 import math
 import random
+import re
 from collections.abc import Sequence
 from dataclasses import replace
 
@@ -10,7 +13,7 @@ from hypothesis import given, strategies as st
 import ffhyper.identities as ids
 from ffhyper import Infeasible, NotPrime, NotRational, RejectedInput, SingularParameter, make_field
 from ffhyper.charsums import SumTables, _parity
-from ffhyper.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, run
+from ffhyper.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, render_reports, run
 from ffhyper.curves import _STACK_ENTRIES, _smooth_len, clausen_trace, clausen_trace_table, legendre_trace
 from ffhyper.hypergeo import (
     EXACT_GAP,
@@ -25,7 +28,6 @@ from ffhyper.hypergeo import (
 )
 from ffhyper.identities import (
     STATEMENTS,
-    IdentityReport,
     ReportBlock,
     SweepSummary,
     _max_residual,
@@ -47,7 +49,16 @@ from ffhyper.identities import (
     verify_trace_moments,
 )
 from ffhyper.field import primes_in_range
-from oracles import bridge_loop, exact_report, move_3f2, patch_family, verify_clausen_bridge, verify_legendre_bridge
+from oracles import (
+    bridge_loop,
+    exact_report,
+    judged,
+    move_3f2,
+    patch_family,
+    summary_of,
+    verify_clausen_bridge,
+    verify_legendre_bridge,
+)
 
 
 def rand_chars(rng, f, count):
@@ -60,7 +71,7 @@ def rand_chars(rng, f, count):
 def test_contiguous_phi_eps(tables_for):
     t = tables_for(7)
     f = t.field
-    r = verify_contiguous(HyperParams.phi_eps(f.q, 1), (f.q - 1) // 2, 3, t)
+    r = judged("contiguous", 7, verify_contiguous(HyperParams.phi_eps(f.q, 1), (f.q - 1) // 2, 3, t))
     assert r.passed and r.residual < 1e-8
 
 
@@ -71,7 +82,7 @@ def test_contiguous_random_q11(tables_for):
     for _ in range(20):
         n = rng.choice([1, 2])
         params = HyperParams(f.q, rand_chars(rng, f, n + 1), rand_chars(rng, f, n))
-        r = verify_contiguous(params, rng.randrange(10), rng.randrange(1, 11), t)
+        r = judged("contiguous", 11, verify_contiguous(params, rng.randrange(10), rng.randrange(1, 11), t))
         assert r.passed, r
 
 
@@ -82,7 +93,7 @@ def test_contiguous_trivial_psi_reduces_product(tables_for):
     q = 7
     for n in (1, 2):
         params = HyperParams.phi_eps(f.q, n)
-        r = verify_contiguous(params, 0, 3, t)
+        r = judged("contiguous", q, verify_contiguous(params, 0, 3, t))
         assert r.passed
         expected_rhs = -hyper_char(params, 3, t) / q + (-1 / q) ** (n + 1)
         assert abs(r.rhs - expected_rhs) < 1e-12
@@ -101,7 +112,7 @@ def test_inductive_all_phi_case(tables_for):
     t = tables_for(7)
     f = t.field
     phi, eps = (f.q - 1) // 2, 0
-    r = verify_inductive_k(2, 1, (phi, phi), (eps,), 3, t)
+    r = judged("inductive-k", 7, verify_inductive_k(2, 1, (phi, phi), (eps,), 3, t))
     assert r.passed and r.residual < 1e-8
 
 
@@ -111,7 +122,8 @@ def test_inductive_random_q11(tables_for):
     rng = random.Random(3)
     for _ in range(10):
         n, k = 3, 2
-        r = verify_inductive_k(n, k, rand_chars(rng, f, n - k + 1), rand_chars(rng, f, n - k), rng.randrange(1, 11), t)
+        ups, los = rand_chars(rng, f, n - k + 1), rand_chars(rng, f, n - k)
+        r = judged("inductive-k", 11, verify_inductive_k(n, k, ups, los, rng.randrange(1, 11), t))
         assert r.passed, r
 
 
@@ -133,7 +145,7 @@ def test_product_full_grid_q7(tables_for):
     phi = (t.field.q - 1) // 2
     for x in range(2, 7):
         for z in range(2, 7):
-            r = verify_product((phi,), (), x, z, t)
+            r = judged("product", 7, verify_product((phi,), (), x, z, t))
             assert r.passed and r.residual < 1e-6, (x, z, r.residual)
 
 
@@ -142,9 +154,10 @@ def test_product_random_q11_n3(tables_for):
     f = t.field
     rng = random.Random(5)
     for _ in range(5):
-        r = verify_product(
+        sides = verify_product(
             rand_chars(rng, f, 2), rand_chars(rng, f, 1), rng.randrange(2, 11), rng.randrange(2, 11), t
         )
+        r = judged("product", 11, sides)
         assert r.passed, r
 
 
@@ -177,17 +190,17 @@ def test_product_budget(monkeypatch, capsys):
 
 
 def test_first_moment_examples(tables_for):
-    r = first_moment(1, False, tables_for(5))
+    r = judged("first-moment", 5, first_moment(1, False, tables_for(5)))
     assert r.passed and r.lhs == QPowerRational(1, 1)  # q * sum = (-1)^2 = +1
 
     t7 = tables_for(7)
-    r = first_moment(2, True, t7)
+    r = judged("first-moment", 7, first_moment(2, True, t7))
     assert r.passed
     assert r.lhs.num == 1  # (-phi(-1))^3 = 1 since q=7 has phi(-1)=-1
 
     t13 = tables_for(13)
     for weighted in (False, True):
-        assert first_moment(3, weighted, t13).passed
+        assert judged("first-moment", 13, first_moment(3, weighted, t13)).passed
 
 
 def test_first_moment_rejects_n0(tables_for):
@@ -200,7 +213,7 @@ def test_first_moment_rejects_n0(tables_for):
 
 @pytest.mark.parametrize("q", (5, 13))
 def test_trace_moments_exact(q, tables_for):
-    reports = verify_trace_moments(tables_for(q))
+    reports = [judged("trace-moments", q, sides) for sides in verify_trace_moments(tables_for(q))]
     assert len(reports) == 3
     for r in reports:
         assert r.passed and r.residual == 0.0
@@ -220,14 +233,14 @@ def test_trace_moment_first_identity_restated(tables_for):
 
 
 def test_second_moment_exact_peaks(tables_for):
-    r = second_weighted_moment(3, 2, 1, tables_for(7))
+    r = judged("second-moment", 7, second_weighted_moment(3, 2, 1, tables_for(7)))
     assert r.passed and r.residual == 0.0
-    r = second_weighted_moment(5, 3, 1, tables_for(13))
+    r = judged("second-moment", 13, second_weighted_moment(5, 3, 1, tables_for(13)))
     assert r.passed and r.residual == 0.0
 
 
 def test_second_moment_general_instance(tables_for):
-    r = second_weighted_moment(3, 1, 2, tables_for(7))
+    r = judged("second-moment", 7, second_weighted_moment(3, 1, 2, tables_for(7)))
     assert r.passed and r.residual < 1e-7
 
 
@@ -244,9 +257,9 @@ def test_second_moment_rejects(tables_for):
 def test_second_moment_off_peak_is_the_all_phi_inductive_k_row(q, n, k, x, tables_for):
     t = tables_for(q)
     phi = (q - 1) // 2
-    row = verify_inductive_k(n, k, (phi,) * (n - k + 1), (0,) * (n - k), x, t)
-    want = replace(row, name="second-moment", instance=f"n={n} k={k} x={x}")
-    assert second_weighted_moment(n, k, x, t) == want and want.passed
+    _, *sides = verify_inductive_k(n, k, (phi,) * (n - k + 1), (0,) * (n - k), x, t)
+    want = (f"n={n} k={k} x={x}", *sides)
+    assert second_weighted_moment(n, k, x, t) == want and judged("second-moment", q, want).passed
 
 
 # -- trace bridges -----------------------------------------------------------------------
@@ -300,7 +313,7 @@ def test_trace_bridge_block_matches_per_lambda_oracle(q, tables_for):
     with pytest.raises(IndexError):
         block[len(block)]
     s = summarize("trace-bridge", block)
-    assert s == summarize("trace-bridge", ReportBlock.of("trace-bridge", q, want))
+    assert s == summary_of("trace-bridge", want)
     assert s.instances == 2 * (q - 2) and s.failures == 0 and s.primes == [q]
 
 
@@ -376,7 +389,7 @@ def test_reconstructed_non_finite_value_is_that_of_reconstruct_ints(value):
     (num,), (margin,) = reconstruct_ints(np.array([value]), 0, 7)
     m, scalar_margin, failure = _nearest(value, 0, 7)
     assert m == num == 0 and failure is not None
-    row = ids._exact_ints("first-moment", 7, "n=0", m, 0, 0, scalar_margin)
+    row = judged("first-moment", 7, ("n=0", m, 0, 0, scalar_margin))
     assert not row.passed and not math.isfinite(row.residual)
     for got in (scalar_margin, row.residual):
         assert got == margin or math.isnan(got) and math.isnan(margin)
@@ -412,11 +425,11 @@ def _exact_rows(draw):
 
 @given(rows=st.lists(_exact_rows(), min_size=1, max_size=8))
 def test_exact_judge_matches_cross_multiplying_oracle(rows):
-    """_exact_ints gives the oracle's pass and sides; the judge gives one answer on Python ints and int64 columns."""
+    """The exact builder gives the oracle's pass and sides; the judge, one answer on Python ints and int64 columns."""
     for q, npow, lhs, rhs, margin in rows:
         make = QPowerRational.make
         want = exact_report("first-moment", q, "row", make(lhs, npow, q), make(rhs, npow, q), margin)
-        got = ids._exact_ints("first-moment", q, "row", lhs, rhs, npow, margin)
+        got = judged("first-moment", q, ("row", lhs, rhs, npow, margin))
         assert (got.lhs, got.rhs, got.passed, got.tolerance) == (want.lhs, want.rhs, want.passed, 0.0)
         assert _same_residual(got.residual, want.residual, (lhs, rhs, q**npow))
         assert isinstance(got.residual, float) and isinstance(got.passed, bool)
@@ -429,9 +442,44 @@ def test_exact_judge_matches_cross_multiplying_oracle(rows):
         _, npow, lhs, rhs, margin = (np.array(c) for c in zip(*fit))
         residual, passed = ids._judge(lhs.astype(np.int64), rhs.astype(np.int64), npow.astype(np.int64), margin, q)
         for (_, n, a, b, m), r, ok in zip(fit, residual.tolist(), passed.tolist()):
-            one = ids._exact_ints("first-moment", q, "row", a, b, n, m)
+            one = judged("first-moment", q, ("row", a, b, n, m))
             assert ok == one.passed
             assert _same_residual(r, one.residual, (a, b, q**n))
+
+
+def test_float_builder_residual_is_abs_of_python_complex():
+    """Each float residual is abs(complex(lhs) - complex(rhs)) to the last bit; a NaN floor gives a NaN, failed row."""
+    rng = np.random.default_rng(20)
+    size = 20000
+    scale = 10.0 ** rng.integers(-20, 3, (2, size))
+    lhs = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale[0]
+    rhs = lhs + (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale[1]
+    block = ids._float_block("x", 101, ["row"] * size, lhs, rhs, [0.0] * size)
+    assert block.residual == [abs(complex(a) - complex(b)) for a, b in zip(lhs, rhs)]
+
+    block = ids._float_block("x", 7, ["nan floor", "zero floor"], [1j, 1j], [1j, 1j], [math.nan, 0.0])
+    assert math.isnan(block[0].residual) and not block[0].passed
+    assert block[1].residual == 0.0 and block[1].passed
+
+
+@pytest.mark.parametrize("q, npow", ((100003, 4), (9999991, 3)))
+def test_exact_builder_residual_past_int64_powers(q, npow):
+    """On int64 columns with q**npow past 2**63, a row one apart has residual 1 / q**npow, not a wrapped power's."""
+    assert q**npow > 2**63
+    column = lambda v: np.array([v], dtype=np.int64)  # noqa: E731
+    block = ids._exact_block("x", q, ["row"], column(2), column(1), column(npow), np.zeros(1))
+    assert block[0].residual == 1 / q**npow and not block[0].passed
+    assert (block[0].lhs, block[0].rhs) == (QPowerRational(2, npow), QPowerRational(1, npow))
+
+
+def test_off_peak_draw_on_the_peak_stays_exact():
+    """At q=5 with seed 42 the (n, k) = (3, 2) draw lands on x = 1: that row is the exact peak, not a float row."""
+    block = run_statement("second-moment", SumTables(make_field(5)), 42)
+    row = block[3]
+    assert row.instance == "k=2 x=1 second-moment peak" and row.tolerance == 0.0 and row.passed
+    printed = list(csv.reader(io.StringIO(render_reports([block], [], "csv"))))[4]
+    assert printed[2] == row.instance
+    assert re.fullmatch(r"-?\d+/5\^\d+", printed[3]) and re.fullmatch(r"-?\d+/5\^\d+", printed[4])
 
 
 def test_first_moment_ns_are_stated_once(monkeypatch):
@@ -506,7 +554,7 @@ def test_generating_full_grid_q7(tables_for):
     params = HyperParams.phi_eps(t.field.q, 1)
     for x in range(1, 7):
         for tt in range(2, 7):
-            r = verify_generating(params, x, tt, t)
+            r = judged("generating", 7, verify_generating(params, x, tt, t))
             assert r.passed, (x, tt, r.residual)
 
 
@@ -517,7 +565,7 @@ def test_generating_random_q11(tables_for):
     for _ in range(10):
         n = rng.choice([1, 2])
         params = HyperParams(f.q, rand_chars(rng, f, n + 1), rand_chars(rng, f, n))
-        r = verify_generating(params, rng.randrange(1, 11), rng.randrange(2, 11), t)
+        r = judged("generating", 11, verify_generating(params, rng.randrange(1, 11), rng.randrange(2, 11), t))
         assert r.passed, r
 
 
@@ -544,7 +592,7 @@ def test_generating_two_term_form_needs_boundary(tables_for):
     nontrivial = 0
     for x in range(1, 7):
         for tt in range(2, 7):
-            r = verify_generating(params, x, tt, t)
+            r = judged("generating", q, verify_generating(params, x, tt, t))
             assert r.passed
             boundary = generating_boundary_term(params, x, tt, t)
             two_term = r.rhs + boundary  # F(x/(1-t)) conj(A_n)(1-t) alone
@@ -565,7 +613,7 @@ def test_closed_form_q7_phi_all_pairs(tables_for):
     phi = (t.field.q - 1) // 2
     for x in range(1, 7):
         for tt in range(2, 7):
-            r = verify_closed_form_sum(phi, 1, x, tt, t)
+            r = judged("closed-form", 7, verify_closed_form_sum(phi, 1, x, tt, t))
             assert r.passed, (x, tt, r.residual)
 
 
@@ -574,7 +622,7 @@ def test_closed_form_omega_n2_q11(tables_for):
     omega = 1
     rng = random.Random(23)
     for _ in range(5):
-        r = verify_closed_form_sum(omega, 2, rng.randrange(1, 11), rng.randrange(2, 11), t)
+        r = judged("closed-form", 11, verify_closed_form_sum(omega, 2, rng.randrange(1, 11), rng.randrange(2, 11), t))
         assert r.passed, r
 
 
@@ -588,9 +636,9 @@ def test_closed_form_rejects_trivial_A(tables_for):
 
 
 def test_remark_sums_examples(tables_for):
-    r = verify_remark_sums(3, "3F2", tables_for(7))
+    r = judged("remark-sums", 7, verify_remark_sums(3, "3F2", tables_for(7)))
     assert r.passed, r
-    r = verify_remark_sums(4, "4F3", tables_for(11))
+    r = judged("remark-sums", 11, verify_remark_sums(4, "4F3", tables_for(11)))
     assert r.passed, r
 
 
@@ -812,11 +860,7 @@ def test_runner_deterministic(tables_for):
 
 
 def test_summarize():
-    reports = [
-        IdentityReport("x", 5, "a", 0j, 0j, 0.0, 1e-6, True),
-        IdentityReport("x", 7, "b", 0j, 0j, 2e-5, 1e-6, False),
-    ]
-    s = summarize("x", *(ReportBlock.of("x", r.q, [r]) for r in reports))
+    s = summarize("x", ids._block("x", 5, [("a", 0j, 0j, 0.0)]), ids._block("x", 7, [("b", 2e-5, 0j, 0.0)]))
     assert s.primes == [5, 7]
     assert s.instances == 2
     assert s.failures == 1
@@ -869,8 +913,8 @@ def test_second_moment_block_keeps_exact_peaks_at_q10007(monkeypatch):
     t = SumTables(make_field(q))
     block = run_statement("second-moment", t, 0)
     assert block.exact == [True, True, False, False]
-    assert block[0] == second_weighted_moment(3, 2, 1, t)
-    assert block[1] == second_weighted_moment(5, 3, 1, t)
+    assert block[0] == judged("second-moment", q, second_weighted_moment(3, 2, 1, t))
+    assert block[1] == judged("second-moment", q, second_weighted_moment(5, 3, 1, t))
     assert block.tolerance == [0.0, 0.0, float_tol(q), float_tol(q)]
     assert all(block.passed)
 
@@ -879,9 +923,11 @@ def test_second_moment_block_keeps_exact_peaks_at_q10007(monkeypatch):
     off = QPowerRational(peak.rhs.num + 1, peak.rhs.npow)
     want = exact_report("second-moment", q, peak.instance, peak.lhs, off)
     assert not want.passed and math.isclose(want.residual, q**-4, rel_tol=1e-12)
+    instance, lhs, rhs, npow, margin = second_weighted_moment(5, 3, 1, t)
+    assert (rhs, npow) == (peak.rhs.num, peak.rhs.npow)
 
     def off_by_one(n, k, x, tables, check=ids.second_weighted_moment):
-        return want if (n, k, x) == (5, 3, 1) else check(n, k, x, tables)
+        return (instance, lhs, rhs + 1, npow, margin) if (n, k, x) == (5, 3, 1) else check(n, k, x, tables)
 
     monkeypatch.setattr(ids, "second_weighted_moment", off_by_one)
     block = run_statement("second-moment", t, 0)

@@ -14,7 +14,8 @@ from ffhyper.hypergeo import HyperParams, QPowerRational
 # character objects that bare indices replaced, the exact-row helpers
 # that the one exact-row judge replaced, and the charge and sweep tables and
 # seed helper that identities.STATEMENTS and identities.SWEEPS replaced, and
-# the exact descent's Python loop (now oracles.exact_numerators_naive).
+# the exact descent's Python loop (now oracles.exact_numerators_naive), and
+# the per-row report builders that the two column builders replaced.
 GONE = (
     "hyper_inductive_step",
     "count_points_naive",
@@ -39,6 +40,9 @@ GONE = (
     "_SWEEPS",
     "_rng_for",
     "_exact_numerators",
+    "_float_report",
+    "_exact_ints",
+    "_parts",
 )
 
 
@@ -51,6 +55,7 @@ def test_package_surface():
     assert [name for name in ("at_minus_one", "__mul__", "inverse", "is_trivial") if hasattr(Character, name)] == []
     assert [name for name in ("field", "index_key") if hasattr(HyperParams, name)] == []
     assert not hasattr(QPowerRational, "value")
+    assert not hasattr(ids.ReportBlock, "of")
     # No code compares or hashes fields: each keeps identity equality.
     assert [name for name in ("__eq__", "__hash__") if name in PrimeField.__dict__] == []
 
