@@ -10,8 +10,8 @@ it for a whole binomial line at once.
 SumTables is the one memo space for tables derived from a prime: the
 Gauss vector, the line bins, the line sign parity and binomial lines
 here, and the coefficient vectors, all-x value tables, exact phi/eps
-levels, F4* spectra and curve trace tables of the layers above all go
-through SumTables.memo.
+levels, F4* spectra, product's F4* curves and curve trace tables of the
+layers above all go through SumTables.memo.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ character backend reads the field off its SumTables.  A weighted sum over psi of
 F with its last upper character twisted by psi is one weighted binomial
 line (hyper_twisted_sum), not q-1 separate evaluations.  The Appell
 series F4* is three length-(q-1) transforms per prime and character
-tuple, memoised through SumTables.memo: every point then reads one
-gathered dot product off the same two shifted spectra (appell_f4_batch).
+tuple, memoised through SumTables.memo: every point then sums, in numpy,
+the weights times one contiguous slice of each spectrum (appell_f4_batch).
 For the all-phi/eps parameter family an exact backend gives q**n F at
 every x in Python ints: each level of the one-slot descent is one exact
 integer correlation (curves._correlate on 20-bit limbs) of the level
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .characters import character_row
 from .charsums import SumTables, _line_kernel
@@ -39,10 +38,6 @@ from .curves import _correlate
 from .errors import Infeasible, NotRational
 
 DEFAULT_BUDGET = 10**9
-# Entries per gathered block in appell_f4_batch: 2**15 complex entries
-# (512 KiB) bound its per-call working memory whatever q and the batch size;
-# the memoised spectra it gathers from are O(q) per character tuple.
-_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -328,42 +323,45 @@ def appell_f4_batch(
 
         F4*(x, y) = sum_k P[k] S_C[k + dlog x] S_C'[k + dlog y] / ((q-1)^3 denom).
 
-    The weights P / ((q-1)^3 denom) and both shifted spectra depend only on
-    the characters, so they are built once per SumTables and character
-    tuple through SumTables.memo: a batch costs three length-(q-1)
-    transforms on its tuple's first use, then one gathered dot product
-    per point, gathered max(1, 2**15 // (q-1)) points at a time so that
-    no block holds more than 2**15 entries (512 KiB).
+    The weights and both spectra depend only on the characters: three
+    length-(q-1) transforms on the tuple's first use, memoised through
+    SumTables.memo, each spectrum doubled (S followed by S[:-1]).  A point
+    multiplies the contiguous slices S_C[dlog x:][:q-1] and S_C'[dlog y:][:q-1]
+    into one reused buffer (all the working memory, whatever the batch size),
+    times the weights, and sums it with numpy: a BLAS sum's bits would move
+    with its thread count.
     """
     f = tables.field
     q = f.q
     xs = np.asarray(xs, dtype=np.int64) % q
     ys = np.asarray(ys, dtype=np.int64) % q
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"need one y per x in two 1-D arrays, got shapes {xs.shape} and {ys.shape}")
+    n = q - 1
+    indices = (a % n, b % n, c % n, cp % n)
+    weights, spec_x, spec_y = tables.memo(("f4", *indices), _f4_spectra, tables, *indices)
     out = np.zeros(len(xs), dtype=complex)
+    buf = np.empty(n, dtype=complex)
     live = np.flatnonzero((xs != 0) & (ys != 0))
-    indices = (a % (q - 1), b % (q - 1), c % (q - 1), cp % (q - 1))
-    weights, rows_x, rows_y = tables.memo(("f4", *indices), _f4_spectra, tables, *indices)
-    dx, dy = f.dlog[xs[live]], f.dlog[ys[live]]
-    step = max(1, _BLOCK // (q - 1))
-    for s in range(0, len(live), step):
-        block = rows_x[dx[s : s + step]]
-        block *= rows_y[dy[s : s + step]]
-        out[live[s : s + step]] = block @ weights
+    for i, dx, dy in zip(live.tolist(), f.dlog[xs[live]].tolist(), f.dlog[ys[live]].tolist()):
+        np.multiply(spec_x[dx : dx + n], spec_y[dy : dy + n], out=buf)
+        buf *= weights
+        out[i] = buf.sum()
     return out
 
 
 def _f4_spectra(tables: SumTables, ai: int, bi: int, ci: int, cpi: int):
-    """The F4* weights and the shifted spectra of C and C' (see appell_f4_batch); one spectrum if C = C'."""
+    """The F4* weights and the doubled spectra of C and C' (see appell_f4_batch); one spectrum if C = C'."""
     n = tables.field.q - 1
     g = tables.gauss_vector
     denom = g[ai] * g[bi] * g[(-ci) % n] * g[(-cpi) % n]
     ks = np.arange(n)
     weights = np.fft.fft(g[(ks + ai) % n] * g[(ks + bi) % n]) / (n**3 * denom)
 
-    def shifted(lower: int) -> np.ndarray:
-        # Row m of this view is S_lower rotated left by m.
+    def doubled(lower: int) -> np.ndarray:
+        # Entries m..m+n-1 are S_lower rotated left by m.
         spec = np.fft.ifft(g[(-lower - ks) % n] * g[(-ks) % n]) * n
-        return sliding_window_view(np.concatenate((spec, spec[:-1])), n)
+        return np.concatenate((spec, spec[:-1]))
 
-    rows_c = shifted(ci)
-    return weights, rows_c, rows_c if cpi == ci else shifted(cpi)
+    spec_c = doubled(ci)
+    return weights, spec_c, spec_c if cpi == ci else doubled(cpi)

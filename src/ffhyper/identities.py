@@ -265,8 +265,9 @@ def verify_product(
 ) -> tuple:
     """2F1(z) * (n+1)F_n(x) against the three-term Appell decomposition.
 
-    The third term sums F4* over q-2 points, O(q^2) work that this check
-    does not bound: STATEMENTS gives the product's per-prime cost.
+    The third term sums F4*(phi, phi; eps, eps; z(1-w), w(1-z)) over w = 2..q-1,
+    a curve memoised per z through SumTables.memo: O(q^2) work that this
+    check does not bound, STATEMENTS gives the product's per-prime cost.
     """
     n = len(free_uppers) + 1
     if n < 2 or len(free_lowers) != n - 2:
@@ -292,7 +293,7 @@ def verify_product(
     )
     t2 = lower_vals[x] * hyper_char(f21, 1, tables) * f21_z / q
     ws = np.arange(2, q)
-    f4 = appell_f4_batch(phi, phi, 0, 0, z * (1 - ws) % q, ws * (1 - z) % q, tables)
+    f4 = tables.memo(("f4-curve", z), appell_f4_batch, phi, phi, 0, 0, z * (1 - ws) % q, ws * (1 - z) % q, tables)
     t3 = complex((f.legendre_table[ws] * lower_vals[(ws * x) % q] * f4).sum())
     rhs = t1 + t2 + t3 / q**3
     return f"n={n} x={x} z={z} up={_idx(free.uppers)} lo={_idx(free.lowers)}", lhs, rhs, 0.0
@@ -699,10 +700,10 @@ def _product_at(tables: SumTables, rng: random.Random) -> ReportBlock:
     q = tables.field.q
     if q == 7:  # the full grid, phi = 3
         return _block("product", q, [verify_product((3,), (), x, z, tables) for x in range(2, q) for z in range(2, q)])
+    z = _rand_x(rng, q, exclude=(0, 1))  # one z, so the five rows share one F4* curve
     rows = []
     for lowers in (0, 0, 0, 1, 1):
         x = _rand_x(rng, q, exclude=(0, 1))
-        z = _rand_x(rng, q, exclude=(0, 1))
         rows.append(verify_product(*_rand_slots(rng, q, lowers), x, z, tables))
     return _block("product", q, rows)
 
@@ -735,9 +736,9 @@ def _remark_sums_at(tables: SumTables, rng: random.Random) -> ReportBlock:
 
 # The statements in run order: each one's draw-and-check function, and its
 # per-prime cost as (formula, cost at q), or None for nothing past the field.
-# A product costs one F4* curve, q-2 points of q-1 gathered products, plus
-# three transforms for its spectra, memoised per prime; the statement builds
-# one curve per instance, five per prime (ROADMAP items 12 and 13).
+# A product costs one F4* curve, q-2 points of q-1 products, plus three
+# transforms for its spectra, memoised per prime: the statement draws one z
+# per prime, so its five instances share one curve (the q=7 grid builds five).
 _PRODUCT_COST = ("w-sum cost (q-2)(q-1) + 3(q-1)log2(q-1)", lambda q: (q - 1) * (q - 2 + 3 * (q - 1).bit_length()))
 STATEMENTS = {
     "first-moment": (_first_moment_at, None),

@@ -2,13 +2,14 @@
 
 None of these runs in a command: each is the slow, direct form of
 something `ffhyper` computes another way (the descent relation, the
-exact phi/eps descent, the point count, the cyclic correlation, the
-exact-row judge, the per-lambda trace bridges, a summary read off rows,
-reading a JSON report back), plus the helpers that drive the bridge
+exact phi/eps descent, Gauss sums and the Appell series F4*, the point
+count, the cyclic correlation, the exact-row judge, the per-lambda trace
+bridges, a summary read off rows, reading a JSON report back), plus the helpers that drive the bridge
 oracles, judge one check's sides by the production builders, and perturb
 the trace tables and hypergeometric values the checks read.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -71,6 +72,47 @@ def exact_numerators_naive(field: PrimeField, n: int) -> list[int]:
             nxt[x] = acc
         table = nxt
     return table
+
+
+# -- Gauss sums and the Appell series ------------------------------------------------
+
+
+def gauss_naive(field: PrimeField, j: int) -> complex:
+    """g(chi_j) = sum_{x != 0} chi_j(x) zeta_q^x by direct summation, with cmath only."""
+    q = field.q
+    total = 0j
+    for x in range(1, q):
+        chi = cmath.exp(2j * cmath.pi * j * int(field.dlog[x]) / (q - 1))
+        total += chi * cmath.exp(2j * cmath.pi * x / q)
+    return total
+
+
+def appell_f4_naive(field: PrimeField, a: int, b: int, c: int, cp: int, x: int, y: int) -> complex:
+    """F4*(chi_a; chi_b; chi_c, chi_cp; x, y) by its defining double sum, O(q^2).
+
+    sum_{u,v} pair[u+v] G_C[u] chi_u(x) G_C'[v] chi_v(y) / ((q-1)^2 denom), with
+    pair[s] = g(A chi_s) g(B chi_s), G_C[u] = g(conj(C) chi_-u) g(chi_-u),
+    denom = g(A) g(B) g(conj(C)) g(conj(C')), Gauss sums by gauss_naive, and
+    every character 0 at 0, so the sum is 0 where x or y is 0.
+    """
+    q, n = field.q, field.q - 1
+    g = [gauss_naive(field, j) for j in range(n)]
+
+    def chi(t: int) -> list[complex]:
+        t %= q
+        return [cmath.exp(2j * cmath.pi * u * int(field.dlog[t]) / n) if t else 0j for u in range(n)]
+
+    chi_x, chi_y = chi(x), chi(y)
+    total = 0j
+    for u in range(n):
+        for v in range(n):
+            s = u + v
+            total += (
+                g[(a + s) % n] * g[(b + s) % n]
+                * g[(-c - u) % n] * g[-u % n] * g[(-cp - v) % n] * g[-v % n]
+                * chi_x[u] * chi_y[v]
+            )
+    return total / (n * n * g[a % n] * g[b % n] * g[-c % n] * g[-cp % n])
 
 
 # -- curve point counts ------------------------------------------------------------

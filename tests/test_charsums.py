@@ -8,16 +8,7 @@ from ffhyper import make_field
 from ffhyper.charsums import SumTables
 from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import HyperParams, appell_f4, hyper_twisted_sum
-
-
-def naive_gauss(f, j):
-    """Direct summation with cmath only; the independent oracle."""
-    q = f.q
-    total = 0j
-    for x in range(1, q):
-        chi = cmath.exp(2j * cmath.pi * j * int(f.dlog[x]) / (q - 1))
-        total += chi * cmath.exp(2j * cmath.pi * x / q)
-    return total
+from oracles import appell_f4_naive, gauss_naive
 
 
 def naive_jacobi(f, a, b):
@@ -60,7 +51,7 @@ def test_gauss_magnitude_vs_direct_oracle(q, tables_for):
     for j in range(1, q - 1):
         val = t.gauss_vector[j]
         assert abs(abs(val) ** 2 - q) <= 1e-8 * q
-        assert abs(val - naive_gauss(f, j)) <= 1e-8 * q
+        assert abs(val - gauss_naive(f, j)) <= 1e-8 * q
 
 
 def test_gauss_conjugation_rule(tables_for):
@@ -178,24 +169,6 @@ def test_binomial_line_matches_scalar(tables_for):
 
 
 
-def naive_appell_f4(f, a, b, c, cp, x, y):
-    """F4* from its defining double sum of Gauss-sum ratios, with cmath only."""
-    n = f.q - 1
-    g = [naive_gauss(f, j) for j in range(n)]
-    chi_x = [cmath.exp(2j * cmath.pi * u * int(f.dlog[x]) / n) for u in range(n)]
-    chi_y = [cmath.exp(2j * cmath.pi * v * int(f.dlog[y]) / n) for v in range(n)]
-    total = 0j
-    for u in range(n):
-        for v in range(n):
-            s = u + v
-            total += (
-                g[(a + s) % n] * g[(b + s) % n]
-                * g[(-c - u) % n] * g[-u % n] * g[(-cp - v) % n] * g[-v % n]
-                * chi_x[u] * chi_y[v]
-            )
-    return total / (n * n * g[a % n] * g[b % n] * g[-c % n] * g[-cp % n])
-
-
 @pytest.mark.parametrize("q", [7, 13, 101])
 def test_appell_f4_matches_defining_sum(q, tables_for):
     t = tables_for(q)
@@ -204,5 +177,5 @@ def test_appell_f4_matches_defining_sum(q, tables_for):
     for _ in range(6):
         a, b, c, cp = (rng.randrange(q - 1) for _ in range(4))
         x, y = rng.randrange(1, q), rng.randrange(1, q)
-        oracle = naive_appell_f4(f, a, b, c, cp, x, y)
+        oracle = appell_f4_naive(f, a, b, c, cp, x, y)
         assert abs(appell_f4(a, b, c, cp, x, y, t) - oracle) <= 1e-9 * q

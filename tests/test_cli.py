@@ -403,8 +403,8 @@ def test_verify_bytes_do_not_depend_on_blas_threads():
 
 
 def test_verify_product_bytes_do_not_depend_on_blas_threads():
-    """product's F4* points are one BLAS matrix product (appell_f4_batch's block @ weights),
-    the one BLAS call left on a report path; its bytes match with one thread and two."""
+    """product's F4* points are numpy sums of contiguous slices (appell_f4_batch), so no report
+    path calls BLAS; its bytes match with one thread and two."""
     outs = _verify_bytes_by_blas_threads("3203", "product")
     assert outs[0] == outs[1] and b"\nproduct,3203,5,0," in outs[0]  # summary: 5 instances, 0 failures
 

@@ -22,7 +22,7 @@ from ffhyper.hypergeo import (
     reconstruct,
     reconstruct_ints,
 )
-from oracles import count_points_naive, exact_numerators_naive, hyper_inductive_step
+from oracles import appell_f4_naive, count_points_naive, exact_numerators_naive, hyper_inductive_step
 
 
 def rand_params(rng, f, n):
@@ -176,7 +176,8 @@ def test_appell_swap_symmetry(tables_for):
 def test_appell_f4_batch_matches_scalar(q, points, tables_for):
     """Every batched F4* value equals the one-point value, zeros included.
 
-    600 points span two gather blocks of the batch kernel: 2**15 // (q-1) = 327 points fit in one."""
+    Each point reads its own two spectrum slices, so a batch of 200 or 600
+    points gives each point the value it has alone."""
     t = tables_for(q)
     rng = random.Random(q)
     if points is None:
@@ -200,8 +201,9 @@ def test_appell_f4_batch_matches_scalar(q, points, tables_for):
 def test_appell_f4_batch_memory_bounded_by_bytes():
     """One batch of product's q-2 points at q=3203 stays under 2 MB of working memory.
 
-    A block of points holds at most 2**15 entries (512 KiB), where 256-point
-    blocks took about 25 MB; every value is still the one-point value.
+    The kernel's working memory is one reused length-(q-1) buffer (50 KiB)
+    and the output, where gathering 256 points at a time took about 25 MB;
+    every value is still the one-point value.
     """
     q = 3203
     t = SumTables(make_field(q))
@@ -218,6 +220,32 @@ def test_appell_f4_batch_memory_bounded_by_bytes():
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
     one = np.array([appell_f4(phi, phi, eps, eps, int(x), int(y), t) for x, y in zip(xs, ys)])
     assert np.abs(batch - one).max() <= 1e-12 * np.abs(one).max()
+
+
+@pytest.mark.parametrize("q", (5, 7, 13))
+def test_appell_f4_batch_matches_defining_sum(q, tables_for):
+    """The batch kernel against the O(q^2) double sum of Gauss-sum ratios, zero coordinates included."""
+    t = tables_for(q)
+    rng = random.Random(q)
+    xs = np.array([0, 3, 0, *(rng.randrange(1, q) for _ in range(9))])
+    ys = np.array([2, 0, 0, *(rng.randrange(1, q) for _ in range(9))])
+    for i in range(6):
+        a, b, c, cp = (rng.randrange(q - 1) for _ in range(4))
+        if i % 2:
+            cp = c  # C = C': one spectrum serves both coordinates
+        batch = appell_f4_batch(a, b, c, cp, xs, ys, t)
+        oracle = [appell_f4_naive(t.field, a, b, c, cp, int(x), int(y)) for x, y in zip(xs, ys)]
+        assert batch[:3].tolist() == [0, 0, 0]
+        assert np.abs(batch - oracle).max() <= 1e-9 * q, (a, b, c, cp)
+
+
+@pytest.mark.parametrize("xs, ys", (([0], [1, 2, 3]), ([2], [1, 2, 3]), ([[2, 3], [4, 5]], [[2, 3], [4, 5]])))
+def test_appell_f4_batch_refuses_unequal_point_counts(xs, ys, monkeypatch):
+    """xs and ys of different shapes, or not 1-D, raise ValueError before any F4* table is built."""
+    t = SumTables(make_field(7))
+    monkeypatch.setattr(t, "memo", lambda *args: pytest.fail("built a table"))
+    with pytest.raises(ValueError, match="one y per x"):
+        appell_f4_batch(3, 3, 0, 0, np.array(xs), np.array(ys), t)
 
 
 def test_f4_spectra_built_once_per_tables_and_key(monkeypatch):

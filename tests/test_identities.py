@@ -170,6 +170,32 @@ def test_product_rejects_bad_arguments(tables_for):
         verify_product((phi,), (), 0, 3, t)
 
 
+@pytest.mark.parametrize("q, curves", ((101, 1), (7, 5)))
+def test_product_builds_one_f4_curve_per_z(q, curves, monkeypatch):
+    """product builds one F4* curve per drawn z, through SumTables.memo: one at q=101, one per grid z at q=7.
+
+    Every row's sides are those of verify_product on fresh tables for the row's slots, x and z.
+    """
+    calls = []
+
+    def counted(*args, build=ids.appell_f4_batch):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr("ffhyper.identities.appell_f4_batch", counted)
+    block = run_statement("product", SumTables(make_field(q)), 42)
+    assert len(calls) == curves and len(block) == 5 * curves
+    monkeypatch.undo()
+    zs = set()
+    for r in block:
+        x, z, ups, los = re.fullmatch(r"n=\d+ x=(\d+) z=(\d+) up=\(([\d,]*)\) lo=\(([\d,]*)\)", r.instance).groups()
+        slots = [tuple(int(j) for j in side.split(",") if j) for side in (ups, los)]
+        _, lhs, rhs, _ = verify_product(*slots, int(x), int(z), SumTables(make_field(q)))
+        assert (r.lhs, r.rhs) == (lhs, rhs), r.instance
+        zs.add(z)
+    assert len(zs) == curves
+
+
 def _refuse_field(q):
     raise AssertionError(f"built F_{q}")
 
