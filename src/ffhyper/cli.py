@@ -122,17 +122,15 @@ def parse_statements(text: str) -> list[str]:
 def _sides(block: ReportBlock, as_json: bool = False) -> tuple[list, list]:
     """Every row's lhs and rhs, as printed or as JSON values, read off the block's columns.
 
-    An exact side prints as QPowerRational.fmt does and is {"num", "npow"}
-    in JSON; a float side prints as its complex repr and is {"re", "im"}.
+    An exact block's side prints as QPowerRational.fmt does and is
+    {"num", "npow"} in JSON; a float block's prints as its complex repr and
+    is {"re", "im"}.
     """
-    q = block.q
-
-    def side(a: list, b: list) -> list:
-        if as_json:
-            return [{"num": x, "npow": y} if e else {"re": x, "im": y} for e, x, y in zip(block.exact, a, b)]
-        return [_q_power_text(x, y, q) if e else repr(complex(x, y)) for e, x, y in zip(block.exact, a, b)]
-
-    return side(block.lhs_a, block.lhs_b), side(block.rhs_a, block.rhs_b)
+    if block.exact:
+        side = (lambda a, b: {"num": a, "npow": b}) if as_json else functools.partial(_q_power_text, q=block.q)
+    else:
+        side = (lambda a, b: {"re": a, "im": b}) if as_json else lambda a, b: repr(complex(a, b))
+    return list(map(side, block.lhs_a, block.lhs_b)), list(map(side, block.rhs_a, block.rhs_b))
 
 
 def _cells(block: ReportBlock):
@@ -174,13 +172,11 @@ def render_reports(blocks: list[ReportBlock], summaries: list[SweepSummary], fmt
                 "lhs": lhs,
                 "rhs": rhs,
                 "residual": residual,
-                "tolerance": tolerance,
+                "tolerance": b.tolerance,
                 "pass": passed,
             }
             for b in blocks
-            for instance, lhs, rhs, residual, tolerance, passed in zip(
-                b.instances, *_sides(b, as_json=True), b.residual, b.tolerance, b.passed
-            )
+            for instance, lhs, rhs, residual, passed in zip(b.instances, *_sides(b, as_json=True), b.residual, b.passed)
         ]
         payload.append({"summaries": [asdict(s) for s in summaries]})
         return json.dumps(payload, indent=2) + "\n"

@@ -13,16 +13,18 @@ character backend reads the field off its SumTables.  A weighted sum over psi of
 F with its last upper character twisted by psi is one weighted binomial
 line (hyper_twisted_sum), not q-1 separate evaluations.  The Appell
 series F4* is three length-(q-1) transforms per prime and character
-tuple, memoised through SumTables.memo: every point then sums, in numpy,
-the weights times one contiguous slice of each spectrum (appell_f4_batch).
+tuple (two when C = C'), memoised through SumTables.memo: every point
+then sums, in numpy, the weights times one contiguous slice of each
+spectrum (appell_f4_batch).
 For the all-phi/eps parameter family an exact backend gives q**n F at
 every x in Python ints: each level of the one-slot descent is one exact
 integer correlation (curves._correlate on 20-bit limbs) of the level
 below, from the 1F0 table, memoised through SumTables.memo.  No
 command runs it: the exact identity checks reconstruct their integers
 from the character backend, and only the tests compare the two.  Reconstruction
-has one nearest-integer rule (_nearest): reconstruct raises its failure,
-and reconstruct_ints is its array form.
+has one nearest-integer rule (_nearest), which fails a scaled real part
+past FLOAT_EXACT_LIMIT: reconstruct raises its failure, and
+reconstruct_ints is its array form.
 """
 
 from __future__ import annotations
@@ -107,6 +109,9 @@ def _q_power_text(num: int, npow: int, q: int) -> str:
 # Reconstruction guard: two orders of magnitude above observed floating
 # residuals, far below the unit gap between integers.
 EXACT_GAP = 0.01
+# From 2**46 up a double's spacing is 1/64 or more, above EXACT_GAP: the
+# distance to the nearest integer no longer shows that a value is one.
+FLOAT_EXACT_LIMIT = 2.0**46
 
 
 def float_scale(npow: int, q: int) -> float:
@@ -120,22 +125,26 @@ def float_scale(npow: int, q: int) -> float:
 def _nearest(v: complex, npow: int, q: int) -> tuple[int, float, NotRational | None]:
     """The integer m nearest v * q**npow, its margin, and why v is not m / q**npow (None if it is).
 
-    m is 0 where either scaled part is not finite.  The margin is the scaled
-    imaginary part if not below EXACT_GAP, else the distance to m; v is
-    exact when its margin is below EXACT_GAP, so NaN fails.  A scale beyond
-    float range raises float_scale's NotRational.  The two parts are scaled
-    apart: a complex product would turn a non-finite real part times the
-    scale's zero imaginary part into a NaN imaginary part.
+    m is 0 where either scaled part is not finite or the real part is past
+    FLOAT_EXACT_LIMIT.  The margin is the scaled imaginary part if not below
+    EXACT_GAP, else the float spacing at a finite real part past the limit,
+    else the distance to m; v is exact when its margin is below EXACT_GAP,
+    so NaN fails.  A scale beyond float range raises float_scale's
+    NotRational.  The two parts are scaled apart: a complex product would
+    turn a non-finite real part times the scale's zero imaginary part into
+    a NaN imaginary part.
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
     v, scale = complex(v), float_scale(npow, q)
     re, im = v.real * scale, v.imag * scale
-    m = round(re) if math.isfinite(re) and math.isfinite(im) else 0
-    if abs(im) < EXACT_GAP:
-        margin, why = abs(re - m), "not within rounding distance of an integer"
-    else:
+    m = round(re) if abs(re) < FLOAT_EXACT_LIMIT and math.isfinite(im) else 0
+    if not abs(im) < EXACT_GAP:
         margin, why = abs(im), "imaginary part too large for an exact value"
+    elif FLOAT_EXACT_LIMIT <= abs(re) < math.inf:
+        margin, why = math.ulp(re), "real part past float precision"
+    else:
+        margin, why = abs(re - m), "not within rounding distance of an integer"
     return m, margin, None if margin < EXACT_GAP else NotRational(f"{why} at scale q^{npow}", margin)
 
 
@@ -149,10 +158,11 @@ def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
 
 def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """_nearest over an array: each entry's integer, as int64, and margin."""
-    scale = q**npow
+    scale = float_scale(npow, q)
     re, im = values.real * scale, values.imag * scale
-    m = np.rint(np.where(np.isfinite(re) & np.isfinite(im), re, 0.0))
-    margin = np.where(np.abs(im) < EXACT_GAP, np.abs(re - m), np.abs(im))
+    m = np.rint(np.where((np.abs(re) < FLOAT_EXACT_LIMIT) & np.isfinite(im), re, 0.0))
+    past = (np.abs(re) >= FLOAT_EXACT_LIMIT) & np.isfinite(re)
+    margin = np.where(np.abs(im) < EXACT_GAP, np.where(past, np.spacing(np.abs(re)), np.abs(re - m)), np.abs(im))
     return m.astype(np.int64), margin
 
 

@@ -6,19 +6,20 @@ floating point against a scale-aware tolerance.  Float sides are
 (instance, lhs, rhs, floor), the floor a cross-check's residual; exact
 sides are (instance, lhs, rhs, npow, margin), two integers over one power
 of q rounded by hypergeo's one nearest-integer rule, and that rounding's
-margin.  Two builders turn a statement's sides, as columns, into one
-ReportBlock: _float_block judges against float_tol, and _exact_block
-judges every exact row, trace-bridge's included, by one rule (_judge),
-canonical form only filling the printed sides.  A value that is not
-exact fails only the rows that read it, each holding its nearest value
-over q**m and its margin as the residual.
+margin.  Every statement's rows are of one kind, and one builder turns
+them, as columns, into its ReportBlock: _float_block judges against
+float_tol, and _exact_block judges every exact row, trace-bridge's
+included, by one rule (_judge), canonical form only filling the printed
+sides.  A value that is not exact fails only the rows that read it, each
+holding its nearest value over q**m and its margin as the residual.
 The inductive b-sum sum_b phi(b) F_free(bx) F_{k-1}(b) is stated once:
-verify_inductive_k and an off-peak second-moment row (every free slot
-phi/eps) share its sides, and the x=1, n+1=2k peak reconstructs the same
-sum exactly.  Each curve family's trace table is one memo entry per
-prime, read by trace-moments, trace-bridge and the F43/F65 sweeps.  The
-trace bridges, 2(q-2) exact checks per prime, are reconstructed one
-family per array pass; their per-lambda oracle lives in the tests.
+verify_inductive_k compares it with F in floating point, and every
+second-moment row (every free slot phi/eps, the x=1, n+1=2k peak
+included) reconstructs both exactly.  Each curve family's trace table is
+one memo entry per prime, read by trace-moments, trace-bridge and the
+F43/F65 sweeps.  The trace bridges, 2(q-2) exact checks per prime, are
+reconstructed one family per array pass; their per-lambda oracle lives
+in the tests.
 STATEMENTS maps each statement to the function that draws its instances
 at one prime, never inside the checks, and checks them into one block,
 and to its per-prime cost; every instance is fully described in its row
@@ -32,8 +33,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
-from itertools import groupby
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,27 +69,28 @@ class IdentityReport:
 
 @dataclass(frozen=True, eq=False)
 class ReportBlock(Sequence):
-    """The checks of one statement at one prime, held as columns.
+    """The checks of one statement at one prime, held as columns; every row of one kind.
 
-    Row i compares two sides, each held in two columns (a, b).  An exact
-    row (exact[i]) holds numerator and power, the value a / q**b in
-    QPowerRational's canonical form; a float row holds the real and
-    imaginary parts.  Columns are Python lists, so exact numerators stay
-    unbounded.  len() is the row count; indexing and iteration build each
-    row's IdentityReport on demand, the only place one is built, while
+    Row i compares two sides, each held in two columns (a, b).  In an exact
+    block every row holds numerator and power, the value a / q**b in
+    QPowerRational's canonical form, judged with tolerance 0; in a float
+    block every row holds the real and imaginary parts, judged against the
+    block's one tolerance.  Columns are Python lists, so exact numerators
+    stay unbounded.  len() is the row count; indexing and iteration build
+    each row's IdentityReport on demand, the only place one is built, while
     summarize and the cli renderers read the columns.
     """
 
     name: str
     q: int
+    exact: bool
+    tolerance: float
     instances: list[str]
-    exact: list[bool]
     lhs_a: list
     lhs_b: list
     rhs_a: list
     rhs_b: list
     residual: list[float]
-    tolerance: list[float]
     passed: list[bool]
 
     def __len__(self) -> int:
@@ -98,7 +99,7 @@ class ReportBlock(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        side = QPowerRational if self.exact[i] else complex
+        side = QPowerRational if self.exact else complex
         return IdentityReport(
             self.name,
             self.q,
@@ -106,7 +107,7 @@ class ReportBlock(Sequence):
             side(self.lhs_a[i], self.lhs_b[i]),
             side(self.rhs_a[i], self.rhs_b[i]),
             self.residual[i],
-            self.tolerance[i],
+            self.tolerance,
             self.passed[i],
         )
 
@@ -135,9 +136,9 @@ def _float_block(name: str, q: int, instances, lhs, rhs, floor) -> ReportBlock:
     lhs, rhs = np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex)
     d = lhs - rhs
     residual = np.maximum(np.hypot(d.real, d.imag), floor)
-    tol, n = float_tol(q), len(instances)
-    columns = (lhs.real, lhs.imag, rhs.real, rhs.imag, residual, np.full(n, tol), residual <= tol)
-    return ReportBlock(name, q, list(instances), [False] * n, *(c.tolist() for c in columns))
+    tol = float_tol(q)
+    columns = (lhs.real, lhs.imag, rhs.real, rhs.imag, residual, residual <= tol)
+    return ReportBlock(name, q, False, tol, list(instances), *(c.tolist() for c in columns))
 
 
 def _judge(lhs: np.ndarray, rhs: np.ndarray, npow: np.ndarray, margin: np.ndarray, q: int):
@@ -161,9 +162,8 @@ def _exact_block(name: str, q: int, instances, lhs, rhs, npow, margin) -> Report
     lhs, rhs = (c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in (lhs, rhs))
     npow = np.asarray(npow, dtype=np.int64)
     residual, passed = _judge(lhs, rhs, npow, np.asarray(margin, dtype=float), q)
-    n = len(instances)
-    columns = (*_canonical(lhs, npow, q), *_canonical(rhs, npow, q), residual, np.zeros(n), passed)
-    return ReportBlock(name, q, list(instances), [True] * n, *(c.tolist() for c in columns))
+    columns = (*_canonical(lhs, npow, q), *_canonical(rhs, npow, q), residual, passed)
+    return ReportBlock(name, q, True, 0.0, list(instances), *(c.tolist() for c in columns))
 
 
 def _canonical(num: np.ndarray, npow: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -175,17 +175,15 @@ def _canonical(num: np.ndarray, npow: np.ndarray, q: int) -> tuple[np.ndarray, n
 
 
 def _block(name: str, q: int, rows: Iterable[tuple]) -> ReportBlock:
-    """One statement's rows of sides at q as one block, in order: one builder call per run of one kind.
+    """One statement's rows of sides at q as one block, in order, by one builder call; no rows make a float block.
 
     Float sides are (instance, lhs, rhs, floor), exact sides (instance, lhs, rhs, npow, margin).
     """
-    blocks = [
-        (_exact_block if len(run[0]) == 5 else _float_block)(name, q, *zip(*run))
-        for run in (list(run) for _, run in groupby(rows, len))
-    ]
-    if len(blocks) == 1:
-        return blocks[0]
-    return ReportBlock(name, q, *([v for b in blocks for v in getattr(b, c.name)] for c in fields(ReportBlock)[2:]))
+    rows = list(rows)
+    kinds = {len(r) for r in rows}
+    if len(kinds) > 1:
+        raise ValueError(f"{name} mixes float and exact rows")
+    return (_exact_block if kinds == {5} else _float_block)(name, q, *(list(zip(*rows)) or [()] * 4))
 
 
 def _idx(indices) -> str:
@@ -223,16 +221,6 @@ def _inductive_sum(free: HyperParams, k: int, x: int, tables: SumTables) -> comp
     return complex((tables.field.legendre_table[bs] * vals_free[(bs * x) % q] * vals_phi[bs]).sum())
 
 
-def _inductive_sides(free: HyperParams, k: int, x: int, tables: SumTables) -> tuple[complex, complex]:
-    """(n+1)F_n(x), the free slots then k trailing phi/eps slots, and its b-sum of lower levels; x reduced mod q."""
-    if x == 0:
-        raise RejectedInput("x must be nonzero")
-    f = tables.field
-    q = f.q
-    full = HyperParams(q, (*free.uppers, *((q - 1) // 2,) * k), (*free.lowers, *(0,) * k))
-    return hyper_char(full, x, tables), f.phi_minus_one**k / q * _inductive_sum(free, k, x, tables)
-
-
 def verify_inductive_k(
     n: int,
     k: int,
@@ -246,11 +234,15 @@ def verify_inductive_k(
         raise RejectedInput(f"need n > k >= 1, got n={n}, k={k}")
     if len(free_uppers) != n - k + 1 or len(free_lowers) != n - k:
         raise RejectedInput("free slots must number n-k+1 uppers and n-k lowers")
-    q = tables.field.q
+    f = tables.field
+    q = f.q
     x %= q
+    if x == 0:
+        raise RejectedInput("x must be nonzero")
     free = HyperParams(q, free_uppers, free_lowers)
-    inst = f"n={n} k={k} x={x} up={_idx(free.uppers)} lo={_idx(free.lowers)}"
-    return inst, *_inductive_sides(free, k, x, tables), 0.0
+    full = HyperParams(q, (*free.uppers, *((q - 1) // 2,) * k), (*free.lowers, *(0,) * k))
+    rhs = f.phi_minus_one**k / q * _inductive_sum(free, k, x, tables)
+    return f"n={n} k={k} x={x} up={_idx(free.uppers)} lo={_idx(free.lowers)}", hyper_char(full, x, tables), rhs, 0.0
 
 
 # -- product of 2F1 and (n+1)F_n via the Appell series --------------------------
@@ -360,24 +352,23 @@ def verify_trace_moments(tables: SumTables) -> list[tuple]:
 
 
 def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> tuple:
-    """(n+1)F_n(x) against its lambda-sum of products; exact at the x=1, n+1=2k peak.
+    """(n+1)F_n(x), all phi/eps, against its lambda-sum of products, exactly; the x=1, n+1=2k row is the peak.
 
-    Off the peak this is the inductive-k row with every free slot phi/eps; at
-    the peak the lambda-sum over q**(2k-2) and (2k)F_{2k-1}(1) over q**(2k-1)
-    are reconstructed, and compared as integers over q**(2k-2).
+    This is the inductive-k identity with every free slot phi/eps: the
+    lambda-sum over q**(n-1) and (n+1)F_n(x) over q**n are reconstructed,
+    and compared as integers over q**(n-1).
     """
     if not n > k >= 1:
         raise RejectedInput(f"need n > k >= 1, got n={n}, k={k}")
     f = tables.field
     q = f.q
     x %= q
-    if x == 1 and n + 1 == 2 * k:
-        total = _inductive_sum(HyperParams.phi_eps(q, k - 1), k, 1, tables)
-        left, left_margin, _ = _nearest(total, 2 * k - 2, q)
-        right, right_margin, _ = _nearest(hyper_char(HyperParams.phi_eps(q, 2 * k - 1), 1, tables), 2 * k - 1, q)
-        margin = _max_residual((left_margin, right_margin))
-        return f"k={k} x=1 second-moment peak", left, f.phi_minus_one**k * right, 2 * k - 2, margin
-    return f"n={n} k={k} x={x}", *_inductive_sides(HyperParams.phi_eps(q, n - k), k, x, tables), 0.0
+    if x == 0:
+        raise RejectedInput("x must be nonzero")
+    left, left_margin, _ = _nearest(_inductive_sum(HyperParams.phi_eps(q, n - k), k, x, tables), n - 1, q)
+    right, right_margin, _ = _nearest(hyper_char(HyperParams.phi_eps(q, n), x, tables), n, q)
+    inst = f"k={k} x=1 second-moment peak" if x == 1 and n + 1 == 2 * k else f"n={n} k={k} x={x}"
+    return inst, left, f.phi_minus_one**k * right, n - 1, _max_residual((left_margin, right_margin))
 
 
 # -- trace bridges -----------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ffhyper
@@ -29,7 +30,7 @@ from ffhyper.curves import legendre_trace
 from ffhyper.charsums import SumTables
 from ffhyper.errors import Infeasible, NotRational
 from ffhyper.field import primes_in_range
-from ffhyper.hypergeo import reconstruct
+from ffhyper.hypergeo import reconstruct, reconstruct_ints
 import ffhyper.identities as ids
 from ffhyper.identities import STATEMENTS, run_statement, summarize
 from oracles import bridge_loop, hasse_bound, move_3f2, patch_family, report_from_json, summary_of
@@ -200,8 +201,17 @@ def test_eval_failed_reconstruction_exits_1(capsys):
     assert re.search(r"\(residual \d\.\d{3}e[-+]\d\d\)$", captured.err.strip())
 
 
+def test_eval_past_float_precision_exits_1(capsys):
+    """q^60 61F60(1) at q=5 is a real part past 2**46, where a double cannot resolve an integer: no value line."""
+    rc = run(["eval", "--q", "5", "--fn", "61F60", "--x", "1"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_FAILED
+    assert captured.out == ""
+    assert captured.err.startswith("error: real part past float precision at scale q^60")
+
+
 def test_eval_scale_beyond_float_range_exits_1(capsys):
-    """q^119 at q=1009 is no float: a reconstruction failure that names the scale."""
+    """q^119 at q=1009 is no float: a reconstruction failure that names the scale, in both reconstruction forms."""
     rc = run(["eval", "--q", "1009", "--fn", "120F119", "--x", "2"])
     captured = capsys.readouterr()
     assert rc == EXIT_FAILED
@@ -210,6 +220,8 @@ def test_eval_scale_beyond_float_range_exits_1(capsys):
     with pytest.raises(NotRational, match=r"scale q\^200 = 1009\^200") as exc:
         reconstruct(0.5 + 0j, 200, 1009)
     assert exc.value.residual == float("inf")
+    with pytest.raises(NotRational, match=r"scale q\^200 = 1009\^200"):
+        reconstruct_ints(np.array([0.5 + 0j]), 200, 1009)
 
 
 def test_eval_refuses_scale_before_building_coefficients(monkeypatch, capsys):
@@ -626,7 +638,7 @@ def test_verify_exact_statements_match_golden_bytes(fmt, ext, capsys):
     cannot move a byte.
     """
     golden = Path(__file__).resolve().parent / "data" / f"verify_exact_101_151.{ext}"
-    argv = ["verify", "--primes", "101..151", "--statements", "first-moment,trace-moments,trace-bridge"]
+    argv = ["verify", "--primes", "101..151", "--statements", "first-moment,trace-moments,second-moment,trace-bridge"]
     assert run([*argv, "--seed", "42", "--format", fmt]) == EXIT_OK
     assert_same_text(capsys.readouterr().out, golden.read_text(encoding="utf-8"))
 

@@ -13,6 +13,7 @@ from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import (
     HyperParams,
     QPowerRational,
+    _nearest,
     appell_f4,
     appell_f4_batch,
     hyper_all_x,
@@ -438,6 +439,32 @@ def test_reconstruct_ints_margins_are_reconstructs_residuals():
     assert (margin < 0.01).tolist() == [True, True, False, False, False]
     ints, margin = reconstruct_ints(np.array([complex(np.nan, 0), complex(1, np.nan)]), 0, q)
     assert ints.tolist() == [0, 0] and not (margin < 0.01).any()
+
+
+@pytest.mark.parametrize("q", (5, 7, 13))
+def test_nearest_certifies_only_exact_descent_values(q):
+    """Every phi/eps value with n <= 60 that _nearest certifies is the exact descent's integer at its x.
+
+    Past a scaled real part of 2**46 a double's spacing is above EXACT_GAP,
+    so those values must fail rather than round to a wrong integer.
+    """
+    tables = SumTables(make_field(q))
+    for n in range(1, 61):
+        values = hyper_all_x(HyperParams.phi_eps(q, n), tables)
+        exact = hyper_exact_phi(n, tables, budget=10**1000)
+        for x in range(1, q):
+            m, _, failure = _nearest(values[x], n, q)
+            assert failure is not None or m == exact[x], (n, x)
+
+
+@pytest.mark.parametrize("re", (2.0**46, -(2.0**46) - 64, 2.0**60, 1e300))
+def test_reconstruct_past_float_precision_fails_with_the_spacing(re):
+    """A finite scaled real part at or past 2**46 fails: integer 0, margin the float spacing there, in both forms."""
+    m, margin, failure = _nearest(complex(re, 0), 0, 7)
+    assert (m, margin) == (0, math.ulp(re)) and margin >= 2**-6
+    assert str(failure).startswith("real part past float precision at scale q^0")
+    ints, margins = reconstruct_ints(np.array([complex(re, 0), 2.0**46 - 1]), 0, 7)
+    assert ints.tolist() == [0, 2**46 - 1] and margins.tolist() == [margin, 0.0]
 
 
 @pytest.mark.parametrize("value", (complex(math.nan, 0), complex(-math.inf, 0), complex(1, math.nan)), ids=str)

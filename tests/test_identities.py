@@ -281,11 +281,28 @@ def test_second_moment_rejects(tables_for):
 
 @pytest.mark.parametrize("q, n, k, x", ((7, 3, 1, 2), (101, 2, 1, 29), (101, 3, 2, 5), (101, 4, 3, 77)))
 def test_second_moment_off_peak_is_the_all_phi_inductive_k_row(q, n, k, x, tables_for):
+    """An off-peak row's integers are verify_inductive_k's all-phi sides scaled by q**n and rounded, over q**(n-1)."""
     t = tables_for(q)
     phi = (q - 1) // 2
-    _, *sides = verify_inductive_k(n, k, (phi,) * (n - k + 1), (0,) * (n - k), x, t)
-    want = (f"n={n} k={k} x={x}", *sides)
-    assert second_weighted_moment(n, k, x, t) == want and judged("second-moment", q, want).passed
+    _, lhs, rhs, _ = verify_inductive_k(n, k, (phi,) * (n - k + 1), (0,) * (n - k), x, t)
+    sign = t.field.phi_minus_one**k
+    instance, left, right, npow, margin = row = second_weighted_moment(n, k, x, t)
+    assert (instance, npow) == (f"n={n} k={k} x={x}", n - 1) and margin < EXACT_GAP
+    assert (left, right) == (round(sign * rhs.real * q**n), sign * round(lhs.real * q**n))
+    assert judged("second-moment", q, row).passed
+
+
+@pytest.mark.parametrize("q", (101, 797, 10007))
+def test_second_moment_rows_fail_without_their_lambda_sum(q, monkeypatch):
+    """With the lambda-sum set to 0, every second-moment row fails: no row passes on a small |lhs| alone."""
+    monkeypatch.setattr(ids, "_inductive_sum", lambda free, k, x, tables: 0j)
+    block = run_statement("second-moment", SumTables(make_field(q)), 42)
+    assert len(block) == 4 and not any(block.passed)
+
+
+def test_block_refuses_rows_of_two_kinds():
+    with pytest.raises(ValueError, match="x mixes float and exact rows"):
+        ids._block("x", 7, [("float", 1j, 1j, 0.0), ("exact", 1, 1, 0, 0.0)])
 
 
 # -- trace bridges -----------------------------------------------------------------------
@@ -917,8 +934,8 @@ def test_run_statement_returns_one_block_per_statement(tables_for):
     for label in STATEMENTS:
         block = run_statement(label, t, 0)
         assert isinstance(block, ReportBlock) and (block.name, block.q) == (label, 13)
-        columns = (block.exact, block.lhs_a, block.lhs_b, block.rhs_a, block.rhs_b)
-        columns += (block.residual, block.tolerance, block.passed)
+        assert isinstance(block.exact, bool) and block.tolerance == (0.0 if block.exact else float_tol(13)), label
+        columns = (block.lhs_a, block.lhs_b, block.rhs_a, block.rhs_b, block.residual, block.passed)
         assert all(len(c) == len(block) for c in columns), label
 
 
@@ -928,7 +945,7 @@ def test_run_statement_rejects_an_unknown_label(tables_for):
 
 
 def test_second_moment_block_keeps_exact_peaks_at_q10007(monkeypatch):
-    """Exact peak rows and float rows share one block; the peaks stay in Python ints.
+    """Every second-moment row is exact, judged with tolerance 0; the peaks stay in Python ints.
 
     At q=10007 the k=3 peak is 7600117151/10007^4, so comparing its sides
     takes num * q**4 and q**8, both past int64.
@@ -938,10 +955,10 @@ def test_second_moment_block_keeps_exact_peaks_at_q10007(monkeypatch):
     q = 10007
     t = SumTables(make_field(q))
     block = run_statement("second-moment", t, 0)
-    assert block.exact == [True, True, False, False]
+    assert block.exact is True
     assert block[0] == judged("second-moment", q, second_weighted_moment(3, 2, 1, t))
     assert block[1] == judged("second-moment", q, second_weighted_moment(5, 3, 1, t))
-    assert block.tolerance == [0.0, 0.0, float_tol(q), float_tol(q)]
+    assert block.tolerance == 0.0
     assert all(block.passed)
 
     peak = block[1]

@@ -15,7 +15,8 @@ from ffhyper.hypergeo import HyperParams, QPowerRational
 # that the one exact-row judge replaced, and the charge and sweep tables and
 # seed helper that identities.STATEMENTS and identities.SWEEPS replaced, and
 # the exact descent's Python loop (now oracles.exact_numerators_naive), and
-# the per-row report builders that the two column builders replaced.
+# the per-row report builders that the two column builders replaced, and
+# the inductive sides now inlined in verify_inductive_k.
 GONE = (
     "hyper_inductive_step",
     "count_points_naive",
@@ -43,6 +44,7 @@ GONE = (
     "_float_report",
     "_exact_ints",
     "_parts",
+    "_inductive_sides",
 )
 
 
