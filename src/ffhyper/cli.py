@@ -2,9 +2,10 @@
 
 Exit codes are a function of results only: 0 all checks pass, 1 any
 failed row (a failed reconstruction is one) or verify statement with no
-instances, 2 usage or configuration error (an unwritable --out is one, and
-an eval flag its function does not read another, refused before any work),
-3 work budget exceeded: a run is charged in full (its fields and the
+instances, 2 usage or configuration error (an unwritable --out is one;
+eval reads an unread flag, an unknown function, a missing flag and a bad
+--chars off argv alone, and refuses them before the field is charged or
+built, so before any budget refusal), 3 work budget exceeded: a run is charged in full (its fields and the
 costs identities.STATEMENTS or SWEEPS give) before its first table is
 built, so a refusal writes nothing.  Verify writes its rows by statement,
 in the order first named, then by prime, so the bytes emitted depend only
@@ -133,9 +134,9 @@ def _sides(block: ReportBlock, as_json: bool = False) -> tuple[list, list]:
     return list(map(side, block.lhs_a, block.lhs_b)), list(map(side, block.rhs_a, block.rhs_b))
 
 
-def _cells(block: ReportBlock):
-    """(statement, q, instance, lhs, rhs, residual, pass) per row, lhs and rhs as printed."""
-    return zip(repeat(block.name), repeat(block.q), block.instances, *_sides(block), block.residual, block.passed)
+def _cells(block: ReportBlock, as_json: bool = False):
+    """(statement, q, instance, lhs, rhs, residual, pass) per row, lhs and rhs as _sides gives them."""
+    return zip(repeat(block.name), repeat(block.q), block.instances, *_sides(block, as_json), block.residual, block.passed)
 
 
 def render_reports(blocks: list[ReportBlock], summaries: list[SweepSummary], fmt: str) -> str:
@@ -166,8 +167,8 @@ def render_reports(blocks: list[ReportBlock], summaries: list[SweepSummary], fmt
     if fmt == "json":
         payload = [
             {
-                "statement": b.name,
-                "q": b.q,
+                "statement": name,
+                "q": q,
                 "instance": instance,
                 "lhs": lhs,
                 "rhs": rhs,
@@ -176,7 +177,7 @@ def render_reports(blocks: list[ReportBlock], summaries: list[SweepSummary], fmt
                 "pass": passed,
             }
             for b in blocks
-            for instance, lhs, rhs, residual, passed in zip(b.instances, *_sides(b, as_json=True), b.residual, b.passed)
+            for name, q, instance, lhs, rhs, residual, passed in _cells(b, as_json=True)
         ]
         payload.append({"summaries": [asdict(s) for s in summaries]})
         return json.dumps(payload, indent=2) + "\n"
@@ -282,7 +283,11 @@ _EVAL_READS = {"trace-legendre": "lam", "trace-clausen": "lam", "gauss": "chars"
 
 
 def cmd_eval(args) -> int:
-    """Evaluate one function at one point; a flag the function does not read is refused before any work."""
+    """Evaluate one function at one point; every check of argv alone is made before any work.
+
+    An unread flag, an unknown function, a missing flag and a malformed or
+    miscounted --chars are refused before the field is charged or built.
+    """
     start = time.perf_counter()
     fn = args.fn
     m = re.fullmatch(r"(\d+)F(\d+)", fn)
@@ -291,52 +296,50 @@ def cmd_eval(args) -> int:
     unread = [flag for dest, flag in _EVAL_FLAGS.items() if dest not in reads and getattr(args, dest) is not None]
     if unread:
         raise UsageError(f"{fn} does not read {', '.join(unread)}")
+    if fn not in _EVAL_READS and n is None:
+        raise UsageError(f"unknown function {fn!r}; expected e.g. 2F1, 3F2, trace-legendre, gauss")
+    if "lam" in reads and args.lam is None:
+        raise UsageError("--lambda is required for trace functions")
+    idx = _parse_indices(args.chars, "chars") if "chars" in reads else []
+    if fn == "gauss" and len(idx) != 1:
+        raise UsageError("gauss needs one character index, e.g. --chars 3")
+    if fn == "jacobi" and len(idx) != 2:
+        raise UsageError("jacobi needs two character indices, e.g. --chars 1,3")
+    if fn == "appell" and (len(idx) != 4 or args.x is None or args.y is None):
+        raise UsageError("appell needs --chars a,b,c,cp plus --x and --y")
+    if n is not None and args.x is None:
+        raise UsageError("--x is required for hypergeometric evaluation")
+    slots = args.uppers is not None or args.lowers is not None
+    if slots:
+        ups, los = _parse_indices(args.uppers, "uppers"), _parse_indices(args.lowers or "", "lowers")
     _charge(_per_prime([_FIELD_COST], [args.q]), DEFAULT_BUDGET)
     f = make_field(args.q)
     tables = SumTables(f)
     lines = []
     if fn in ("trace-legendre", "trace-clausen"):
-        if args.lam is None:
-            raise UsageError("--lambda is required for trace functions")
         rec = legendre_trace(f, args.lam) if fn == "trace-legendre" else clausen_trace(f, args.lam)
         lines.append(f"trace = {rec.trace}")
         lines.append(f"count = {rec.count}")
     elif fn == "gauss":
-        idx = _parse_indices(args.chars, "chars")
-        if len(idx) != 1:
-            raise UsageError("gauss needs one character index, e.g. --chars 3")
         (j,) = idx
         lines.append(f"g(chi_{j}) = {complex(tables.gauss_vector[j % (f.q - 1)])!r}")
     elif fn == "jacobi":
-        idx = _parse_indices(args.chars, "chars")
-        if len(idx) != 2:
-            raise UsageError("jacobi needs two character indices, e.g. --chars 1,3")
         lines.append(f"J(chi_{idx[0]}, chi_{idx[1]}) = {tables.jacobi_index(idx[0], idx[1])!r}")
     elif fn == "appell":
-        idx = _parse_indices(args.chars, "chars")
-        if len(idx) != 4 or args.x is None or args.y is None:
-            raise UsageError("appell needs --chars a,b,c,cp plus --x and --y")
         val = appell_f4(*idx, args.x, args.y, tables)
         lines.append(f"F4* = {val!r}")
+    elif slots:
+        params = HyperParams(f.q, tuple(ups), tuple(los))
+        if params.n != n:
+            raise UsageError(f"{fn} needs {n + 1} uppers and {n} lowers")
+        val = hyper_char(params, args.x, tables)
+        lines.append(f"{fn}({args.x}) = {val!r}")
     else:
-        if n is None:
-            raise UsageError(f"unknown function {fn!r}; expected e.g. 2F1, 3F2, trace-legendre, gauss")
-        if args.x is None:
-            raise UsageError("--x is required for hypergeometric evaluation")
-        if args.uppers is not None or args.lowers is not None:
-            ups = _parse_indices(args.uppers, "uppers")
-            los = _parse_indices(args.lowers or "", "lowers")
-            params = HyperParams(f.q, tuple(ups), tuple(los))
-            if params.n != n:
-                raise UsageError(f"{fn} needs {n + 1} uppers and {n} lowers")
-            val = hyper_char(params, args.x, tables)
-            lines.append(f"{fn}({args.x}) = {val!r}")
-        else:
-            float_scale(n, f.q)  # refuse a scale reconstruct would refuse, before any work
-            params = HyperParams.phi_eps(f.q, n)
-            val = hyper_char(params, args.x, tables)
-            exact = reconstruct(val, n, f.q)
-            lines.append(f"{fn}({args.x}) = {exact.fmt(f.q)} = {val.real!r}")
+        float_scale(n, f.q)  # refuse a scale reconstruct would refuse, before any work
+        params = HyperParams.phi_eps(f.q, n)
+        val = hyper_char(params, args.x, tables)
+        exact = reconstruct(val, n, f.q)
+        lines.append(f"{fn}({args.x}) = {exact.fmt(f.q)} = {val.real!r}")
     elapsed = time.perf_counter() - start
     for line in lines:
         print(line)

@@ -7,7 +7,7 @@ floating point against a scale-aware tolerance.  Float sides are
 sides are (instance, lhs, rhs, npow, margin), two integers over one power
 of q rounded by hypergeo's one nearest-integer rule, and that rounding's
 margin.  Every statement's rows are of one kind, and one builder turns
-them, as columns, into its ReportBlock: _float_block judges against
+them into its ReportBlock, columns only: _float_block judges against
 float_tol, and _exact_block judges every exact row, trace-bridge's
 included, by one rule (_judge), canonical form only filling the printed
 sides.  A value that is not exact fails only the rows that read it, each
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,20 +55,8 @@ from .hypergeo import (
 )
 
 
-@dataclass
-class IdentityReport:
-    name: str
-    q: int
-    instance: str
-    lhs: object  # complex or QPowerRational
-    rhs: object
-    residual: float
-    tolerance: float
-    passed: bool
-
-
 @dataclass(frozen=True, eq=False)
-class ReportBlock(Sequence):
+class ReportBlock:
     """The checks of one statement at one prime, held as columns; every row of one kind.
 
     Row i compares two sides, each held in two columns (a, b).  In an exact
@@ -76,9 +64,8 @@ class ReportBlock(Sequence):
     QPowerRational's canonical form, judged with tolerance 0; in a float
     block every row holds the real and imaginary parts, judged against the
     block's one tolerance.  Columns are Python lists, so exact numerators
-    stay unbounded.  len() is the row count; indexing and iteration build
-    each row's IdentityReport on demand, the only place one is built, while
-    summarize and the cli renderers read the columns.
+    stay unbounded.  len() is the row count; summarize and the cli
+    renderers read the columns, and no row object is built.
     """
 
     name: str
@@ -95,21 +82,6 @@ class ReportBlock(Sequence):
 
     def __len__(self) -> int:
         return len(self.instances)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        side = QPowerRational if self.exact else complex
-        return IdentityReport(
-            self.name,
-            self.q,
-            self.instances[i],
-            side(self.lhs_a[i], self.lhs_b[i]),
-            side(self.rhs_a[i], self.rhs_b[i]),
-            self.residual[i],
-            self.tolerance,
-            self.passed[i],
-        )
 
 
 @dataclass

@@ -4,13 +4,16 @@ None of these runs in a command: each is the slow, direct form of
 something `ffhyper` computes another way (the descent relation, the
 exact phi/eps descent, Gauss sums and the Appell series F4*, the point
 count, the cyclic correlation, the exact-row judge, the per-lambda trace
-bridges, a summary read off rows, reading a JSON report back), plus the helpers that drive the bridge
-oracles, judge one check's sides by the production builders, and perturb
-the trace tables and hypergeometric values the checks read.
+bridges, a summary read off rows, reading a JSON report back), plus the
+row type IdentityReport that they return, rows(block), the one place a
+ReportBlock's columns are built into rows, and the helpers that drive the
+bridge oracles, judge one check's sides by the production builders, and
+perturb the trace tables and hypergeometric values the checks read.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from ffhyper.charsums import SumTables
 from ffhyper.errors import RejectedInput, SingularParameter
 from ffhyper.field import PrimeField
 from ffhyper.hypergeo import EXACT_GAP, HyperParams, QPowerRational, hyper_all_x, reconstruct
-from ffhyper.identities import IdentityReport, SweepSummary, _max_residual, _trace_table
+from ffhyper.identities import ReportBlock, SweepSummary, _max_residual, _trace_table
 
 # -- hypergeometric descent --------------------------------------------------------
 
@@ -155,9 +158,34 @@ def cyclic_correlation_naive(a: list[int], b: list[int]) -> list[int]:
 # -- rows ------------------------------------------------------------------------------
 
 
+@dataclass
+class IdentityReport:
+    """One judged row: its check, sides (complex or QPowerRational), residual, tolerance and pass."""
+
+    name: str
+    q: int
+    instance: str
+    lhs: object
+    rhs: object
+    residual: float
+    tolerance: float
+    passed: bool
+
+
+def rows(block: ReportBlock) -> list[IdentityReport]:
+    """A block's rows built from its columns, each side a QPowerRational (exact block) or a complex."""
+    side = QPowerRational if block.exact else complex
+    return [
+        IdentityReport(block.name, block.q, instance, side(la, lb), side(ra, rb), residual, block.tolerance, passed)
+        for instance, la, lb, ra, rb, residual, passed in zip(
+            block.instances, block.lhs_a, block.lhs_b, block.rhs_a, block.rhs_b, block.residual, block.passed
+        )
+    ]
+
+
 def judged(name: str, q: int, sides: tuple) -> IdentityReport:
     """One check's sides as the judged row its statement's block holds, by the production builders."""
-    return ids._block(name, q, [sides])[0]
+    return rows(ids._block(name, q, [sides]))[0]
 
 
 def summary_of(name: str, reports: list[IdentityReport]) -> SweepSummary:

@@ -33,7 +33,7 @@ from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import reconstruct, reconstruct_ints
 import ffhyper.identities as ids
 from ffhyper.identities import STATEMENTS, run_statement, summarize
-from oracles import bridge_loop, hasse_bound, move_3f2, patch_family, report_from_json, summary_of
+from oracles import bridge_loop, hasse_bound, move_3f2, patch_family, report_from_json, rows, summary_of
 
 
 # -- primes / statements parsing -------------------------------------------------
@@ -260,7 +260,31 @@ def test_eval_budget_refuses_field_before_building_it(monkeypatch, capsys):
     assert captured.out == ""
 
 
-# -- verify ------------------------------------------------------------------------
+@pytest.mark.parametrize("q", ("1000000007", "9"))
+@pytest.mark.parametrize(
+    "flags, message",
+    (
+        (["--fn", "foo"], "unknown function 'foo'; expected e.g. 2F1, 3F2, trace-legendre, gauss"),
+        (["--fn", "trace-legendre"], "--lambda is required for trace functions"),
+        (["--fn", "gauss"], "--chars is required for this function"),
+        (["--fn", "jacobi", "--chars", "1,x"], "bad --chars value '1,x'"),
+    ),
+    ids=("unknown-fn", "no-lambda", "no-chars", "bad-chars"),
+)
+def test_eval_usage_error_comes_before_charge_and_field(q, flags, message, monkeypatch, capsys):
+    """A usage error read off argv alone exits 2 with its message, not a budget refusal or a not-prime error."""
+
+    def refuse(q):
+        raise AssertionError(f"built F_{q}")
+
+    monkeypatch.setattr("ffhyper.cli.make_field", refuse)
+    assert run(["eval", "--q", q, *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+# -- verify------------------------------------------------------------------------
 
 
 def test_verify_first_moment_csv(tmp_path):
@@ -290,13 +314,13 @@ def test_verify_json_roundtrip(tmp_path):
     payload = json.loads(out.read_text())
     *reports, tail = payload
     assert "summaries" in tail
-    rows = [
+    want = [
         r
         for label in ("trace-moments", "second-moment")
         for q in (5, 7)
-        for r in run_statement(label, SumTables(make_field(q)), 0)
+        for r in rows(run_statement(label, SumTables(make_field(q)), 0))
     ]
-    for obj, row in zip(reports, rows, strict=True):
+    for obj, row in zip(reports, want, strict=True):
         rebuilt = report_from_json(obj)
         assert rebuilt == row
     assert {s["statement"] for s in tail["summaries"]} == {"trace-moments", "second-moment"}
@@ -670,18 +694,18 @@ def test_verify_writes_reconstruction_failure_of_loop(family, monkeypatch, capsy
     those of the unmoved table), with the loop's residual and tolerance 0.
     """
     q = 101
-    rows = bridge_loop(SumTables(make_field(q)))
+    want = bridge_loop(SumTables(make_field(q)))
     patch_family(monkeypatch, {(family, 17): 0.02 / q ** (1 if family == "legendre" else 2)})
     with pytest.raises(NotRational) as loop:
         bridge_loop(SumTables(make_field(q)))
     i = 15 + (q - 2) * (family == "clausen")
-    assert rows[i].instance.startswith(f"{family} lambda=17") and rows[i].passed
-    rows[i] = replace(rows[i], residual=loop.value.residual, passed=False)
+    assert want[i].instance.startswith(f"{family} lambda=17") and want[i].passed
+    want[i] = replace(want[i], residual=loop.value.residual, passed=False)
     block = run_statement("trace-bridge", SumTables(make_field(q)), 0)
-    assert list(block) == rows
+    assert rows(block) == want
     for fmt in ("csv", "json", "text"):
         assert run(["verify", "--primes", str(q), "--statements", "trace-bridge", "--format", fmt]) == EXIT_FAILED
-        assert_same_text(capsys.readouterr().out, render_reports([block], [summary_of("trace-bridge", rows)], fmt))
+        assert_same_text(capsys.readouterr().out, render_reports([block], [summary_of("trace-bridge", want)], fmt))
 
 
 def test_verify_q100003_second_moment_fails_only_its_k3_peak(monkeypatch, capsys):
@@ -747,8 +771,8 @@ def test_failing_bridge_rows_render_like_loop(family, lams, monkeypatch, capsys)
     patch_family(monkeypatch, {(family, lam): 1 for lam in lams}, table=0)
     loop = bridge_loop(SumTables(make_field(q)))
     block = run_statement("trace-bridge", SumTables(make_field(q)), 0)
-    assert [r.passed for r in block].count(False) == 2
-    assert list(block) == loop
+    assert block.passed.count(False) == 2
+    assert rows(block) == loop
     want, got = summary_of("trace-bridge", loop), summarize("trace-bridge", block)
     assert want.failures == 2 and want.max_residual > 0
     assert (got.first_failure, got.max_residual) == (want.first_failure, want.max_residual)

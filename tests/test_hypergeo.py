@@ -265,8 +265,8 @@ def test_f4_spectra_built_once_per_tables_and_key(monkeypatch):
     key = (50, 50, 0, 0)  # (phi, phi, eps, eps) at q = 101
     for _ in range(2):
         t = SumTables(make_field(101))
-        reports = run_statement("product", t, 42)
-        assert len(reports) == 5 and all(r.passed for r in reports)
+        block = run_statement("product", t, 42)
+        assert len(block) == 5 and all(block.passed)
         assert built[-1] == (id(t), key)
         spectra = t.memo(("f4", *key), pytest.fail)
         assert spectra[1] is spectra[2]  # C = C': one shifted spectrum serves both

@@ -16,7 +16,9 @@ from ffhyper.hypergeo import HyperParams, QPowerRational
 # seed helper that identities.STATEMENTS and identities.SWEEPS replaced, and
 # the exact descent's Python loop (now oracles.exact_numerators_naive), and
 # the per-row report builders that the two column builders replaced, and
-# the inductive sides now inlined in verify_inductive_k.
+# the inductive sides now inlined in verify_inductive_k, and the row type
+# that ReportBlock's columns replaced (now in tests/oracles.py), and the
+# line sign parity table that a strided sign flip replaced.
 GONE = (
     "hyper_inductive_step",
     "count_points_naive",
@@ -45,6 +47,8 @@ GONE = (
     "_exact_ints",
     "_parts",
     "_inductive_sides",
+    "IdentityReport",
+    "_parity",
 )
 
 
@@ -58,6 +62,8 @@ def test_package_surface():
     assert [name for name in ("field", "index_key") if hasattr(HyperParams, name)] == []
     assert not hasattr(QPowerRational, "value")
     assert not hasattr(ids.ReportBlock, "of")
+    # A block is columns only: len() is its row count, and it builds no row.
+    assert "__len__" in ids.ReportBlock.__dict__ and not hasattr(ids.ReportBlock, "__getitem__")
     # No code compares or hashes fields: each keeps identity equality.
     assert [name for name in ("__eq__", "__hash__") if name in PrimeField.__dict__] == []
 
