@@ -5,7 +5,8 @@ the Gauss-sum factorization: the factorization breaks down whenever a
 product of characters degenerates to the trivial one, which the
 binomial coefficients used downstream hit constantly.  The direct sum
 is uniform in the characters, and one length-(q-1) transform evaluates
-it for a whole binomial line at once.
+it for a whole binomial line at once, its terms binned by dlog(x/(1-x))
+(_line_bins).  A shift of a character index is a two-slice rotation (_rotated).
 
 SumTables is the one memo space for tables derived from a prime: the
 Gauss vector, the line bins and binomial lines here, and the
@@ -81,31 +82,34 @@ def _gauss_kernel(f: PrimeField) -> np.ndarray:
     return g
 
 
-def _line_bins(f: PrimeField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """d1 = dlog x, d2 = dlog(1-x) and the bins (d1-d2) mod (q-1), x in 2..q-1."""
-    xs = np.arange(2, f.q)  # x = 0, 1 contribute nothing to J
-    d1 = f.dlog[xs]
-    d2 = f.dlog[(1 - xs) % f.q]
-    return d1, d2, (d1 - d2) % (f.q - 1)
+def _line_bins(f: PrimeField) -> np.ndarray:
+    """bins[x-2] = dlog(x/(1-x)) for x in 2..q-1 (0 and 1 add nothing to J): each dlog but dlog(-1) = (q-1)/2, once."""
+    return (f.dlog[2:] - f.dlog[:1:-1]) % (f.q - 1)  # dlog x - dlog(1-x): dlog[:1:-1][x-2] = dlog[q+1-x]
+
+
+def _rotated(v: np.ndarray, a: int) -> np.ndarray:
+    """v rotated left by a, as a new array: entry j is v[(j + a) mod len(v)]; two slices, quicker than np.roll."""
+    a %= len(v)
+    return np.concatenate((v[a:], v[:a]))
 
 
 def _line_kernel(tables: SumTables, diff: int, by_dlog: np.ndarray | None = None) -> np.ndarray:
     """The binomial line of diff, each x optionally weighted by by_dlog[dlog x].
 
-    With d1 = dlog x and d2 = dlog(1-x), the Jacobi sum behind entry m
-    is sum_x zeta^(diff*d2) zeta^(m*(d1-d2)): a histogram of the first
-    factor over the bins d1-d2, then one inverse DFT over m.  Entry m is
+    With d1 = dlog x and d2 = dlog(1-x), read as the slices dlog[2:] and
+    dlog[:1:-1] beside the bins d1-d2 (_line_bins), the Jacobi sum behind
+    entry m is sum_x zeta^(diff*d2) zeta^(m*(d1-d2)): a histogram of the
+    first factor over the bins, then one inverse DFT over m.  Entry m is
     (-1)^(m-diff)/q times that sum, which without weights is
     (chi_m over chi_{m-diff}).
     """
     f = tables.field
     n = f.q - 1
-    d1, d2, bins = tables.memo("bins", _line_bins, f)
-    weights = f.unit_roots[(diff * d2) % n]
+    weights = f.unit_roots[(diff * f.dlog[:1:-1]) % n]
     if by_dlog is not None:
-        weights = weights * by_dlog[d1]
+        weights = weights * by_dlog[f.dlog[2:]]
     hist = np.zeros(n, dtype=complex)
-    np.add.at(hist, bins, weights)
+    np.add.at(hist, tables.memo("bins", _line_bins, f), weights)
     line = np.fft.ifft(hist) * n / f.q  # n * ifft[m] = J(chi_m, chi_{diff-m}) when unweighted
     line[(diff + 1) % 2 :: 2] *= -1  # (-1)^(m-diff)
     return line

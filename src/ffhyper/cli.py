@@ -1,19 +1,20 @@
 """Command-line front end: evaluate, verify, sweep.
 
-Exit codes are a function of results only: 0 all checks pass, 1 any
-failed row (a failed reconstruction is one) or verify statement with no
-instances, 2 usage or configuration error (an unwritable --out is one;
-eval reads an unread flag, an unknown function, a missing flag and a bad
---chars off argv alone, and refuses them before the field is charged or
-built, so before any budget refusal), 3 work budget exceeded: a run is charged in full (its fields and the
-costs identities.STATEMENTS or SWEEPS give) before its first table is
-built, so a refusal writes nothing.  Verify writes its rows by statement,
-in the order first named, then by prime, so the bytes emitted depend only
-on the configuration; CSV and JSON are UTF-8 with LF line endings.  Each
-(statement, prime) comes as one ReportBlock, whose rows are written and
-summarised straight from its columns.  Sweep writes the rows and summary
-identities.estimate_sweep returns; a sweep with failing rows also writes
-one warning line, naming the first and the largest residual, to stderr.
+Exit codes are a function of results only: 0 all checks pass, 1 any failed
+row (a failed reconstruction is one) or verify statement with no instances,
+2 usage or configuration error (an unwritable --out is one; eval reads an
+unread flag, an unknown function, a missing flag, a bad --chars and a wrong
+--uppers/--lowers count off argv alone, and refuses them before the field is
+charged or built, so before any budget refusal), 3 work budget exceeded: a
+run is charged in full (its fields and the costs identities.STATEMENTS or
+SWEEPS give) before its first table is built, so a refusal writes nothing.
+Verify writes its rows by statement, in the order first named, then by
+prime, so the bytes emitted depend only on the configuration; CSV and JSON
+are UTF-8 with LF line endings.  Each (statement, prime) comes as one
+ReportBlock, whose rows are written and summarised straight from its
+columns.  Sweep writes the rows and summary identities.estimate_sweep
+returns; a sweep with failing rows also writes one warning line, naming the
+first and the largest residual, to stderr.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def cmd_eval(args) -> int:
     """Evaluate one function at one point; every check of argv alone is made before any work.
 
     An unread flag, an unknown function, a missing flag and a malformed or
-    miscounted --chars are refused before the field is charged or built.
+    miscounted --chars, --uppers or --lowers are refused before the field is charged or built.
     """
     start = time.perf_counter()
     fn = args.fn
@@ -312,6 +313,8 @@ def cmd_eval(args) -> int:
     slots = args.uppers is not None or args.lowers is not None
     if slots:
         ups, los = _parse_indices(args.uppers, "uppers"), _parse_indices(args.lowers or "", "lowers")
+        if len(ups) != n + 1 or len(los) != n:
+            raise UsageError("need n+1 upper characters and n lower characters")
     _charge(_per_prime([_FIELD_COST], [args.q]), DEFAULT_BUDGET)
     f = make_field(args.q)
     tables = SumTables(f)
@@ -329,10 +332,7 @@ def cmd_eval(args) -> int:
         val = appell_f4(*idx, args.x, args.y, tables)
         lines.append(f"F4* = {val!r}")
     elif slots:
-        params = HyperParams(f.q, tuple(ups), tuple(los))
-        if params.n != n:
-            raise UsageError(f"{fn} needs {n + 1} uppers and {n} lowers")
-        val = hyper_char(params, args.x, tables)
+        val = hyper_char(HyperParams(f.q, tuple(ups), tuple(los)), args.x, tables)
         lines.append(f"{fn}({args.x}) = {val!r}")
     else:
         float_scale(n, f.q)  # refuse a scale reconstruct would refuse, before any work

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import character_row
-from .charsums import SumTables, _line_kernel
+from .charsums import SumTables, _line_kernel, _rotated
 from .curves import _correlate
 from .errors import Infeasible, NotRational
 
@@ -176,13 +176,11 @@ def _coeff_vector(params: HyperParams, tables: SumTables) -> np.ndarray:
 
 def _coeff_product(params: HyperParams, tables: SumTables) -> np.ndarray:
     # Slot (A, B) contributes binomial_line(A - B)[j + A] to c[j].
-    n = params.q - 1
-    ks = np.arange(n)
     a0 = params.uppers[0]
-    c = tables.binomial_line(a0)[(ks + a0) % n]
+    c = _rotated(tables.binomial_line(a0), a0)
     for up, lo in zip(params.uppers[1:], params.lowers):
-        c *= tables.binomial_line(up - lo)[(ks + up) % n]
-    c *= params.q / n
+        c *= _rotated(tables.binomial_line(up - lo), up)
+    c *= params.q / (params.q - 1)
     return c
 
 
@@ -221,7 +219,7 @@ def hyper_twisted_sum(params: HyperParams, weights: np.ndarray, x: int, tables: 
         return 0j
     a = params.uppers[-1]
     d = (a - params.lowers[-1]) % n
-    last = _line_kernel(tables, d, np.fft.ifft(weights) * n)[(np.arange(n) + a) % n]
+    last = _rotated(_line_kernel(tables, d, np.fft.ifft(weights) * n), a)
     c = _coeff_vector(params.dropped_last(), tables) * last
     return complex((c * character_row(f, x)).sum())  # not @, as in hyper_char
 
@@ -241,9 +239,8 @@ def _all_x_values(params: HyperParams, tables: SumTables) -> np.ndarray:
     q = f.q
     out = np.zeros(q, dtype=complex)
     if params.n == 0:
-        # conj(A)(1-x) for x outside {0, 1}; both of those give 0.
-        xs = np.arange(2, q)
-        out[xs] = f.unit_roots[(-params.uppers[0] * f.dlog[(1 - xs) % q]) % (q - 1)]
+        # conj(A)(1-x) at x = 2..q-1, where dlog(1-x) is dlog[:1:-1]; x = 0 and 1 give 0.
+        out[2:] = f.unit_roots[(-params.uppers[0] * f.dlog[:1:-1]) % (q - 1)]
     else:
         c = _coeff_vector(params, tables)
         vals_by_dlog = np.fft.ifft(c) * (q - 1)
@@ -364,13 +361,13 @@ def _f4_spectra(tables: SumTables, ai: int, bi: int, ci: int, cpi: int):
     """The F4* weights and the doubled spectra of C and C' (see appell_f4_batch); one spectrum if C = C'."""
     n = tables.field.q - 1
     g = tables.gauss_vector
-    denom = g[ai] * g[bi] * g[(-ci) % n] * g[(-cpi) % n]
-    ks = np.arange(n)
-    weights = np.fft.fft(g[(ks + ai) % n] * g[(ks + bi) % n]) / (n**3 * denom)
+    g_neg = np.concatenate((g[:1], g[:0:-1]))  # g_neg[k] = g[-k]
+    denom = g[ai] * g[bi] * g_neg[ci] * g_neg[cpi]
+    weights = np.fft.fft(_rotated(g, ai) * _rotated(g, bi)) / (n**3 * denom)
 
     def doubled(lower: int) -> np.ndarray:
         # Entries m..m+n-1 are S_lower rotated left by m.
-        spec = np.fft.ifft(g[(-lower - ks) % n] * g[(-ks) % n]) * n
+        spec = np.fft.ifft(_rotated(g_neg, lower) * g_neg) * n
         return np.concatenate((spec, spec[:-1]))
 
     spec_c = doubled(ci)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import Character, character_row
-from .charsums import SumTables
+from .charsums import SumTables, _line_bins, _rotated
 from .curves import _stack_runs, clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
 from .errors import Infeasible, RejectedInput
 from .field import PrimeField, make_field
@@ -190,7 +190,7 @@ def _inductive_sum(free: HyperParams, k: int, x: int, tables: SumTables) -> comp
     vals_free = hyper_all_x(free, tables)
     vals_phi = hyper_all_x(HyperParams.phi_eps(q, k - 1), tables)
     bs = np.arange(1, q)
-    return complex((tables.field.legendre_table[bs] * vals_free[(bs * x) % q] * vals_phi[bs]).sum())
+    return complex((tables.field.legendre_table[1:] * vals_free[(bs * x) % q] * vals_phi[1:]).sum())
 
 
 def verify_inductive_k(
@@ -257,8 +257,8 @@ def verify_product(
     )
     t2 = lower_vals[x] * hyper_char(f21, 1, tables) * f21_z / q
     ws = np.arange(2, q)
-    f4 = tables.memo(("f4-curve", z), appell_f4_batch, phi, phi, 0, 0, z * (1 - ws) % q, ws * (1 - z) % q, tables)
-    t3 = complex((f.legendre_table[ws] * lower_vals[(ws * x) % q] * f4).sum())
+    f4 = tables.memo(("f4-curve", z), lambda: appell_f4_batch(phi, phi, 0, 0, z * (1 - ws), ws * (1 - z), tables))
+    t3 = complex((f.legendre_table[2:] * lower_vals[(ws * x) % q] * f4).sum())
     rhs = t1 + t2 + t3 / q**3
     return f"n={n} x={x} z={z} up={_idx(free.uppers)} lo={_idx(free.lowers)}", lhs, rhs, 0.0
 
@@ -304,14 +304,13 @@ def verify_trace_moments(tables: SumTables) -> list[tuple]:
     f = tables.field
     q = f.q
     leg = f.legendre_table
-    ap = _trace_table("clausen", tables)
     f32, margin, _ = _nearest(hyper_char(HyperParams.phi_eps(q, 2), 1, tables), 2, q)
     phi_m1 = f.phi_minus_one
 
     lhs1 = int(_trace_table("legendre", tables)[2:].sum()) + phi_m1
-    lams = np.arange(1, q - 1)  # clausen-valid: lambda not in {0, -1}
-    lhs2 = int((leg[(1 + lams) % q] * ap[lams] ** 2).sum()) + q + f32
-    lhs3 = int((leg[lams] * ap[lams] ** 2).sum()) + q * phi_m1 + f32
+    ap2 = _trace_table("clausen", tables)[1 : q - 1] ** 2  # clausen-valid lambda = 1..q-2: not in {0, -1}
+    lhs2 = int((leg[2:] * ap2).sum()) + q + f32
+    lhs3 = int((leg[1 : q - 1] * ap2).sum()) + q * phi_m1 + f32
 
     return [
         ("sum a_lambda + phi(-1)", lhs1, -1, 0, 0.0),
@@ -355,21 +354,20 @@ def trace_bridge_block(tables: SumTables) -> ReportBlock:
     q + q^2 phi(1-lambda) 3F2(lambda), two integers.  Each family is
     reconstructed in one reconstruct_ints call, and both families' rows are
     judged in one _exact_block call, so a lambda whose value fails
-    reconstruction fails only its own row.  mu is read off the discrete-log tables.
+    reconstruction fails only its own row.  mu = exp[bins] reads the binomial
+    lines' bins dlog(lambda/(1-lambda)), and phi(1-lambda) is legendre_table[:1:-1].
     """
     f = tables.field
     q = f.q
-    lams = np.arange(2, q)
     a = _trace_table("legendre", tables)
     f21 = hyper_all_x(HyperParams.phi_eps(q, 1), tables)
     legendre_ints, legendre_margin = reconstruct_ints(f.phi_minus_one * f21[2:], 1, q)
     ap = _trace_table("clausen", tables)
     f32 = hyper_all_x(HyperParams.phi_eps(q, 2), tables)
     t2, clausen_margin = reconstruct_ints(f32[2:], 2, q)
-    one_minus = (1 - lams) % q
-    mus = f.exp[(f.dlog[lams] - f.dlog[one_minus]) % (q - 1)]
+    mus = f.exp[tables.memo("bins", _line_bins, f)]
     lhs = np.concatenate((legendre_ints, ap[mus] ** 2))
-    rhs = np.concatenate((-a[2:], q + f.legendre_table[one_minus] * t2))
+    rhs = np.concatenate((-a[2:], q + f.legendre_table[:1:-1] * t2))
     npow = np.repeat(np.array([1, 0], dtype=np.int64), q - 2)
     instances = [f"legendre lambda={lam}" for lam in range(2, q)]
     instances += [f"clausen lambda={lam} mu={mu}" for lam, mu in zip(range(2, q), mus.tolist())]
@@ -420,12 +418,11 @@ def verify_generating(params: HyperParams, x: int, t: int, tables: SumTables) ->
         raise RejectedInput("x must be nonzero")
     if t in (0, 1):
         raise RejectedInput("t must avoid {0, 1}")
-    n = q - 1
     an = params.uppers[-1]
     d = an - params.lowers[-1]
     # weights[p] = (A_n conj(B_n) chi_p over chi_p) chi_p(t)
-    weights = tables.binomial_line(d)[(np.arange(n) + d) % n] * character_row(f, t)
-    lhs = q / n * hyper_twisted_sum(params, weights, x, tables)
+    weights = _rotated(tables.binomial_line(d), d) * character_row(f, t)
+    lhs = q / (q - 1) * hyper_twisted_sum(params, weights, x, tables)
     arg = x * f.inv((1 - t) % q) % q
     rhs = hyper_char(params, arg, tables) * Character(f, -an)((1 - t) % q) - generating_boundary_term(
         params, x, t, tables

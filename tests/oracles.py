@@ -4,7 +4,8 @@ None of these runs in a command: each is the slow, direct form of
 something `ffhyper` computes another way (the descent relation, the
 exact phi/eps descent, Gauss sums and the Appell series F4*, the point
 count, the cyclic correlation, the exact-row judge, the per-lambda trace
-bridges, a summary read off rows, reading a JSON report back), plus the
+bridges, a summary read off rows, reading a JSON report back, the
+per-prime tables read by gathers over index arrays), plus the
 row type IdentityReport that they return, rows(block), the one place a
 ReportBlock's columns are built into rows, and the helpers that drive the
 bridge oracles, judge one check's sides by the production builders, and
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import ffhyper.identities as ids
+from ffhyper.characters import character_row
 from ffhyper.charsums import SumTables
 from ffhyper.errors import RejectedInput, SingularParameter
 from ffhyper.field import PrimeField
@@ -116,6 +118,90 @@ def appell_f4_naive(field: PrimeField, a: int, b: int, c: int, cp: int, x: int, 
                 * chi_x[u] * chi_y[v]
             )
     return total / (n * n * g[a % n] * g[b % n] * g[-c % n] * g[-cp % n])
+
+
+# -- per-prime tables read by gathers over index arrays --------------------------------
+#
+# The library reads these tables by slices and two-slice rotations; these are
+# the same reads as gathers over np.arange index arrays, each product kept
+# with the operands it had there (a temporary or a named array), so the two
+# must agree bit for bit, also past the size where numpy reuses temporaries.
+
+
+def line_bins_gathered(f: PrimeField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d1 = dlog x, d2 = dlog(1-x) and the bins (d1-d2) mod (q-1), x in 2..q-1."""
+    xs = np.arange(2, f.q)
+    d1 = f.dlog[xs]
+    d2 = f.dlog[(1 - xs) % f.q]
+    return d1, d2, (d1 - d2) % (f.q - 1)
+
+
+def line_kernel_gathered(tables: SumTables, diff: int, by_dlog: np.ndarray | None = None) -> np.ndarray:
+    """charsums._line_kernel with its d1, d2 and bins from line_bins_gathered."""
+    f = tables.field
+    n = f.q - 1
+    d1, d2, bins = line_bins_gathered(f)
+    weights = f.unit_roots[(diff * d2) % n]
+    if by_dlog is not None:
+        weights = weights * by_dlog[d1]
+    hist = np.zeros(n, dtype=complex)
+    np.add.at(hist, bins, weights)
+    line = np.fft.ifft(hist) * n / f.q
+    line[(diff + 1) % 2 :: 2] *= -1
+    return line
+
+
+def coeff_product_gathered(params: HyperParams, tables: SumTables) -> np.ndarray:
+    """hypergeo._coeff_product, each slot's line rotated by a modular index array."""
+    n = params.q - 1
+    ks = np.arange(n)
+    a0 = params.uppers[0]
+    c = tables.binomial_line(a0)[(ks + a0) % n]
+    for up, lo in zip(params.uppers[1:], params.lowers):
+        c *= tables.binomial_line(up - lo)[(ks + up) % n]
+    c *= params.q / n
+    return c
+
+
+def twisted_sum_gathered(params: HyperParams, weights: np.ndarray, x: int, tables: SumTables) -> complex:
+    """hypergeo.hyper_twisted_sum at x != 0, its last slot rotated by a modular index array."""
+    f = tables.field
+    n = f.q - 1
+    a = params.uppers[-1]
+    d = (a - params.lowers[-1]) % n
+    last = line_kernel_gathered(tables, d, np.fft.ifft(weights) * n)[(np.arange(n) + a) % n]
+    c = coeff_product_gathered(params.dropped_last(), tables) * last
+    return complex((c * character_row(f, x % f.q)).sum())
+
+
+def f4_spectra_gathered(tables: SumTables, ai: int, bi: int, ci: int, cpi: int):
+    """hypergeo._f4_spectra with every Gauss-vector read a modular index array."""
+    n = tables.field.q - 1
+    g = tables.gauss_vector
+    denom = g[ai] * g[bi] * g[(-ci) % n] * g[(-cpi) % n]
+    ks = np.arange(n)
+    weights = np.fft.fft(g[(ks + ai) % n] * g[(ks + bi) % n]) / (n**3 * denom)
+
+    def doubled(lower: int) -> np.ndarray:
+        spec = np.fft.ifft(g[(-lower - ks) % n] * g[(-ks) % n]) * n
+        return np.concatenate((spec, spec[:-1]))
+
+    return weights, doubled(ci), doubled(cpi)
+
+
+def inductive_sum_gathered(free: HyperParams, k: int, x: int, tables: SumTables) -> complex:
+    """identities._inductive_sum with b read as np.arange(1, q)."""
+    q = tables.field.q
+    vals_free = hyper_all_x(free, tables)
+    vals_phi = hyper_all_x(HyperParams.phi_eps(q, k - 1), tables)
+    bs = np.arange(1, q)
+    return complex((tables.field.legendre_table[bs] * vals_free[(bs * x) % q] * vals_phi[bs]).sum())
+
+
+def bridge_mus_gathered(f: PrimeField) -> np.ndarray:
+    """mu = lambda/(1-lambda) for lambda in 2..q-1, off the dlog of lambda and of 1-lambda."""
+    lams = np.arange(2, f.q)
+    return f.exp[(f.dlog[lams] - f.dlog[(1 - lams) % f.q]) % (f.q - 1)]
 
 
 # -- curve point counts ------------------------------------------------------------

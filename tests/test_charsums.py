@@ -4,11 +4,23 @@ import random
 import numpy as np
 import pytest
 
+import ffhyper.charsums as cs
+import ffhyper.hypergeo as hg
+import ffhyper.identities as ids
 from ffhyper import make_field
 from ffhyper.charsums import SumTables
 from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import HyperParams, appell_f4, hyper_twisted_sum
-from oracles import appell_f4_naive, gauss_naive
+from oracles import (
+    appell_f4_naive,
+    bridge_mus_gathered,
+    coeff_product_gathered,
+    f4_spectra_gathered,
+    gauss_naive,
+    inductive_sum_gathered,
+    line_kernel_gathered,
+    twisted_sum_gathered,
+)
 
 
 def naive_jacobi(f, a, b):
@@ -141,8 +153,6 @@ def test_cache_transparency_bit_identical(tables_for):
 
 def test_line_bins_built_once_per_tables(monkeypatch):
     """The dlog bins behind every line are one memo entry per SumTables."""
-    import ffhyper.charsums as cs
-
     built = []
 
     def counted(f, build=cs._line_bins):
@@ -179,3 +189,52 @@ def test_appell_f4_matches_defining_sum(q, tables_for):
         x, y = rng.randrange(1, q), rng.randrange(1, q)
         oracle = appell_f4_naive(f, a, b, c, cp, x, y)
         assert abs(appell_f4(a, b, c, cp, x, y, t) - oracle) <= 1e-9 * q
+
+
+def test_line_bins_are_dlog_of_x_over_one_minus_x():
+    """x -> x/(1-x) maps 2..q-1 onto F_q minus {0, -1}: the bins hold every dlog but dlog(-1) = (q-1)/2, once."""
+    for q in primes_in_range(3, 200):
+        f = make_field(q)
+        bins = cs._line_bins(f)
+        assert sorted(bins.tolist()) == [r for r in range(q - 1) if r != (q - 1) // 2], q
+        assert f.exp[bins].tolist() == [lam * pow(1 - lam, -1, q) % q for lam in range(2, q)], q
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# From q = 16411 on a length-(q-1) complex array is 256 KiB or more, where
+# numpy may write a product into a temporary operand, and which operand it
+# takes moves the product's last bits; q = 20011 is past that size.
+@pytest.mark.parametrize("q", (5, 13, 101, 1601, 20011))
+def test_slice_reads_match_the_gathers_bit_for_bit(q):
+    """Every table read by slices or rotations equals its gathered form (tests/oracles.py) bit for bit."""
+    t = SumTables(make_field(q))
+    f = t.field
+    n = q - 1
+    rng = np.random.default_rng(q)
+    r = random.Random(q)
+    by_dlog = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for diff in sorted({0, 1, n // 2, n - 1, r.randrange(n)}):
+        assert _same_bits(cs._line_kernel(t, diff), line_kernel_gathered(t, diff))
+        assert _same_bits(cs._line_kernel(t, diff, by_dlog), line_kernel_gathered(t, diff, by_dlog))
+    for lowers in (0, 1, 2):
+        params = HyperParams(q, *(tuple(r.randrange(n) for _ in range(k)) for k in (lowers + 1, lowers)))
+        assert _same_bits(hg._coeff_product(params, t), coeff_product_gathered(params, t))
+        if lowers:
+            weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x = r.randrange(1, q)
+            got = hyper_twisted_sum(params, weights, x, t)
+            assert _same_bits(got, twisted_sum_gathered(params, weights, x, t))
+        free = HyperParams(q, *(tuple(r.randrange(n) for _ in range(k)) for k in (lowers + 1, lowers)))
+        for k in (1, 2):
+            x = r.randrange(1, q)
+            assert _same_bits(ids._inductive_sum(free, k, x, t), inductive_sum_gathered(free, k, x, t))
+    for chars in ((n // 2, n // 2, 0, 0), tuple(r.randrange(n) for _ in range(4))):
+        for got, want in zip(hg._f4_spectra(t, *chars), f4_spectra_gathered(t, *chars)):
+            assert _same_bits(got, want)
+    block = ids.trace_bridge_block(t)
+    mus = [int(inst.rpartition("mu=")[2]) for inst in block.instances[q - 2 :]]
+    assert mus == bridge_mus_gathered(f).tolist()

@@ -268,8 +268,12 @@ def test_eval_budget_refuses_field_before_building_it(monkeypatch, capsys):
         (["--fn", "trace-legendre"], "--lambda is required for trace functions"),
         (["--fn", "gauss"], "--chars is required for this function"),
         (["--fn", "jacobi", "--chars", "1,x"], "bad --chars value '1,x'"),
+        (
+            ["--fn", "2F1", "--x", "2", "--uppers", "1", "--lowers", "1"],
+            "need n+1 upper characters and n lower characters",
+        ),
     ),
-    ids=("unknown-fn", "no-lambda", "no-chars", "bad-chars"),
+    ids=("unknown-fn", "no-lambda", "no-chars", "bad-chars", "slot-count"),
 )
 def test_eval_usage_error_comes_before_charge_and_field(q, flags, message, monkeypatch, capsys):
     """A usage error read off argv alone exits 2 with its message, not a budget refusal or a not-prime error."""
