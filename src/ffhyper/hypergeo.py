@@ -21,10 +21,11 @@ every x in Python ints: each level of the one-slot descent is one exact
 integer correlation (curves._correlate on 20-bit limbs) of the level
 below, from the 1F0 table, memoised through SumTables.memo.  No
 command runs it: the exact identity checks reconstruct their integers
-from the character backend, and only the tests compare the two.  Reconstruction
-has one nearest-integer rule (_nearest), which fails a scaled real part
-past FLOAT_EXACT_LIMIT: reconstruct raises its failure, and
-reconstruct_ints is its array form.
+from the character backend, and only the tests compare the two.  Exact
+values have one nearest-integer rule, reconstruct_ints, which fails a
+scaled real part past FLOAT_EXACT_LIMIT, and one canonical form,
+_canonical; both work on arrays, and a scalar (reconstruct,
+QPowerRational.make, each exact identity check) reads a one-element array.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .characters import character_row
 from .charsums import SumTables, _line_kernel, _rotated
 from .curves import _correlate
-from .errors import Infeasible, NotRational
+from .errors import NotRational
 
 DEFAULT_BUDGET = 10**9
 
@@ -90,15 +91,22 @@ class QPowerRational:
 
     @classmethod
     def make(cls, num: int, npow: int, q: int) -> "QPowerRational":
-        if num == 0:
-            return cls(0, 0)
-        while npow > 0 and num % q == 0:
-            num //= q
-            npow -= 1
-        return cls(num, npow)
+        (num,), (npow,) = _canonical(np.array([num], dtype=object), np.array([npow]), q)
+        return cls(num, int(npow))
 
     def fmt(self, q: int) -> str:
         return _q_power_text(self.num, self.npow, q)
+
+
+def _canonical(num: np.ndarray, npow: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each num[i] / q**npow[i] with q divided out of the numerator while the power is positive, as two columns.
+
+    Zero becomes 0 / q**0.  An object column keeps its Python ints unbounded.
+    """
+    while (cut := (npow > 0) & (num % q == 0)).any():
+        num = np.where(cut, num // q, num)
+        npow = npow - cut
+    return num, npow
 
 
 def _q_power_text(num: int, npow: int, q: int) -> str:
@@ -122,42 +130,36 @@ def float_scale(npow: int, q: int) -> float:
         raise NotRational(f"scale q^{npow} = {q}^{npow} is beyond float range", math.inf) from None
 
 
-def _nearest(v: complex, npow: int, q: int) -> tuple[int, float, NotRational | None]:
-    """The integer m nearest v * q**npow, its margin, and why v is not m / q**npow (None if it is).
+def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
+    """Recover the integer m with v ~= m / q**npow by reconstruct_ints' rule, or raise NotRational naming why not."""
+    v = complex(v)
+    (m,), (margin,) = reconstruct_ints(np.array([v]), npow, q)
+    if not margin < EXACT_GAP:
+        scale = float_scale(npow, q)
+        if not abs(v.imag * scale) < EXACT_GAP:
+            why = "imaginary part too large for an exact value"
+        elif FLOAT_EXACT_LIMIT <= abs(v.real * scale) < math.inf:
+            why = "real part past float precision"
+        else:
+            why = "not within rounding distance of an integer"
+        raise NotRational(f"{why} at scale q^{npow}", float(margin))
+    return QPowerRational.make(int(m), npow, q)
+
+
+def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The integer m nearest each values[i] * q**npow, as int64, and its margin; npow >= 0.
 
     m is 0 where either scaled part is not finite or the real part is past
     FLOAT_EXACT_LIMIT.  The margin is the scaled imaginary part if not below
     EXACT_GAP, else the float spacing at a finite real part past the limit,
-    else the distance to m; v is exact when its margin is below EXACT_GAP,
-    so NaN fails.  A scale beyond float range raises float_scale's
+    else the distance to m; an entry is exact when its margin is below
+    EXACT_GAP, so NaN fails.  A scale beyond float range raises float_scale's
     NotRational.  The two parts are scaled apart: a complex product would
     turn a non-finite real part times the scale's zero imaginary part into
     a NaN imaginary part.
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
-    v, scale = complex(v), float_scale(npow, q)
-    re, im = v.real * scale, v.imag * scale
-    m = round(re) if abs(re) < FLOAT_EXACT_LIMIT and math.isfinite(im) else 0
-    if not abs(im) < EXACT_GAP:
-        margin, why = abs(im), "imaginary part too large for an exact value"
-    elif FLOAT_EXACT_LIMIT <= abs(re) < math.inf:
-        margin, why = math.ulp(re), "real part past float precision"
-    else:
-        margin, why = abs(re - m), "not within rounding distance of an integer"
-    return m, margin, None if margin < EXACT_GAP else NotRational(f"{why} at scale q^{npow}", margin)
-
-
-def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
-    """Recover the integer m with v ~= m / q**npow by _nearest's rule, or raise its NotRational."""
-    m, _, failure = _nearest(v, npow, q)
-    if failure is not None:
-        raise failure
-    return QPowerRational.make(m, npow, q)
-
-
-def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """_nearest over an array: each entry's integer, as int64, and margin."""
     scale = float_scale(npow, q)
     re, im = values.real * scale, values.imag * scale
     m = np.rint(np.where((np.abs(re) < FLOAT_EXACT_LIMIT) & np.isfinite(im), re, 0.0))
@@ -271,7 +273,7 @@ def _correlate_ints(kernel: np.ndarray, level: np.ndarray) -> np.ndarray:
     return out
 
 
-def hyper_exact_phi(n: int, tables: SumTables, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def hyper_exact_phi(n: int, tables: SumTables) -> np.ndarray:
     """q**n (n+1)F_n(x) at every x in Python ints, all uppers phi and lowers eps, n >= 1; 0 at x = 0.
 
     Level k is T_k[g^l] = phi(-1) sum_j phi(g^j)phi(1-g^j) T_{k-1}[g^(j+l)] from T_0[x] = phi(1-x),
@@ -279,8 +281,6 @@ def hyper_exact_phi(n: int, tables: SumTables, budget: int = DEFAULT_BUDGET) -> 
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if tables.field.q**n > budget:
-        raise Infeasible(f"q^n = {tables.field.q}^{n} exceeds the work budget {budget}")
     level = None
     for k in range(n + 1):
         level = tables.memo(("exact", k), _exact_level, tables.field, level)

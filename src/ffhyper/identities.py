@@ -5,21 +5,23 @@ arithmetic after rational reconstruction; everything else is checked in
 floating point against a scale-aware tolerance.  Float sides are
 (instance, lhs, rhs, floor), the floor a cross-check's residual; exact
 sides are (instance, lhs, rhs, npow, margin), two integers over one power
-of q rounded by hypergeo's one nearest-integer rule, and that rounding's
-margin.  Every statement's rows are of one kind, and one builder turns
-them into its ReportBlock, columns only: _float_block judges against
-float_tol, and _exact_block judges every exact row, trace-bridge's
-included, by one rule (_judge), canonical form only filling the printed
+of q rounded by hypergeo's one nearest-integer rule (reconstruct_ints, a
+scalar side read as a one-element array), and that rounding's margin.
+Every statement's rows are of one kind, and one builder turns them into
+its ReportBlock, columns only: _float_block judges against float_tol, and
+_exact_block judges every exact row, trace-bridge's included, by one rule
+(_judge), hypergeo's canonical form (_canonical) only filling the printed
 sides.  A value that is not exact fails only the rows that read it, each
 holding its nearest value over q**m and its margin as the residual.
 The inductive b-sum sum_b phi(b) F_free(bx) F_{k-1}(b) is stated once:
 verify_inductive_k compares it with F in floating point, and every
 second-moment row (every free slot phi/eps, the x=1, n+1=2k peak
 included) reconstructs both exactly.  Each curve family's trace table is
-one memo entry per prime, read by trace-moments, trace-bridge and the
-F43/F65 sweeps.  The trace bridges, 2(q-2) exact checks per prime, are
-reconstructed one family per array pass; their per-lambda oracle lives
-in the tests.
+one memo entry per prime, read by trace-moments, trace-bridge,
+remark-sums' cross-checks and the F43/F65 sweeps, so verify computes each
+trace once per family and prime.  The trace bridges, 2(q-2) exact checks
+per prime, are reconstructed one family per array pass; their per-lambda
+oracle lives in the tests.
 STATEMENTS maps each statement to the function that draws its instances
 at one prime, never inside the checks, and checks them into one block,
 and to its per-prime cost; every instance is fully described in its row
@@ -39,14 +41,14 @@ import numpy as np
 
 from .characters import Character, character_row
 from .charsums import SumTables, _line_bins, _rotated
-from .curves import _stack_runs, clausen_trace, clausen_trace_table, legendre_trace, legendre_trace_table
+from .curves import _stack_runs, clausen_trace_table, legendre_trace_table
 from .errors import Infeasible, RejectedInput
 from .field import PrimeField, make_field
 from .hypergeo import (
     EXACT_GAP,
     HyperParams,
     QPowerRational,
-    _nearest,
+    _canonical,
     appell_f4_batch,
     hyper_all_x,
     hyper_char,
@@ -136,14 +138,6 @@ def _exact_block(name: str, q: int, instances, lhs, rhs, npow, margin) -> Report
     residual, passed = _judge(lhs, rhs, npow, np.asarray(margin, dtype=float), q)
     columns = (*_canonical(lhs, npow, q), *_canonical(rhs, npow, q), residual, passed)
     return ReportBlock(name, q, True, 0.0, list(instances), *(c.tolist() for c in columns))
-
-
-def _canonical(num: np.ndarray, npow: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """QPowerRational.make(num[i], npow[i], q) for every i, as numerator and power columns."""
-    while (cut := (npow > 0) & (num % q == 0)).any():
-        num = np.where(cut, num // q, num)
-        npow = npow - cut
-    return num, npow
 
 
 def _block(name: str, q: int, rows: Iterable[tuple]) -> ReportBlock:
@@ -282,8 +276,8 @@ def first_moment(n: int, weighted: bool, tables: SumTables) -> tuple:
     else:
         total = complex(vals.sum())
         expected = (-1) ** (n + 1)
-    num, margin, _ = _nearest(total, n, q)
-    return f"n={n} {'weighted' if weighted else 'unweighted'}", num, expected, n, margin
+    (num,), (margin,) = reconstruct_ints(np.array([total]), n, q)
+    return f"n={n} {'weighted' if weighted else 'unweighted'}", int(num), expected, n, margin
 
 
 # -- trace moment identities -------------------------------------------------------
@@ -304,13 +298,13 @@ def verify_trace_moments(tables: SumTables) -> list[tuple]:
     f = tables.field
     q = f.q
     leg = f.legendre_table
-    f32, margin, _ = _nearest(hyper_char(HyperParams.phi_eps(q, 2), 1, tables), 2, q)
+    (f32,), (margin,) = reconstruct_ints(np.array([hyper_char(HyperParams.phi_eps(q, 2), 1, tables)]), 2, q)
     phi_m1 = f.phi_minus_one
 
     lhs1 = int(_trace_table("legendre", tables)[2:].sum()) + phi_m1
     ap2 = _trace_table("clausen", tables)[1 : q - 1] ** 2  # clausen-valid lambda = 1..q-2: not in {0, -1}
-    lhs2 = int((leg[2:] * ap2).sum()) + q + f32
-    lhs3 = int((leg[1 : q - 1] * ap2).sum()) + q * phi_m1 + f32
+    lhs2 = int((leg[2:] * ap2).sum()) + q + int(f32)
+    lhs3 = int((leg[1 : q - 1] * ap2).sum()) + q * phi_m1 + int(f32)
 
     return [
         ("sum a_lambda + phi(-1)", lhs1, -1, 0, 0.0),
@@ -336,10 +330,11 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> tuple:
     x %= q
     if x == 0:
         raise RejectedInput("x must be nonzero")
-    left, left_margin, _ = _nearest(_inductive_sum(HyperParams.phi_eps(q, n - k), k, x, tables), n - 1, q)
-    right, right_margin, _ = _nearest(hyper_char(HyperParams.phi_eps(q, n), x, tables), n, q)
+    lambda_sum = _inductive_sum(HyperParams.phi_eps(q, n - k), k, x, tables)
+    (left,), (left_margin,) = reconstruct_ints(np.array([lambda_sum]), n - 1, q)
+    (right,), (right_margin,) = reconstruct_ints(np.array([hyper_char(HyperParams.phi_eps(q, n), x, tables)]), n, q)
     inst = f"k={k} x=1 second-moment peak" if x == 1 and n + 1 == 2 * k else f"n={n} k={k} x={x}"
-    return inst, left, f.phi_minus_one**k * right, n - 1, _max_residual((left_margin, right_margin))
+    return inst, int(left), f.phi_minus_one**k * int(right), n - 1, _max_residual((left_margin, right_margin))
 
 
 # -- trace bridges -----------------------------------------------------------------
@@ -469,7 +464,9 @@ def verify_remark_sums(lam: int, level: str, tables: SumTables) -> tuple:
 
     The right-hand sides use the hypergeometric value at lambda itself;
     that value is independently cross-checked against the matching curve
-    trace, and the larger of the two residuals is reported.
+    trace, read from the family's memoised trace table (the Legendre trace
+    at lambda, the Clausen trace at lambda/(1-lambda)), and the larger of
+    the two residuals is reported.
     """
     f = tables.field
     q = f.q
@@ -484,7 +481,7 @@ def verify_remark_sums(lam: int, level: str, tables: SumTables) -> tuple:
         f2 = hyper_char(base, lam, tables)
         # ((q-1) phi(lam) + 1)/q, the +1 carrying the descent boundary term
         rhs = ((q - 1) / q * f.legendre(lam) + 1 / q) * f2 - 1 / q**2
-        bridge = -f.phi_minus_one * legendre_trace(f, lam).trace / q
+        bridge = -f.phi_minus_one * int(_trace_table("legendre", tables)[lam]) / q
         bridge_resid = abs(f2 - bridge)
     elif level == "4F3":
         base = HyperParams.phi_eps(q, 2)
@@ -492,7 +489,7 @@ def verify_remark_sums(lam: int, level: str, tables: SumTables) -> tuple:
         f3 = hyper_char(base, lam, tables)
         rhs = ((q - 1) / q * f.legendre(-lam) + 1 / q) * f3 + 1 / q**3
         mu = lam * f.inv((1 - lam) % q) % q
-        bridge = f.legendre(1 - lam) * (clausen_trace(f, mu).trace ** 2 - q) / q**2
+        bridge = f.legendre(1 - lam) * (int(_trace_table("clausen", tables)[mu]) ** 2 - q) / q**2
         bridge_resid = abs(f3 - bridge)
     else:
         raise RejectedInput(f"unknown level {level!r}; expected 3F2 or 4F3")

@@ -722,19 +722,18 @@ def test_verify_q100003_second_moment_fails_only_its_k3_peak(monkeypatch, capsys
     """
     raised = []
 
-    def recording(*args, nearest=ids._nearest):
-        m, margin, failure = nearest(*args)
-        if failure is not None:
-            raised.append(failure)
-        return m, margin, failure
+    def recording(*args, nearest=ids.reconstruct_ints):
+        ints, margins = nearest(*args)
+        raised.extend(margins[~(margins < ids.EXACT_GAP)].tolist())
+        return ints, margins
 
-    monkeypatch.setattr(ids, "_nearest", recording)
+    monkeypatch.setattr(ids, "reconstruct_ints", recording)
     assert run(["verify", "--primes", "100003", "--statements", "second-moment", "--format", "json"]) == EXIT_FAILED
     rows = [report_from_json(d) for d in json.loads(capsys.readouterr().out)[:-1]]
     assert len(rows) == 4
     assert [r.instance for r in rows if not r.passed] == ["k=3 x=1 second-moment peak"]
     (peak,) = (r for r in rows if not r.passed)
-    assert len(raised) == 1 and peak.residual == raised[0].residual
+    assert len(raised) == 1 and peak.residual == raised[0]
     assert peak.tolerance == 0.0 and peak.lhs == peak.rhs
 
 

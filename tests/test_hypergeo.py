@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ffhyper import Infeasible, NotRational, hypergeo, make_field
+from ffhyper import NotRational, hypergeo, make_field
 from ffhyper.characters import Character
 from ffhyper.charsums import SumTables
 from ffhyper.field import primes_in_range
 from ffhyper.hypergeo import (
     HyperParams,
     QPowerRational,
-    _nearest,
     appell_f4,
     appell_f4_batch,
     hyper_all_x,
@@ -80,11 +79,6 @@ def test_exact_phi_base_cases():
     assert hyper_exact_phi(1, SumTables(f13))[1] == -f13.phi_minus_one
 
 
-def test_exact_phi_budget():
-    with pytest.raises(Infeasible):
-        hyper_exact_phi(5, SumTables(make_field(13)), budget=1000)
-
-
 @pytest.mark.parametrize(("q", "top"), ((3, 5), (5, 5), (7, 5), (13, 5), (101, 4), (401, 3)))
 def test_exact_phi_matches_naive_descent(q, top):
     """The correlation descent equals the naive O(n q^2) descent at every x, up to n = top."""
@@ -99,7 +93,7 @@ def test_exact_phi_matches_naive_descent(q, top):
 
 def test_exact_phi_second_moment_peak_at_q_100003():
     """|q^5 6F5(1)| at q = 100003, the k=3 second-moment peak the float route reads at margin 0.0098."""
-    got = hyper_exact_phi(5, SumTables(make_field(100003)), budget=10**26)[1]
+    got = hyper_exact_phi(5, SumTables(make_field(100003)))[1]
     assert got == -5292301055871
     assert type(got) is int
 
@@ -443,7 +437,7 @@ def test_reconstruct_ints_margins_are_reconstructs_residuals():
 
 @pytest.mark.parametrize("q", (5, 7, 13))
 def test_nearest_certifies_only_exact_descent_values(q):
-    """Every phi/eps value with n <= 60 that _nearest certifies is the exact descent's integer at its x.
+    """Every phi/eps value with n <= 60 that reconstruct_ints certifies is the exact descent's integer at its x.
 
     Past a scaled real part of 2**46 a double's spacing is above EXACT_GAP,
     so those values must fail rather than round to a wrong integer.
@@ -451,20 +445,30 @@ def test_nearest_certifies_only_exact_descent_values(q):
     tables = SumTables(make_field(q))
     for n in range(1, 61):
         values = hyper_all_x(HyperParams.phi_eps(q, n), tables)
-        exact = hyper_exact_phi(n, tables, budget=10**1000)
+        exact = hyper_exact_phi(n, tables)
+        ints, margins = reconstruct_ints(values, n, q)
         for x in range(1, q):
-            m, _, failure = _nearest(values[x], n, q)
-            assert failure is not None or m == exact[x], (n, x)
+            assert not margins[x] < 0.01 or int(ints[x]) == exact[x], (n, x)
 
 
 @pytest.mark.parametrize("re", (2.0**46, -(2.0**46) - 64, 2.0**60, 1e300))
 def test_reconstruct_past_float_precision_fails_with_the_spacing(re):
     """A finite scaled real part at or past 2**46 fails: integer 0, margin the float spacing there, in both forms."""
-    m, margin, failure = _nearest(complex(re, 0), 0, 7)
-    assert (m, margin) == (0, math.ulp(re)) and margin >= 2**-6
-    assert str(failure).startswith("real part past float precision at scale q^0")
     ints, margins = reconstruct_ints(np.array([complex(re, 0), 2.0**46 - 1]), 0, 7)
-    assert ints.tolist() == [0, 2**46 - 1] and margins.tolist() == [margin, 0.0]
+    margin = math.ulp(re)
+    assert ints.tolist() == [0, 2**46 - 1] and margins.tolist() == [margin, 0.0] and margin >= 2**-6
+    with pytest.raises(NotRational) as failure:
+        reconstruct(complex(re, 0), 0, 7)
+    assert str(failure.value).startswith("real part past float precision at scale q^0")
+    assert failure.value.residual == margin
+
+
+def test_reconstruct_ints_rejects_a_negative_power():
+    """A negative power is refused, not read as rounding at a scale below 1."""
+    with pytest.raises(ValueError, match="npow must be nonnegative"):
+        reconstruct_ints(np.array([1 / 7 + 0j, 3 + 0j]), -1, 7)
+    with pytest.raises(ValueError, match="npow must be nonnegative"):
+        reconstruct(1 / 7, -1, 7)
 
 
 @pytest.mark.parametrize("value", (complex(math.nan, 0), complex(-math.inf, 0), complex(1, math.nan)), ids=str)

@@ -19,7 +19,6 @@ from ffhyper.hypergeo import (
     HyperParams,
     QPowerRational,
     _coeff_vector,
-    _nearest,
     hyper_all_x,
     hyper_char,
     reconstruct,
@@ -424,11 +423,13 @@ def test_non_finite_value_is_a_failed_row(monkeypatch, capsys):
 
 @pytest.mark.parametrize("value", (complex(1, math.nan), complex(3, math.inf), complex(math.nan, 0)), ids=str)
 def test_reconstructed_non_finite_value_is_that_of_reconstruct_ints(value):
-    """A scalar exact row and an array entry give one non-finite value one nearest value: 0, margin NaN or inf."""
+    """reconstruct, an exact row and reconstruct_ints give one non-finite value one nearest value: 0, margin NaN or inf."""
     (num,), (margin,) = reconstruct_ints(np.array([value]), 0, 7)
-    m, scalar_margin, failure = _nearest(value, 0, 7)
-    assert m == num == 0 and failure is not None
-    row = judged("first-moment", 7, ("n=0", m, 0, 0, scalar_margin))
+    with pytest.raises(NotRational) as failure:
+        reconstruct(value, 0, 7)
+    scalar_margin = failure.value.residual
+    assert num == 0
+    row = judged("first-moment", 7, ("n=0", int(num), 0, 0, margin))
     assert not row.passed and not math.isfinite(row.residual)
     for got in (scalar_margin, row.residual):
         assert got == margin or math.isnan(got) and math.isnan(margin)
@@ -534,7 +535,7 @@ def test_first_moment_ns_are_stated_once(monkeypatch):
 
 
 def test_trace_tables_built_once_per_tables(monkeypatch):
-    """trace-moments and both bridges share one memoised table per family."""
+    """trace-moments, both bridges and remark-sums' cross-checks share one memoised table per family."""
     import ffhyper.identities as ids
 
     built = []
@@ -547,7 +548,7 @@ def test_trace_tables_built_once_per_tables(monkeypatch):
         monkeypatch.setattr(ids, name, counted)
     t = SumTables(make_field(13))
     for _ in range(2):
-        for label in ("trace-moments", "trace-bridge"):
+        for label in ("trace-moments", "trace-bridge", "remark-sums"):
             assert all(run_statement(label, t, 0).passed)
     assert sorted(built) == ["clausen_trace_table", "legendre_trace_table"]
     for family in ("legendre", "clausen"):
@@ -689,6 +690,20 @@ def test_remark_rejects(tables_for):
         verify_remark_sums(6, "3F2", t)  # -1 mod 7
     with pytest.raises(RejectedInput):
         verify_remark_sums(3, "5F4", t)
+
+
+def test_remark_sums_reads_no_scalar_trace(monkeypatch, capsys):
+    """verify --statements remark-sums reads its cross-check traces from the tables, not the O(q) scalar sums."""
+    import ffhyper.curves as curves
+
+    def refuse(field, lam):
+        raise AssertionError("remark-sums called a scalar trace sum")
+
+    for module in (curves, ids):
+        for name in ("legendre_trace", "clausen_trace"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert run(["verify", "--primes", "13,101", "--statements", "remark-sums"]) == EXIT_OK
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("label", ["generating", "closed-form", "remark-sums"])

@@ -18,7 +18,8 @@ from ffhyper.hypergeo import HyperParams, QPowerRational
 # the per-row report builders that the two column builders replaced, and
 # the inductive sides now inlined in verify_inductive_k, and the row type
 # that ReportBlock's columns replaced (now in tests/oracles.py), and the
-# line sign parity table that a strided sign flip replaced.
+# line sign parity table that a strided sign flip replaced, and the scalar
+# nearest-integer rule that reconstruct_ints replaced.
 GONE = (
     "hyper_inductive_step",
     "count_points_naive",
@@ -49,6 +50,7 @@ GONE = (
     "_inductive_sides",
     "IdentityReport",
     "_parity",
+    "_nearest",
 )
 
 
@@ -62,6 +64,8 @@ def test_package_surface():
     assert [name for name in ("field", "index_key") if hasattr(HyperParams, name)] == []
     assert not hasattr(QPowerRational, "value")
     assert not hasattr(ids.ReportBlock, "of")
+    # One canonical form of num / q**npow: identities imports hypergeo's and defines none.
+    assert ids._canonical is hypergeo._canonical
     # A block is columns only: len() is its row count, and it builds no row.
     assert "__len__" in ids.ReportBlock.__dict__ and not hasattr(ids.ReportBlock, "__getitem__")
     # No code compares or hashes fields: each keeps identity equality.
@@ -80,7 +84,7 @@ def test_identities_takes_no_budget():
 
 
 def test_hypergeo_evaluators_take_tables_not_a_field():
-    """Every public hypergeo evaluator reads its prime off the SumTables it is given."""
+    """Every public hypergeo evaluator reads its prime off the SumTables it is given, and takes no work budget."""
     evaluators = (
         hypergeo.hyper_char,
         hypergeo.hyper_all_x,
@@ -91,3 +95,4 @@ def test_hypergeo_evaluators_take_tables_not_a_field():
     )
     params = [inspect.signature(f).parameters for f in evaluators]
     assert [f.__name__ for f, p in zip(evaluators, params) if "field" in p or "tables" not in p] == []
+    assert [f.__name__ for f, p in zip(evaluators, params) if "budget" in p] == []
