@@ -14,7 +14,10 @@ are UTF-8 with LF line endings.  Each (statement, prime) comes as one
 ReportBlock, whose rows are written and summarised straight from its
 columns.  Sweep writes the rows and summary identities.estimate_sweep
 returns; a sweep with failing rows also writes one warning line, naming the
-first and the largest residual, to stderr.
+first and the largest residual, to stderr.  Verify and sweep each render
+once, when their work is done, straight into the stream (stdout, or --out
+opened only then): rows are written as they are formatted, and no report
+string is built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import re
@@ -30,6 +32,7 @@ import sys
 import time
 from dataclasses import asdict
 from itertools import repeat
+from typing import TextIO
 
 from . import identities
 from .charsums import SumTables
@@ -140,11 +143,10 @@ def _cells(block: ReportBlock, as_json: bool = False):
     return zip(repeat(block.name), repeat(block.q), block.instances, *_sides(block, as_json), block.residual, block.passed)
 
 
-def render_reports(blocks: list[ReportBlock], summaries: list[SweepSummary], fmt: str) -> str:
-    """The report stream: each block's rows in order, then the summaries."""
+def render_reports(blocks: list[ReportBlock], summaries: list[SweepSummary], fmt: str, fh: TextIO) -> None:
+    """Write the report stream to fh as it is formatted: each block's rows in order, then the summaries."""
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["statement", "q", "instance", "lhs", "rhs", "residual", "pass"])
         for block in blocks:
             w.writerows(
@@ -153,18 +155,11 @@ def render_reports(blocks: list[ReportBlock], summaries: list[SweepSummary], fmt
             )
         w.writerow([])
         w.writerow(["statement", "primes", "instances", "failures", "max_residual", "first_failure"])
-        for s in summaries:
-            w.writerow(
-                [
-                    s.statement,
-                    " ".join(str(p) for p in s.primes),
-                    s.instances,
-                    s.failures,
-                    repr(s.max_residual),
-                    s.first_failure,
-                ]
-            )
-        return buf.getvalue()
+        w.writerows(
+            [s.statement, " ".join(map(str, s.primes)), s.instances, s.failures, repr(s.max_residual), s.first_failure]
+            for s in summaries
+        )
+        return
     if fmt == "json":
         payload = [
             {
@@ -181,44 +176,48 @@ def render_reports(blocks: list[ReportBlock], summaries: list[SweepSummary], fmt
             for name, q, instance, lhs, rhs, residual, passed in _cells(b, as_json=True)
         ]
         payload.append({"summaries": [asdict(s) for s in summaries]})
-        return json.dumps(payload, indent=2) + "\n"
-    lines = []
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+        return
     for block in blocks:
-        lines.extend(
+        fh.writelines(
             f"{'PASS' if passed else 'FAIL'} {name} q={q} [{instance}] "
-            f"lhs={lhs} rhs={rhs} residual={residual:.3e}"
+            f"lhs={lhs} rhs={rhs} residual={residual:.3e}\n"
             for name, q, instance, lhs, rhs, residual, passed in _cells(block)
         )
-    lines.append("")
+    fh.write("\n")
     for s in summaries:
-        lines.append(
+        fh.write(
             f"summary {s.statement}: {s.instances} instances over primes "
             f"{s.primes}, {s.failures} failures, max residual {s.max_residual:.3e}"
             + (f", first failure: {s.first_failure}" if s.first_failure else "")
+            + "\n"
         )
-    return "\n".join(lines) + "\n"
 
 
-def render_sweep_rows(rows: list[dict], summary: SweepSummary, fmt: str) -> str:
+def render_sweep_rows(rows: list[dict], summary: SweepSummary, fmt: str, fh: TextIO) -> None:
+    """Write the sweep's rows to fh as they are formatted; JSON also holds the summary."""
     if fmt == "json":
-        return json.dumps({"rows": rows, "summary": asdict(summary)}, indent=2) + "\n"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+        json.dump({"rows": rows, "summary": asdict(summary)}, fh, indent=2)
+        fh.write("\n")
+        return
+    w = csv.writer(fh, lineterminator="\n")
     if rows:
-        header = list(rows[0].keys())
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
-    return buf.getvalue()
+        w.writerow(rows[0].keys())
+        w.writerows([repr(v) if isinstance(v, float) else v for v in row.values()] for row in rows)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(path: str | None, render, *args) -> None:
+    """render(*args, fh) into stdout, or into the --out file, opened only now that the work is done.
+
+    An OSError opening or writing --out is a UsageError.
+    """
     if path is None:
-        sys.stdout.write(text)
+        render(*args, sys.stdout)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            render(*args, fh)
     except OSError as e:
         raise UsageError(f"cannot write --out {path}: {e.strerror}") from e
 
@@ -241,7 +240,7 @@ def cmd_verify(
         for label in statements:
             blocks[label].append(identities.run_statement(label, tables, seed))
     summaries = [identities.summarize(label, *blocks[label]) for label in statements]
-    _emit(render_reports([b for bs in blocks.values() for b in bs], summaries, fmt), out)
+    _emit(out, render_reports, [b for bs in blocks.values() for b in bs], summaries, fmt)
     # A statement with no instances checked nothing; that is not a pass.
     vacuous = [s.statement for s in summaries if s.instances == 0]
     for label in vacuous:
@@ -256,7 +255,7 @@ def cmd_sweep(primes: list[int], which: str, budget: int, fmt: str, out: str | N
     """One trend table over the primes, every prime's table charged before the first is built."""
     _charge(_per_prime([identities.SWEEPS[which][2]], primes), budget)
     rows, s = identities.estimate_sweep(primes, which)
-    _emit(render_sweep_rows(rows, s, fmt), out)
+    _emit(out, render_sweep_rows, rows, s, fmt)
     if s.failures:
         print(
             f"warning: {s.statement}: {s.failures} failing rows, first at {s.first_failure}, "

@@ -20,17 +20,8 @@ from .errors import DivisionByZero, NotOdd, NotPrime
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; moduli here are desk-scale."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Trial division, by _prime_factors; moduli here are desk-scale."""
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

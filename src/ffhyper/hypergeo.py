@@ -24,8 +24,8 @@ command runs it: the exact identity checks reconstruct their integers
 from the character backend, and only the tests compare the two.  Exact
 values have one nearest-integer rule, reconstruct_ints, which fails a
 scaled real part past FLOAT_EXACT_LIMIT, and one canonical form,
-_canonical; both work on arrays, and a scalar (reconstruct,
-QPowerRational.make, each exact identity check) reads a one-element array.
+_canonical; both work on arrays, and take a scalar (reconstruct,
+QPowerRational.make, each exact identity check) as a 0-d array.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class QPowerRational:
 
     @classmethod
     def make(cls, num: int, npow: int, q: int) -> "QPowerRational":
-        (num,), (npow,) = _canonical(np.array([num], dtype=object), np.array([npow]), q)
-        return cls(num, int(npow))
+        num, npow = _canonical(num, npow, q)
+        return cls(int(num), int(npow))
 
     def fmt(self, q: int) -> str:
         return _q_power_text(self.num, self.npow, q)
@@ -101,8 +101,9 @@ class QPowerRational:
 def _canonical(num: np.ndarray, npow: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Each num[i] / q**npow[i] with q divided out of the numerator while the power is positive, as two columns.
 
-    Zero becomes 0 / q**0.  An object column keeps its Python ints unbounded.
+    Zero becomes 0 / q**0.  An object column keeps its Python ints unbounded; a scalar is a 0-d array.
     """
+    num, npow = np.asarray(num), np.asarray(npow)
     while (cut := (npow > 0) & (num % q == 0)).any():
         num = np.where(cut, num // q, num)
         npow = npow - cut
@@ -133,7 +134,7 @@ def float_scale(npow: int, q: int) -> float:
 def reconstruct(v: complex, npow: int, q: int) -> QPowerRational:
     """Recover the integer m with v ~= m / q**npow by reconstruct_ints' rule, or raise NotRational naming why not."""
     v = complex(v)
-    (m,), (margin,) = reconstruct_ints(np.array([v]), npow, q)
+    m, margin = reconstruct_ints(v, npow, q)
     if not margin < EXACT_GAP:
         scale = float_scale(npow, q)
         if not abs(v.imag * scale) < EXACT_GAP:
@@ -156,11 +157,12 @@ def reconstruct_ints(values: np.ndarray, npow: int, q: int) -> tuple[np.ndarray,
     EXACT_GAP, so NaN fails.  A scale beyond float range raises float_scale's
     NotRational.  The two parts are scaled apart: a complex product would
     turn a non-finite real part times the scale's zero imaginary part into
-    a NaN imaginary part.
+    a NaN imaginary part.  A scalar value is a 0-d array.
     """
     if npow < 0:
         raise ValueError("npow must be nonnegative")
     scale = float_scale(npow, q)
+    values = np.asarray(values)
     re, im = values.real * scale, values.imag * scale
     m = np.rint(np.where((np.abs(re) < FLOAT_EXACT_LIMIT) & np.isfinite(im), re, 0.0))
     past = (np.abs(re) >= FLOAT_EXACT_LIMIT) & np.isfinite(re)

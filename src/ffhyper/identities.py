@@ -6,7 +6,7 @@ floating point against a scale-aware tolerance.  Float sides are
 (instance, lhs, rhs, floor), the floor a cross-check's residual; exact
 sides are (instance, lhs, rhs, npow, margin), two integers over one power
 of q rounded by hypergeo's one nearest-integer rule (reconstruct_ints, a
-scalar side read as a one-element array), and that rounding's margin.
+scalar side read as a 0-d array), and that rounding's margin.
 Every statement's rows are of one kind, and one builder turns them into
 its ReportBlock, columns only: _float_block judges against float_tol, and
 _exact_block judges every exact row, trace-bridge's included, by one rule
@@ -276,7 +276,7 @@ def first_moment(n: int, weighted: bool, tables: SumTables) -> tuple:
     else:
         total = complex(vals.sum())
         expected = (-1) ** (n + 1)
-    (num,), (margin,) = reconstruct_ints(np.array([total]), n, q)
+    num, margin = reconstruct_ints(total, n, q)
     return f"n={n} {'weighted' if weighted else 'unweighted'}", int(num), expected, n, margin
 
 
@@ -298,7 +298,7 @@ def verify_trace_moments(tables: SumTables) -> list[tuple]:
     f = tables.field
     q = f.q
     leg = f.legendre_table
-    (f32,), (margin,) = reconstruct_ints(np.array([hyper_char(HyperParams.phi_eps(q, 2), 1, tables)]), 2, q)
+    f32, margin = reconstruct_ints(hyper_char(HyperParams.phi_eps(q, 2), 1, tables), 2, q)
     phi_m1 = f.phi_minus_one
 
     lhs1 = int(_trace_table("legendre", tables)[2:].sum()) + phi_m1
@@ -331,8 +331,8 @@ def second_weighted_moment(n: int, k: int, x: int, tables: SumTables) -> tuple:
     if x == 0:
         raise RejectedInput("x must be nonzero")
     lambda_sum = _inductive_sum(HyperParams.phi_eps(q, n - k), k, x, tables)
-    (left,), (left_margin,) = reconstruct_ints(np.array([lambda_sum]), n - 1, q)
-    (right,), (right_margin,) = reconstruct_ints(np.array([hyper_char(HyperParams.phi_eps(q, n), x, tables)]), n, q)
+    left, left_margin = reconstruct_ints(lambda_sum, n - 1, q)
+    right, right_margin = reconstruct_ints(hyper_char(HyperParams.phi_eps(q, n), x, tables), n, q)
     inst = f"k={k} x=1 second-moment peak" if x == 1 and n + 1 == 2 * k else f"n={n} k={k} x={x}"
     return inst, int(left), f.phi_minus_one**k * int(right), n - 1, _max_residual((left_margin, right_margin))
 

@@ -15,6 +15,25 @@ def brute_smallest_root(q):
     raise AssertionError
 
 
+def trial_division_is_prime(n):
+    """Odd trial division up to sqrt(n), written apart from the library's factoring."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(-5, 5001):
+        assert is_prime(n) == trial_division_is_prime(n), n
+
+
 def test_make_field_7_smallest_root():
     f = make_field(7)
     assert f.q == 7

@@ -518,9 +518,31 @@ def test_off_peak_draw_on_the_peak_stays_exact():
     block = run_statement("second-moment", SumTables(make_field(5)), 42)
     row = rows(block)[3]
     assert row.instance == "k=2 x=1 second-moment peak" and row.tolerance == 0.0 and row.passed
-    printed = list(csv.reader(io.StringIO(render_reports([block], [], "csv"))))[4]
+    buf = io.StringIO()
+    render_reports([block], [], "csv", buf)
+    printed = list(csv.reader(io.StringIO(buf.getvalue())))[4]
     assert printed[2] == row.instance
     assert re.fullmatch(r"-?\d+/5\^\d+", printed[3]) and re.fullmatch(r"-?\d+/5\^\d+", printed[4])
+
+
+@pytest.mark.parametrize("seed", (0, 42))
+def test_every_float_row_fails_with_its_right_side_zeroed(seed, monkeypatch):
+    """With _float_block setting every right-hand side to 0, each float statement but product fails every row at q=101.
+
+    product is left out: at seed 42 it draws the row n=3 x=74 z=90, whose
+    |lhs| = 8.8e-6 is below float_tol, so it passes any right side (the
+    CHANGES.md FOUND row on identities._product_at).
+    """
+
+    def zeroed(name, q, instances, lhs, rhs, floor, judge=ids._float_block):
+        return judge(name, q, instances, lhs, np.zeros(len(rhs)), floor)
+
+    monkeypatch.setattr(ids, "_float_block", zeroed)
+    tables = SumTables(make_field(101))
+    for label in ("contiguous", "inductive-k", "generating", "closed-form", "remark-sums"):
+        block = run_statement(label, tables, seed)
+        assert not block.exact and len(block) > 0, label
+        assert not any(block.passed), (label, [i for i, ok in zip(block.instances, block.passed) if ok])
 
 
 def test_first_moment_ns_are_stated_once(monkeypatch):
